@@ -12,7 +12,6 @@ from .autodiff import (
     eval_loss,
     explicit_matrix,
     fd_grad,
-    hvp,
 )
 from .data import Batch, BatchPlan, Dataset, SplitSpec, Task
 from .models import (

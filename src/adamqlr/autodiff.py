@@ -136,30 +136,6 @@ def eval_grad(
     return value, params.with_values(grad)
 
 
-def _hvp_values(
-    obj: Objective, params: ParamVector, batch: Optional[Batch], v: np.ndarray
-) -> np.ndarray:
-    tape = Tape()
-    theta = tape.input(params.values, tangent=v)
-    _, loss = obj.trace(tape, theta, batch)
-    value = float(loss.val)
-    if not np.isfinite(value):
-        raise EvalOverflowError(f"hvp({obj.name})", value)
-    (_, hv), = tape.backward(loss, (np.float64(1.0), None), [theta], use_tangents=True)
-    return np.zeros_like(params.values) if hv is None else hv
-
-
-def hvp(
-    obj: Objective, params: ParamVector, batch: Optional[Batch], v: ParamVector
-) -> ParamVector:
-    """Exact Hessian-vector product via a tangent-carrying reverse sweep."""
-    _check_params(obj, params)
-    _check_batch(obj, batch)
-    if len(v) != len(params):
-        raise ValueError("direction length must match parameter length")
-    return params.with_values(_hvp_values(obj, params, batch, v.values))
-
-
 def _output_loss_hvp(
     kind: LossKind, outputs: np.ndarray, out_tan: np.ndarray, n: int
 ) -> np.ndarray:
@@ -196,9 +172,7 @@ def curvature_vp(
     if len(v) != len(params):
         raise ValueError("direction length must match parameter length")
     counters.curvature_vp += 1
-    if kind is CurvatureKind.HESSIAN:
-        return params.with_values(_hvp_values(obj, params, batch, v.values))
-    if obj.loss_kind is None:
+    if kind is not CurvatureKind.HESSIAN and obj.loss_kind is None:
         raise UnsupportedCurvatureError(
             f"objective {obj.name!r} has no model/loss split; use HESSIAN curvature"
         )
@@ -207,6 +181,10 @@ def curvature_vp(
     outputs, loss = obj.trace(tape, theta, batch)
     if not np.isfinite(float(loss.val)):
         raise EvalOverflowError(f"curvature_vp({obj.name})", float(loss.val))
+    if kind is CurvatureKind.HESSIAN:
+        # Exact Hessian-vector product via a tangent-carrying reverse sweep.
+        (_, hv), = tape.backward(loss, (np.float64(1.0), None), [theta], use_tangents=True)
+        return params.with_values(np.zeros_like(params.values) if hv is None else hv)
     out_tan = outputs.tan
     if out_tan is None:
         out_tan = np.zeros_like(outputs.val)

@@ -222,7 +222,7 @@ def _cmd_gradcheck(args) -> int:
     _, gp = autodiff.eval_grad(obj, params.with_values(params.values + h * v.values), batch)
     _, gm = autodiff.eval_grad(obj, params.with_values(params.values - h * v.values), batch)
     fd_hv = (gp.values - gm.values) / (2 * h)
-    hv = autodiff.hvp(obj, params, batch, v).values
+    hv = autodiff.curvature_vp(obj, params, batch, v, autodiff.CurvatureKind.HESSIAN).values
     hvp_err = float(np.max(np.abs(hv - fd_hv))) / max(float(np.max(np.abs(fd_hv))), 1e-12)
 
     ok = grad_err <= 1e-5 and hvp_err <= 1e-4

@@ -1,13 +1,22 @@
 """Run configuration: dataclasses mirrored one-to-one by the JSON config file.
 
-Parsing is strict: unknown keys are rejected at every level so a typo in a
-config cannot silently fall back to a default.
+One codec reads the dataclasses' own fields, type hints and defaults, so
+each key's name, type and default is written once, on its dataclass.
+Tagged unions carry a "kind" key; enums are written by value, tuples as
+lists, and None fields are omitted. Parsing is strict: unknown keys are
+rejected at every level so a typo in a config cannot silently fall back
+to a default, and any malformed value raises ConfigError naming its
+dotted path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..autodiff import CurvatureKind, LossKind
@@ -52,7 +61,7 @@ LoaderConfig = Union[CsvLoader, IdxLoader, SyntheticLoader]
 class DatasetConfig:
     loader: LoaderConfig
     split: SplitSpec = SplitSpec()
-    batch: BatchPlan = BatchPlan(batch_size=3200)
+    batch: BatchPlan = BatchPlan()
     standardize: bool = True
 
 
@@ -82,7 +91,8 @@ class AdamOpt:
 
 @dataclass(frozen=True)
 class QlrOpt:
-    qlr: QLRConfig = QLRConfig()
+    # Flat: the QLR knobs sit directly in the JSON optimizer object.
+    qlr: QLRConfig = field(default=QLRConfig(), metadata={"flat": True})
     hyper: AdamHyper = AdamHyper()
 
     kind = "qlr"
@@ -111,167 +121,111 @@ class RunConfig:
             raise ConfigError("an MLP model requires a dataset block")
 
 
-def _take(d: dict, context: str, allowed: set[str], required: set[str]) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
-    return d
+# JSON "kind" tag of every member of a tagged union.
+_KINDS = {
+    MlpSpec: "mlp",
+    RosenbrockSpec: "rosenbrock",
+    CsvLoader: "csv",
+    IdxLoader: "idx",
+    SyntheticLoader: "synthetic",
+    **{cls: cls.kind for cls in (SgdMinimalOpt, SgdFullOpt, AdamOpt, QlrOpt)},
+}
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _enum(cls, value, context: str):
-    try:
-        return cls(value)
-    except ValueError:
-        choices = [e.value for e in cls]
-        raise ConfigError(f"{context}: {value!r} not one of {choices}") from None
-
-
-def _parse_model(d: dict) -> Union[MlpSpec, RosenbrockSpec]:
-    kind = _take(d, "model", {"kind"} | set(d), {"kind"})["kind"]
-    if kind == "mlp":
-        _take(d, "model", {"kind", "layer_widths", "activation", "loss"}, {"layer_widths", "loss"})
-        activation = d.get("activation")
-        return MlpSpec(
-            layer_widths=tuple(d["layer_widths"]),
-            loss=_enum(LossKind, d["loss"], "model.loss"),
-            activation=None if activation is None else _enum(Activation, activation, "model.activation"),
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, bool, bool], ...]:
+    """(name, type, required, flat) of each field; cached, as resolving hints is slow."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            hints[f.name],
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            f.metadata.get("flat", False),
         )
-    if kind == "rosenbrock":
-        _take(d, "model", {"kind", "a", "b"}, set())
-        return RosenbrockSpec(a=float(d.get("a", 1.0)), b=float(d.get("b", 100.0)))
-    raise ConfigError(f"model.kind: unknown kind {kind!r}")
-
-
-def _parse_loader(d: dict) -> LoaderConfig:
-    kind = _take(d, "dataset.loader", {"kind"} | set(d), {"kind"})["kind"]
-    if kind == "csv":
-        _take(d, "dataset.loader", {"kind", "path", "n_features", "target_columns"}, {"path", "n_features"})
-        return CsvLoader(d["path"], int(d["n_features"]), int(d.get("target_columns", 1)))
-    if kind == "idx":
-        _take(d, "dataset.loader", {"kind", "images_path", "labels_path"}, {"images_path", "labels_path"})
-        return IdxLoader(d["images_path"], d["labels_path"])
-    if kind == "synthetic":
-        _take(
-            d,
-            "dataset.loader",
-            {"kind", "task", "n", "d", "seed", "n_targets", "noise", "n_classes", "separation"},
-            {"task", "n", "d"},
-        )
-        return SyntheticLoader(
-            task=_enum(Task, d["task"], "dataset.loader.task"),
-            n=int(d["n"]),
-            d=int(d["d"]),
-            seed=int(d.get("seed", 0)),
-            n_targets=int(d.get("n_targets", 1)),
-            noise=float(d.get("noise", 0.1)),
-            n_classes=int(d.get("n_classes", 2)),
-            separation=float(d.get("separation", 6.0)),
-        )
-    raise ConfigError(f"dataset.loader.kind: unknown kind {kind!r}")
-
-
-def _parse_dataset(d: dict) -> DatasetConfig:
-    _take(d, "dataset", {"loader", "split", "batch", "standardize"}, {"loader"})
-    split = d.get("split", {})
-    _take(split, "dataset.split", {"train_fraction", "val_fraction", "test_fraction", "seed"}, set())
-    batch = d.get("batch", {})
-    _take(batch, "dataset.batch", {"batch_size", "shuffle_seed", "drop_last"}, set())
-    try:
-        split_spec = SplitSpec(
-            train_fraction=float(split.get("train_fraction", 0.8)),
-            val_fraction=float(split.get("val_fraction", 0.1)),
-            test_fraction=float(split.get("test_fraction", 0.1)),
-            seed=int(split.get("seed", 0)),
-        )
-        plan = BatchPlan(
-            batch_size=int(batch.get("batch_size", 3200)),
-            shuffle_seed=int(batch.get("shuffle_seed", 0)),
-            drop_last=bool(batch.get("drop_last", False)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return DatasetConfig(
-        loader=_parse_loader(d["loader"]),
-        split=split_spec,
-        batch=plan,
-        standardize=bool(d.get("standardize", True)),
+        for f in dataclasses.fields(cls)
     )
 
 
-def _parse_adam_hyper(d: dict, context: str) -> AdamHyper:
-    _take(d, context, {"beta1", "beta2", "epsilon"}, set())
-    try:
-        return AdamHyper(
-            beta1=float(d.get("beta1", 0.9)),
-            beta2=float(d.get("beta2", 0.999)),
-            epsilon=float(d.get("epsilon", 1e-8)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+@functools.cache
+def _keys(cls) -> frozenset[str]:
+    """JSON keys of a dataclass, with the keys of its flat fields inlined."""
+    return frozenset().union(*(_keys(tp) if flat else {name} for name, tp, _, flat in _fields(cls)))
 
 
-def _parse_optimizer(d: dict) -> OptimizerConfig:
-    kind = _take(d, "optimizer", {"kind"} | set(d), {"kind"})["kind"]
+def _check_object(d, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+
+
+def _decode_object(cls, d, path: str):
+    where = path or "config"
+    _check_object(d, where)
+    unknown = d.keys() - _keys(cls)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    missing = [name for name, _, required, _ in _fields(cls) if required and name not in d]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    kwargs = {}
+    for name, tp, _, flat in _fields(cls):
+        if flat:
+            kwargs[name] = _decode_object(tp, {k: d[k] for k in _keys(tp) & d.keys()}, path)
+        elif name in d:
+            kwargs[name] = _decode(tp, d[name], f"{path}.{name}" if path else name)
     try:
-        if kind == "sgd_minimal":
-            _take(d, "optimizer", {"kind", "lr"}, {"lr"})
-            return SgdMinimalOpt(lr=float(d["lr"]))
-        if kind == "sgd_full":
-            _take(d, "optimizer", {"kind", "lr", "momentum", "weight_decay"}, {"lr"})
-            return SgdFullOpt(
-                lr=float(d["lr"]),
-                momentum=float(d.get("momentum", 0.0)),
-                weight_decay=float(d.get("weight_decay", 0.0)),
-            )
-        if kind == "adam":
-            _take(d, "optimizer", {"kind", "lr", "hyper"}, {"lr"})
-            return AdamOpt(lr=float(d["lr"]), hyper=_parse_adam_hyper(d.get("hyper", {}), "optimizer.hyper"))
-        if kind == "qlr":
-            allowed = {
-                "kind", "curvature", "lambda0", "omega_dec", "omega_inc",
-                "alpha_max", "rescale_k", "damped", "direction", "hyper",
-            }
-            _take(d, "optimizer", allowed, set())
-            qlr = QLRConfig(
-                curvature=_enum(CurvatureKind, d.get("curvature", "ggn_fisher"), "optimizer.curvature"),
-                lambda0=float(d.get("lambda0", 1e-3)),
-                omega_dec=float(d.get("omega_dec", 0.5)),
-                omega_inc=float(d.get("omega_inc", 2.0)),
-                alpha_max=float(d.get("alpha_max", 0.1)),
-                rescale_k=float(d.get("rescale_k", 1.0)),
-                damped=bool(d.get("damped", True)),
-                direction=_enum(Direction, d.get("direction", "adam"), "optimizer.direction"),
-            )
-            return QlrOpt(qlr=qlr, hyper=_parse_adam_hyper(d.get("hyper", {}), "optimizer.hyper"))
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"optimizer: {e}") from None
-    raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _decode_tagged(members, d, path: str):
+    _check_object(d, path)
+    if "kind" not in d:
+        raise ConfigError(f"{path}: missing keys ['kind']")
+    by_kind = {_KINDS[cls]: cls for cls in members}
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in by_kind:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    return _decode_object(by_kind[kind], {k: v for k, v in d.items() if k != "kind"}, path)
+
+
+def _decode(tp, value, path: str):
+    """`value` read from JSON as type `tp`, or ConfigError naming `path`."""
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        members = [a for a in typing.get_args(tp) if a is not type(None)]
+        if value is None and len(members) < len(typing.get_args(tp)):
+            return None
+        if len(members) == 1:
+            return _decode(members[0], value, path)
+        return _decode_tagged(members, value, path)
+    if dataclasses.is_dataclass(tp):
+        return _decode_object(tp, value, path)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ConfigError(f"{path}: {value!r} not one of {[e.value for e in tp]}") from None
+    if origin is tuple:  # tuple[item, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path}: expected {_SCALARS[tp]}, got {type(value).__name__}")
+    if tp is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: {value} is out of range") from None
+    return value
 
 
 def from_dict(d: dict) -> RunConfig:
-    allowed = {
-        "model", "dataset", "optimizer", "epochs", "max_runtime_s",
-        "seed", "output_path", "eval_every_epochs",
-    }
-    _take(d, "config", allowed, {"model", "optimizer", "epochs"})
-    dataset = d.get("dataset")
-    return RunConfig(
-        model=_parse_model(d["model"]),
-        dataset=None if dataset is None else _parse_dataset(dataset),
-        optimizer=_parse_optimizer(d["optimizer"]),
-        epochs=int(d["epochs"]),
-        max_runtime_s=float(d.get("max_runtime_s", float("inf"))),
-        seed=int(d.get("seed", 0)),
-        output_path=d.get("output_path"),
-        eval_every_epochs=int(d.get("eval_every_epochs", 1)),
-    )
+    return _decode_object(RunConfig, d, "")
 
 
 def from_json(path) -> RunConfig:
@@ -285,79 +239,21 @@ def from_json(path) -> RunConfig:
 
 def to_dict(cfg: RunConfig) -> dict:
     """Inverse of `from_dict`, used when persisting sampled trial configs."""
-    model: dict
-    if isinstance(cfg.model, MlpSpec):
-        model = {
-            "kind": "mlp",
-            "layer_widths": list(cfg.model.layer_widths),
-            "loss": cfg.model.loss.value,
-        }
-        if cfg.model.activation is not None:
-            model["activation"] = cfg.model.activation.value
-    else:
-        model = {"kind": "rosenbrock", "a": cfg.model.a, "b": cfg.model.b}
+    return _encode(cfg)
 
-    opt = cfg.optimizer
-    if isinstance(opt, SgdMinimalOpt):
-        optimizer = {"kind": opt.kind, "lr": opt.lr}
-    elif isinstance(opt, SgdFullOpt):
-        optimizer = {
-            "kind": opt.kind, "lr": opt.lr,
-            "momentum": opt.momentum, "weight_decay": opt.weight_decay,
-        }
-    elif isinstance(opt, AdamOpt):
-        optimizer = {
-            "kind": opt.kind, "lr": opt.lr,
-            "hyper": {"beta1": opt.hyper.beta1, "beta2": opt.hyper.beta2, "epsilon": opt.hyper.epsilon},
-        }
-    else:
-        optimizer = {
-            "kind": opt.kind,
-            "curvature": opt.qlr.curvature.value,
-            "lambda0": opt.qlr.lambda0,
-            "omega_dec": opt.qlr.omega_dec,
-            "omega_inc": opt.qlr.omega_inc,
-            "alpha_max": opt.qlr.alpha_max,
-            "rescale_k": opt.qlr.rescale_k,
-            "damped": opt.qlr.damped,
-            "direction": opt.qlr.direction.value,
-            "hyper": {"beta1": opt.hyper.beta1, "beta2": opt.hyper.beta2, "epsilon": opt.hyper.epsilon},
-        }
 
-    out = {
-        "model": model,
-        "optimizer": optimizer,
-        "epochs": cfg.epochs,
-        "max_runtime_s": cfg.max_runtime_s,
-        "seed": cfg.seed,
-        "eval_every_epochs": cfg.eval_every_epochs,
-    }
-    if cfg.output_path is not None:
-        out["output_path"] = cfg.output_path
-    if cfg.dataset is not None:
-        loader = cfg.dataset.loader
-        if isinstance(loader, CsvLoader):
-            ld = {"kind": "csv", "path": loader.path, "n_features": loader.n_features,
-                  "target_columns": loader.target_columns}
-        elif isinstance(loader, IdxLoader):
-            ld = {"kind": "idx", "images_path": loader.images_path, "labels_path": loader.labels_path}
-        else:
-            ld = {"kind": "synthetic", "task": loader.task.value, "n": loader.n, "d": loader.d,
-                  "seed": loader.seed, "n_targets": loader.n_targets, "noise": loader.noise,
-                  "n_classes": loader.n_classes, "separation": loader.separation}
-        out["dataset"] = {
-            "loader": ld,
-            "split": {
-                "train_fraction": cfg.dataset.split.train_fraction,
-                "val_fraction": cfg.dataset.split.val_fraction,
-                "test_fraction": cfg.dataset.split.test_fraction,
-                "seed": cfg.dataset.split.seed,
-            },
-            "batch": {
-                "batch_size": cfg.dataset.batch.batch_size,
-                "shuffle_seed": cfg.dataset.batch.shuffle_seed,
-                "drop_last": cfg.dataset.batch.drop_last,
-            },
-            "standardize": cfg.dataset.standardize,
-        }
-    return out
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        out = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}
+        for name, _, _, flat in _fields(type(value)):
+            v = getattr(value, name)
+            if flat:
+                out.update(_encode(v))
+            elif v is not None:
+                out[name] = _encode(v)
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value

@@ -127,7 +127,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    batch_size: int
+    batch_size: int = 3200
     shuffle_seed: int = 0
     drop_last: bool = False
 

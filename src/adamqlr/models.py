@@ -216,12 +216,6 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
     )
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def loss_eval(kind: LossKind, outputs: np.ndarray, targets) -> float:
     """Mean-reduced loss over the batch, stabilized for cross-entropy."""
     outputs = np.asarray(outputs, dtype=np.float64)

@@ -134,7 +134,7 @@ class QLRConfig:
 
     The untuned defaults (initial damping 1e-3, halving/doubling damping
     factors, learning-rate cap 0.1) are the recommended run-anywhere
-    setting; `untuned()` spells them out.
+    setting.
     """
 
     curvature: CurvatureKind = CurvatureKind.GGN_FISHER
@@ -155,10 +155,6 @@ class QLRConfig:
             raise ValueError("alpha_max must be positive")
         if not self.rescale_k > 0:
             raise ValueError("rescale_k must be positive")
-
-    @classmethod
-    def untuned(cls, **overrides) -> "QLRConfig":
-        return cls(**overrides)
 
 
 @dataclass(frozen=True)

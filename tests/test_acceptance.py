@@ -36,7 +36,6 @@ from adamqlr import (
     eval_loss,
     explicit_matrix,
     fd_grad,
-    hvp,
     mlp_init,
     mlp_objective,
     qlr_step,
@@ -65,6 +64,7 @@ from helpers import (
 )
 
 A_DIAG = np.diag([2.0, 8.0])
+HESSIAN = CurvatureKind.HESSIAN
 
 REGRESSION_MODEL = MlpSpec((8, 50, 1), LossKind.MSE)  # tanh by default
 CLASSIFICATION_MODEL = MlpSpec((16, 50, 10), LossKind.SOFTMAX_CROSS_ENTROPY)  # relu
@@ -121,11 +121,11 @@ def test_02_hvp_oracle():
             _, gp = eval_grad(obj, params.with_values(params.values + h * v1), batch)
             _, gm = eval_grad(obj, params.with_values(params.values - h * v1), batch)
             fd_hv = (gp.values - gm.values) / (2 * h)
-            hv1 = hvp(obj, params, batch, params.with_values(v1)).values
+            hv1 = curvature_vp(obj, params, batch, params.with_values(v1), HESSIAN).values
             worst_fd = max(worst_fd, max_rel(hv1, fd_hv))
 
-            hv2 = hvp(obj, params, batch, params.with_values(v2)).values
-            lhs = hvp(obj, params, batch, params.with_values(v1 + 2.5 * v2)).values
+            hv2 = curvature_vp(obj, params, batch, params.with_values(v2), HESSIAN).values
+            lhs = curvature_vp(obj, params, batch, params.with_values(v1 + 2.5 * v2), HESSIAN).values
             worst_lin = max(worst_lin, max_rel(lhs, hv1 + 2.5 * hv2))
 
             sym_gap = abs(v2 @ hv1 - v1 @ hv2) / max(abs(v2 @ hv1), 1e-300)

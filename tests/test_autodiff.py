@@ -15,7 +15,6 @@ from adamqlr import (
     eval_loss,
     explicit_matrix,
     fd_grad,
-    hvp,
     mlp_init,
     mlp_objective,
     quadratic_objective,
@@ -25,11 +24,13 @@ from adamqlr.autodiff import (
     EvalOverflowError,
     MatrixCapExceededError,
     UnsupportedCurvatureError,
+    counters,
 )
 
 from helpers import dense_linear_mse_ggn, dense_linear_softmax_fisher
 
 ROSEN = rosenbrock_objective(RosenbrockSpec())
+HESSIAN = CurvatureKind.HESSIAN
 
 
 def rosen_point(x, y):
@@ -112,11 +113,13 @@ class TestHvp:
         obj = quadratic_objective(np.eye(3))
         params = ParamVector(np.array([0.3, -1.0, 2.0]), obj.manifest)
         v = params.with_values(np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(hvp(obj, params, None, v).values, v.values, rtol=1e-15)
+        np.testing.assert_allclose(
+            curvature_vp(obj, params, None, v, HESSIAN).values, v.values, rtol=1e-15
+        )
 
     def test_rosenbrock_analytic_hessian_column(self):
         v = rosen_point(1, 0)
-        got = hvp(ROSEN, rosen_point(1, 1), None, v).values
+        got = curvature_vp(ROSEN, rosen_point(1, 1), None, v, HESSIAN).values
         np.testing.assert_allclose(got, [802.0, -400.0], rtol=1e-12)
 
     def test_mlp_against_fd_hessian_column(self):
@@ -128,7 +131,7 @@ class TestHvp:
             _, gp = eval_grad(obj, params.with_values(params.values + h * e), batch)
             _, gm = eval_grad(obj, params.with_values(params.values - h * e), batch)
             fd_col = (gp.values - gm.values) / (2 * h)
-            got = hvp(obj, params, batch, params.with_values(e)).values
+            got = curvature_vp(obj, params, batch, params.with_values(e), HESSIAN).values
             assert max_rel_err(got, fd_col) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -138,10 +141,10 @@ class TestHvp:
         v1 = rng.normal(size=len(params))
         v2 = rng.normal(size=len(params))
         c = 1.7
-        lhs = hvp(obj, params, batch, params.with_values(v1 + c * v2)).values
+        lhs = curvature_vp(obj, params, batch, params.with_values(v1 + c * v2), HESSIAN).values
         rhs = (
-            hvp(obj, params, batch, params.with_values(v1)).values
-            + c * hvp(obj, params, batch, params.with_values(v2)).values
+            curvature_vp(obj, params, batch, params.with_values(v1), HESSIAN).values
+            + c * curvature_vp(obj, params, batch, params.with_values(v2), HESSIAN).values
         )
         assert max_rel_err(lhs, rhs) <= 1e-10
 
@@ -151,8 +154,8 @@ class TestHvp:
         rng = np.random.default_rng(seed)
         u = rng.normal(size=len(params))
         v = rng.normal(size=len(params))
-        uhv = u @ hvp(obj, params, batch, params.with_values(v)).values
-        vhu = v @ hvp(obj, params, batch, params.with_values(u)).values
+        uhv = u @ curvature_vp(obj, params, batch, params.with_values(v), HESSIAN).values
+        vhu = v @ curvature_vp(obj, params, batch, params.with_values(u), HESSIAN).values
         assert abs(uhv - vhu) <= 1e-8 * max(abs(uhv), 1.0)
 
 
@@ -175,13 +178,13 @@ class TestCurvatureVp:
         got = curvature_vp(obj, params, batch, v, CurvatureKind.GGN_FISHER).values
         np.testing.assert_allclose(got[:3], 2.0 * x * (x @ v.values[:3]), rtol=1e-12)
 
-    def test_hessian_kind_equals_hvp(self):
+    @pytest.mark.parametrize("kind", list(CurvatureKind))
+    def test_each_kind_counts_one_product(self, kind):
         obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)
         v = params.with_values(np.random.default_rng(0).normal(size=len(params)))
-        np.testing.assert_array_equal(
-            curvature_vp(obj, params, batch, v, CurvatureKind.HESSIAN).values,
-            hvp(obj, params, batch, v).values,
-        )
+        before = counters.curvature_vp
+        curvature_vp(obj, params, batch, v, kind)
+        assert counters.curvature_vp == before + 1
 
     def test_linear_softmax_matches_dense_fisher(self):
         rng = np.random.default_rng(4)
@@ -275,7 +278,8 @@ class TestDeterminism:
         assert l1 == l2
         np.testing.assert_array_equal(g1.values, g2.values)
         np.testing.assert_array_equal(
-            hvp(obj, params, batch, v).values, hvp(obj, params, batch, v).values
+            curvature_vp(obj, params, batch, v, HESSIAN).values,
+            curvature_vp(obj, params, batch, v, HESSIAN).values,
         )
         np.testing.assert_array_equal(
             curvature_vp(obj, params, batch, v, CurvatureKind.GGN_FISHER).values,

@@ -65,6 +65,14 @@ class TestTrain:
         d["typo"] = 1
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, text", [("model", "null"), ("epochs", "1e400")])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, key, text):
+        path = tmp_path / "cfg.json"
+        text = json.dumps(regression_cfg_dict(**{key: "PLACEHOLDER"})).replace('"PLACEHOLDER"', text)
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 

@@ -1,13 +1,37 @@
 """Strict JSON config parsing."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adamqlr import CurvatureKind, Direction, LossKind
+from adamqlr import (
+    AdamHyper,
+    BatchPlan,
+    CurvatureKind,
+    Direction,
+    LossKind,
+    QLRConfig,
+    SplitSpec,
+    Task,
+)
 from adamqlr.bench import config as config_mod
-from adamqlr.bench.config import ConfigError, QlrOpt, SgdFullOpt
-from adamqlr.models import MlpSpec, RosenbrockSpec
+from adamqlr.bench.config import (
+    AdamOpt,
+    ConfigError,
+    CsvLoader,
+    DatasetConfig,
+    IdxLoader,
+    QlrOpt,
+    RunConfig,
+    SgdFullOpt,
+    SgdMinimalOpt,
+    SyntheticLoader,
+)
+from adamqlr.models import Activation, MlpSpec, RosenbrockSpec
 
 
 def minimal_dict():
@@ -112,3 +136,160 @@ def test_from_json_and_invalid_json(tmp_path):
 def test_loss_kind_values_cover_spec_names():
     assert LossKind.MSE.value == "mse"
     assert LossKind.SOFTMAX_CROSS_ENTROPY.value == "softmax_cross_entropy"
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("optimizer", "damped", "false"),
+        ("dataset", "standardize", "false"),
+        ("batch", "drop_last", "no"),
+    ],
+)
+def test_bool_fields_take_only_json_booleans(block, key, value):
+    d = minimal_dict()
+    d["dataset"]["batch"] = {}
+    target = d["dataset"]["batch"] if block == "batch" else d[block]
+    target[key] = value
+    with pytest.raises(ConfigError, match=f"{key}: expected true or false"):
+        config_mod.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("epochs", True, "an integer"),
+        ("seed", "3", "an integer"),
+        ("max_runtime_s", "inf", "a number"),
+    ],
+)
+def test_numbers_take_only_json_numbers(key, value, expected):
+    d = minimal_dict()
+    d[key] = value
+    with pytest.raises(ConfigError, match=f"{key}: expected {expected}"):
+        config_mod.from_dict(d)
+
+
+def test_batch_block_without_batch_size_defaults_to_3200():
+    d = minimal_dict()
+    d["dataset"]["batch"] = {"shuffle_seed": 4}
+    assert config_mod.from_dict(d).dataset.batch.batch_size == 3200
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = config_mod.from_dict(json.loads(example))
+    assert isinstance(cfg.optimizer, QlrOpt)
+    assert cfg.dataset.batch.batch_size == 3200
+
+
+floats = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-6, 1e6)
+counts = st.integers(1, 5000)
+seeds = st.integers(0, 2**63 - 1)
+unit = st.floats(0.0, 0.999)
+
+loaders = st.one_of(
+    st.builds(CsvLoader, st.text(), counts, counts),
+    st.builds(IdxLoader, st.text(), st.text()),
+    st.builds(
+        SyntheticLoader, st.sampled_from(Task), counts, counts, seeds, counts, floats, counts, floats
+    ),
+)
+datasets = st.builds(
+    DatasetConfig,
+    loaders,
+    st.builds(lambda fractions, seed: SplitSpec(*fractions, seed),
+              st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0)]), seeds),
+    st.builds(BatchPlan, counts, seeds, st.booleans()),
+    st.booleans(),
+)
+hypers = st.builds(AdamHyper, unit, unit, st.floats(0.0, 1.0))
+optimizers = st.one_of(
+    st.builds(SgdMinimalOpt, positive),
+    st.builds(SgdFullOpt, positive, unit, unit),
+    st.builds(AdamOpt, positive, hypers),
+    st.builds(
+        QlrOpt,
+        st.builds(
+            QLRConfig,
+            st.sampled_from(CurvatureKind),
+            positive,
+            st.floats(1e-3, 1.0),
+            st.floats(1.0, 10.0),
+            positive,
+            positive,
+            st.booleans(),
+            st.sampled_from(Direction),
+        ),
+        hypers,
+    ),
+)
+mlps = st.builds(
+    MlpSpec,
+    st.lists(counts, min_size=2, max_size=4).map(tuple),
+    st.sampled_from(LossKind),
+    st.none() | st.sampled_from(Activation),
+)
+run_configs = st.one_of(
+    st.tuples(mlps, datasets),
+    st.tuples(st.builds(RosenbrockSpec, floats, positive), st.none() | datasets),
+).flatmap(
+    lambda model_data: st.builds(
+        RunConfig,
+        st.just(model_data[0]),
+        optimizers,
+        counts,
+        st.just(model_data[1]),
+        positive | st.just(float("inf")),
+        seeds,
+        st.none() | st.text(),
+        counts,
+    )
+)
+
+
+@settings(max_examples=100)
+@given(run_configs)
+def test_round_trip_property(cfg):
+    d = config_mod.to_dict(cfg)
+    assert config_mod.from_dict(d) == cfg
+    assert config_mod.from_dict(json.loads(json.dumps(d))) == cfg
+
+
+def _nodes(value, path=()):
+    """Path of every value below the root of a JSON document."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+REPLACEMENTS = [None, "x", 1.5, -1, [], {}, {"kind": "zzz"}, json.loads("1e400")]
+
+
+@settings(max_examples=200, report_multiple_bugs=False)
+@given(run_configs, st.integers(0, 2**16), st.sampled_from(["delete", "typo", *REPLACEMENTS]))
+def test_single_leaf_mutation_parses_or_raises_config_error(cfg, pick, action):
+    d = config_mod.to_dict(cfg)
+    nodes = list(_nodes(d))
+    *parents, key = nodes[pick % len(nodes)]
+    parent = d
+    for p in parents:
+        parent = parent[p]
+    if action == "delete":
+        del parent[key]
+    elif action == "typo" and isinstance(parent, dict):
+        parent[f"{key}_typo"] = parent[key]
+    elif action != "typo":
+        parent[key] = action
+    try:
+        config_mod.from_dict(d)
+    except ConfigError:
+        pass
