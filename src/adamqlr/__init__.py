@@ -35,6 +35,6 @@ from .optim import (
     qlr_step,
     sgd_step,
 )
-from .params import ManifestEntry, ParamVector
+from .params import ManifestEntry, NonFiniteError, ParamVector
 
 __version__ = "0.1.0"

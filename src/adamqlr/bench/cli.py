@@ -1,7 +1,7 @@
 """Command-line entry points for training, benchmarks, tuning and stats.
 
-Exit codes: 0 success, 1 run divergence (or failed check), 2 config
-error, 3 I/O error.
+Exit codes: 0 success, 1 run divergence (any ArithmeticError) or a failed
+check, 2 config or shape error (any ValueError), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as e:
+        print(f"diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .. import data, models, optim
 from ..data import Batch
 from .config import AdamOpt, ConfigError, RunConfig
@@ -30,15 +32,11 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
     params = models.mlp_init(cfg.model, cfg.seed)
     stepper = make_stepper(cfg.optimizer, len(params))
 
-    done = 0
-    epoch = 0
-    while done < steps:
-        for batch in data.batch_iter(train, cfg.dataset.batch, epoch):
-            params, _ = stepper.step(obj, params, batch)
-            done += 1
-            if done >= steps:
-                break
-        epoch += 1
+    stream = itertools.chain.from_iterable(
+        data.batch_iter(train, cfg.dataset.batch, epoch) for epoch in itertools.count()
+    )
+    for batch in itertools.islice(stream, steps):
+        params, _ = stepper.step(obj, params, batch)
 
     n_ref = min(REFERENCE_BATCH_ROWS, len(train))
     ref = Batch(train.inputs[:n_ref], train.targets[:n_ref])
@@ -48,7 +46,7 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
     return {
         "cosine_similarity": cosine,
         "log_ratio_spread": spread,
-        "steps": done,
+        "steps": steps,
         "n_params": len(params),
         "reference_rows": n_ref,
     }

@@ -4,28 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 from ..optim import GuardEvent
-
-# Serialized key order; `lambda` is a keyword, so the attribute is `lam`.
-FIELDS = (
-    "step",
-    "epoch",
-    "wall_time_s",
-    "train_loss",
-    "val_loss",
-    "test_loss",
-    "train_acc",
-    "val_acc",
-    "test_acc",
-    "alpha",
-    "lambda",
-    "rho",
-    "guard_event",
-)
 
 _INT_FIELDS = {"step", "epoch"}
 
@@ -47,44 +29,38 @@ class MetricRecord:
     guard_event: Optional[GuardEvent] = None
 
     def to_dict(self) -> dict:
-        return {
-            "step": int(self.step),
-            "epoch": int(self.epoch),
-            "wall_time_s": float(self.wall_time_s),
-            "train_loss": float(self.train_loss),
-            "val_loss": _opt_float(self.val_loss),
-            "test_loss": _opt_float(self.test_loss),
-            "train_acc": _opt_float(self.train_acc),
-            "val_acc": _opt_float(self.val_acc),
-            "test_acc": _opt_float(self.test_acc),
-            "alpha": _opt_float(self.alpha),
-            "lambda": _opt_float(self.lam),
-            "rho": _opt_float(self.rho),
-            "guard_event": None if self.guard_event is None else self.guard_event.name,
-        }
+        return {key: _encode(f.name, getattr(self, f.name)) for f, key in _KEYED_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricRecord":
-        guard = d.get("guard_event")
+        """Fields without a default are required; absent or null optionals are None."""
         return cls(
-            step=int(d["step"]),
-            epoch=int(d["epoch"]),
-            wall_time_s=float(d["wall_time_s"]),
-            train_loss=float(d["train_loss"]),
-            val_loss=_opt_float(d.get("val_loss")),
-            test_loss=_opt_float(d.get("test_loss")),
-            train_acc=_opt_float(d.get("train_acc")),
-            val_acc=_opt_float(d.get("val_acc")),
-            test_acc=_opt_float(d.get("test_acc")),
-            alpha=_opt_float(d.get("alpha")),
-            lam=_opt_float(d.get("lambda")),
-            rho=_opt_float(d.get("rho")),
-            guard_event=None if guard is None else GuardEvent[guard],
+            **{
+                f.name: _decode(f.name, d[key])
+                for f, key in _KEYED_FIELDS
+                if f.default is MISSING or d.get(key) is not None
+            }
         )
 
 
-def _opt_float(x) -> Optional[float]:
-    return None if x is None else float(x)
+# Serialized key order is field order; `lambda` is a keyword, so the attribute is `lam`.
+_KEYED_FIELDS = tuple((f, "lambda" if f.name == "lam" else f.name) for f in fields(MetricRecord))
+FIELDS = tuple(key for _, key in _KEYED_FIELDS)
+
+
+def _encode(name: str, value):
+    # float() also turns numpy scalars into plain floats, whose repr is a bare number
+    if value is None:
+        return None
+    if name == "guard_event":
+        return value.name
+    return int(value) if name in _INT_FIELDS else float(value)
+
+
+def _decode(name: str, value):
+    if name == "guard_event":
+        return GuardEvent[value]
+    return int(value) if name in _INT_FIELDS else float(value)
 
 
 def emit(records: Sequence[MetricRecord], path, format: str = "jsonl") -> None:

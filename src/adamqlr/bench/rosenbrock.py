@@ -11,7 +11,7 @@ import numpy as np
 from ..autodiff import CurvatureKind
 from ..models import RosenbrockSpec, rosenbrock_objective
 from ..optim import QLRConfig
-from ..params import ParamVector
+from ..params import NonFiniteError, ParamVector
 from .config import AdamOpt, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
 
@@ -79,15 +79,15 @@ def run_rosenbrock(
     params = ParamVector(np.asarray(start, dtype=np.float64), obj.manifest)
     stepper = make_stepper(optimizer, 2)
     points = [(0, float(params.values[0]), float(params.values[1]), obj.value(params.values, None))]
-    for i in range(1, steps + 1):
-        try:
+    try:
+        for i in range(1, steps + 1):
             params, _ = stepper.step(obj, params, None)
-        except (ArithmeticError, ValueError):
-            return RosenbrockResult(points, RunStatus.DIVERGED)
-        f = obj.value(params.values, None)
-        if not np.isfinite(f):
-            return RosenbrockResult(points, RunStatus.DIVERGED)
-        points.append((i, float(params.values[0]), float(params.values[1]), f))
+            f = obj.value(params.values, None)
+            if not np.isfinite(f):
+                raise NonFiniteError(f"f = {f} at step {i}")
+            points.append((i, float(params.values[0]), float(params.values[1]), f))
+    except ArithmeticError:
+        return RosenbrockResult(points, RunStatus.DIVERGED)
     return RosenbrockResult(points, RunStatus.COMPLETED)
 
 

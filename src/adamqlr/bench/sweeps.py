@@ -8,13 +8,13 @@ training loop unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import ConfigError, QlrOpt, RunConfig
-from .search import BATCH_SIZE_CHOICES
+from .search import BATCH_SIZE_CHOICES, apply_sample
 
 
 @dataclass(frozen=True)
@@ -35,26 +35,14 @@ def standard_sweeps() -> dict[str, SweepSpec]:
 
 def apply_sweep_value(base_cfg: RunConfig, field: str, value) -> RunConfig:
     if field == "batch_size":
-        if base_cfg.dataset is None:
-            raise ConfigError("batch_size sweep needs a dataset block")
-        return replace(
-            base_cfg,
-            dataset=replace(
-                base_cfg.dataset,
-                batch=replace(base_cfg.dataset.batch, batch_size=int(value)),
-            ),
-        )
+        return apply_sample(base_cfg, {"batch_size": value})
     if not isinstance(base_cfg.optimizer, QlrOpt):
         raise ConfigError(f"sweep field {field!r} requires the qlr optimizer")
-    qlr = base_cfg.optimizer.qlr
     if field == "omega_sym":
-        # lambda0 must stay strictly positive; omega pair set symmetrically
-        qlr = replace(qlr, omega_inc=float(value), omega_dec=1.0 / float(value))
-    elif field in ("rescale_k", "alpha_max", "lambda0"):
-        qlr = replace(qlr, **{field: float(value)})
-    else:
+        return apply_sample(base_cfg, {"omega_inc": float(value), "omega_dec": 1.0 / float(value)})
+    if field not in ("rescale_k", "alpha_max", "lambda0"):
         raise ConfigError(f"unknown sweep field {field!r}")
-    return replace(base_cfg, optimizer=replace(base_cfg.optimizer, qlr=qlr))
+    return apply_sample(base_cfg, {field: float(value)})
 
 
 def enumerate_sweep(base_cfg: RunConfig, sweep: SweepSpec) -> list[RunConfig]:

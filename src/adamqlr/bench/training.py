@@ -1,8 +1,9 @@
-"""Training loops driving any configured optimizer over any configured data.
+"""The training loop: any configured optimizer over any configured objective.
 
 A run is fully determined by (config, seed) except for wall-clock fields.
-Divergence that survives the optimizer's own rejection logic terminates
-the run with a recorded status instead of raising.
+Divergence that survives the optimizer's own rejection logic, any
+ArithmeticError raised by a step or an evaluation, terminates the run
+with a recorded status instead of raising.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .. import autodiff, data, models, optim
-from ..autodiff import EvalOverflowError, Objective
+from ..autodiff import Objective
 from ..data import Batch, Dataset, Task
 from ..models import MlpSpec, RosenbrockSpec
 from ..params import ParamVector
@@ -59,7 +60,7 @@ class StepInfo:
     alpha: Optional[float] = None
     lam: Optional[float] = None
     rho: Optional[float] = None
-    guard: Optional[optim.GuardEvent] = None
+    guard_event: Optional[optim.GuardEvent] = None
 
 
 class _SgdStepper:
@@ -105,7 +106,7 @@ class _QlrStepper:
             alpha=diag.alpha,
             lam=diag.lam,
             rho=diag.rho,
-            guard=diag.guard,
+            guard_event=diag.guard,
         )
 
 
@@ -196,81 +197,51 @@ def _fill_eval(
 
 
 def run_training(cfg: RunConfig) -> RunResult:
-    """Run one configured training job and return its per-step records."""
+    """Run one configured training job and return its per-step records.
+
+    An MLP takes one step per batch of its data plan and is evaluated on
+    its splits at the configured epoch cadence. A Rosenbrock model takes
+    one step per epoch from (1, -1) and has no splits to evaluate.
+    """
+    stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
-        return _run_batch_free(cfg)
+        obj = models.rosenbrock_objective(cfg.model)
+        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
 
-    train, val, test, stats = prepare_data(cfg.dataset)
-    _check_model_fits(cfg.model, train)
-    obj = models.mlp_objective(cfg.model)
-    params = models.mlp_init(cfg.model, cfg.seed)
-    plan = cfg.dataset.batch
-    if plan.batch_size > len(train):
-        logger.warning(
-            "batch size %d exceeds train split size %d; clamping to full batch",
-            plan.batch_size,
-            len(train),
-        )
-        plan = replace(plan, batch_size=len(train))
+        def batches(epoch):
+            return (None,)
+
+    else:
+        train, val, test, stats = prepare_data(cfg.dataset)
+        _check_model_fits(cfg.model, train)
+        obj = models.mlp_objective(cfg.model)
+        params = models.mlp_init(cfg.model, cfg.seed)
+        plan = cfg.dataset.batch
+        if plan.batch_size > len(train):
+            logger.warning(
+                "batch size %d exceeds train split size %d; clamping to full batch",
+                plan.batch_size,
+                len(train),
+            )
+            plan = replace(plan, batch_size=len(train))
+        splits = (train, val, test)
+
+        def batches(epoch):
+            return data.batch_iter(train, plan, epoch)
+
     stepper = make_stepper(cfg.optimizer, len(params))
-
     records: list[MetricRecord] = []
     t0 = time.perf_counter()
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in data.batch_iter(train, plan, epoch):
-            try:
+    try:
+        for epoch in range(cfg.epochs):
+            for batch in batches(epoch):
                 params, info = stepper.step(obj, params, batch)
-            except (EvalOverflowError, ValueError):
-                return RunResult(records, RunStatus.DIVERGED, step, params, stats)
-            step += 1
-            records.append(
-                MetricRecord(
-                    step=step,
-                    epoch=epoch,
-                    wall_time_s=time.perf_counter() - t0,
-                    train_loss=info.train_loss,
-                    alpha=info.alpha,
-                    lam=info.lam,
-                    rho=info.rho,
-                    guard_event=info.guard,
-                )
-            )
-            if time.perf_counter() - t0 > cfg.max_runtime_s:
-                return RunResult(records, RunStatus.TIMED_OUT, None, params, stats)
-        if (epoch + 1) % cfg.eval_every_epochs == 0 or epoch == cfg.epochs - 1:
-            try:
-                _fill_eval(records[-1], obj, params, train, val, test, stats)
-            except EvalOverflowError:
-                return RunResult(records, RunStatus.DIVERGED, step, params, stats)
+                step = len(records) + 1
+                records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **vars(info)))
+                if time.perf_counter() - t0 > cfg.max_runtime_s:
+                    return RunResult(records, RunStatus.TIMED_OUT, None, params, stats)
+            if splits and ((epoch + 1) % cfg.eval_every_epochs == 0 or epoch == cfg.epochs - 1):
+                _fill_eval(records[-1], obj, params, *splits, stats)
+    except ArithmeticError:
+        return RunResult(records, RunStatus.DIVERGED, len(records), params, stats)
     return RunResult(records, RunStatus.COMPLETED, None, params, stats)
-
-
-def _run_batch_free(cfg: RunConfig) -> RunResult:
-    """Batch-independent objectives: each epoch is one optimization step."""
-    obj = models.rosenbrock_objective(cfg.model)
-    start = np.array([1.0, -1.0])
-    params = ParamVector(start, obj.manifest)
-    stepper = make_stepper(cfg.optimizer, len(params))
-    records: list[MetricRecord] = []
-    t0 = time.perf_counter()
-    for step in range(1, cfg.epochs + 1):
-        try:
-            params, info = stepper.step(obj, params, None)
-        except (EvalOverflowError, ValueError):
-            return RunResult(records, RunStatus.DIVERGED, step - 1, params)
-        records.append(
-            MetricRecord(
-                step=step,
-                epoch=step - 1,
-                wall_time_s=time.perf_counter() - t0,
-                train_loss=info.train_loss,
-                alpha=info.alpha,
-                lam=info.lam,
-                rho=info.rho,
-                guard_event=info.guard,
-            )
-        )
-        if time.perf_counter() - t0 > cfg.max_runtime_s:
-            return RunResult(records, RunStatus.TIMED_OUT, None, params)
-    return RunResult(records, RunStatus.COMPLETED, None, params)

@@ -164,7 +164,10 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
     def trace(tape: Tape, theta: Node, batch):
         x = tape.slice1d(theta, 0, 1)
         y = tape.slice1d(theta, 1, 2)
-        f = tape.square(a - x) + b * tape.square(y - tape.square(x))
+        f = tape.add(
+            tape.square(tape.sub(tape.const(a), x)),
+            tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
+        )
         return None, tape.sum(f)
 
     def value(values: np.ndarray, batch) -> float:
@@ -197,7 +200,7 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
         q = tape.matmul(tape.const(a_matrix), theta)
         f = tape.scale(tape.sum(tape.mul(theta, q)), 0.5)
         if b is not None:
-            f = f + tape.sum(tape.mul(theta, tape.const(b)))
+            f = tape.add(f, tape.sum(tape.mul(theta, tape.const(b))))
         return None, f
 
     def value(values: np.ndarray, batch) -> float:

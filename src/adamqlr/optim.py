@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import CurvatureKind, EvalOverflowError, Objective
 from .data import Batch
-from .params import ParamVector
+from .params import NonFiniteError, ParamVector
 
 LAMBDA_MIN = 1e-8
 LAMBDA_MAX = 1e10
@@ -90,7 +90,7 @@ def adam_direction(
     """Advance the moment buffers and return the bias-corrected direction."""
     gv = g.values
     if not np.all(np.isfinite(gv)):
-        raise ValueError("non-finite gradient passed to adam_direction")
+        raise NonFiniteError("non-finite gradient passed to adam_direction")
     if state.m.shape != gv.shape:
         raise ValueError("Adam state length does not match gradient length")
     t = state.t + 1
@@ -121,7 +121,7 @@ def sgd_step(
     buf' = momentum * buf + g + weight_decay * theta;  theta' = theta - lr * buf'.
     """
     if not np.all(np.isfinite(g.values)):
-        raise ValueError("non-finite gradient passed to sgd_step")
+        raise NonFiniteError("non-finite gradient passed to sgd_step")
     if momentum_buf is None:
         momentum_buf = np.zeros_like(params.values)
     buf = momentum * momentum_buf + g.values + weight_decay * params.values

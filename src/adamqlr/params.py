@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class NonFiniteError(ArithmeticError):
+    """A parameter, gradient or direction holds inf or nan: the run diverged."""
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     name: str
@@ -50,7 +54,7 @@ class ParamVector:
                 f"manifest covers {expected} values but vector has {values.size}"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("parameter vector contains non-finite values")
+            raise NonFiniteError("parameter vector contains non-finite values")
 
     def __len__(self) -> int:
         return self.values.size

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from adamqlr import data
 from adamqlr.bench.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from adamqlr.bench.records import read_records
+from adamqlr.data import Batch
 
 
 def write_cfg(tmp_path, d, name="cfg.json"):
@@ -55,10 +57,25 @@ class TestTrain:
         ra, rb = read_records(a), read_records(b)
         assert ra[0].train_loss != rb[0].train_loss
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         d = regression_cfg_dict(optimizer={"kind": "sgd_minimal", "lr": 1e9}, epochs=30)
         cfg = write_cfg(tmp_path, d)
         assert main(["train", "--config", cfg]) == EXIT_DIVERGED
+        assert capsys.readouterr().out.startswith("status=diverged ")
+
+    def test_misshaped_batch_mid_run_is_config_error(self, tmp_path, capsys, monkeypatch):
+        batch_iter = data.batch_iter
+
+        def drop_a_column_after_epoch_0(ds, plan, epoch):
+            for batch in batch_iter(ds, plan, epoch):
+                yield batch if epoch == 0 else Batch(batch.inputs[:, :-1], batch.targets)
+
+        monkeypatch.setattr(data, "batch_iter", drop_a_column_after_epoch_0)
+        cfg = write_cfg(tmp_path, regression_cfg_dict())
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert captured.err.startswith("config error:")
 
     def test_unknown_key_exit_code(self, tmp_path):
         d = regression_cfg_dict()
@@ -162,6 +179,24 @@ class TestGradcheckAndDiagFisher:
         report = json.loads(out.read_text())
         assert -1.0 <= report["cosine_similarity"] <= 1.0
         assert report["steps"] == 40
+
+    def test_diag_fisher_divergence_exit_code(self, tmp_path, capsys):
+        d = {
+            "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
+            "dataset": {
+                "loader": {"kind": "synthetic", "task": "classification", "n": 120,
+                           "d": 4, "seed": 5, "n_classes": 3},
+                "batch": {"batch_size": 32},
+            },
+            "optimizer": {"kind": "adam", "lr": 1e300},
+            "epochs": 1,
+        }
+        cfg = write_cfg(tmp_path, d)
+        assert main(["diag-fisher", "--config", cfg, "--steps", "20"]) == EXIT_DIVERGED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("diverged: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_diag_fisher_requires_adam(self, tmp_path):
         cfg = write_cfg(tmp_path, regression_cfg_dict())

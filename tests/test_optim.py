@@ -16,6 +16,7 @@ from adamqlr import (
     GuardEvent,
     LossKind,
     MlpSpec,
+    NonFiniteError,
     ParamVector,
     QLRConfig,
     QLRState,
@@ -79,7 +80,7 @@ class TestAdamDirection:
         state = AdamState.init(2)
         bad = ParamVector(np.array([1.0, 2.0]))
         object.__setattr__(bad, "values", np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             adam_direction(state, bad, AdamHyper())
         assert state.t == 0
         np.testing.assert_array_equal(state.m, np.zeros(2))

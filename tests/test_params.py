@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adamqlr import ManifestEntry, ParamVector
+from adamqlr import ManifestEntry, NonFiniteError, ParamVector
 
 
 def test_default_manifest_covers_vector():
@@ -26,7 +26,7 @@ def test_manifest_must_cover_length():
 
 
 def test_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(NonFiniteError, match="non-finite"):
         ParamVector(np.array([1.0, np.inf]))
 
 

@@ -87,11 +87,18 @@ def test_classification_reports_accuracy():
 
 
 def test_divergent_run_records_status():
-    cfg = regression_cfg(optimizer={"kind": "sgd_minimal", "lr": 1e6}, epochs=50)
-    result = run_training(cfg)
-    assert result.status is RunStatus.DIVERGED
-    assert result.failure_step is not None
-    assert all(np.isfinite(r.train_loss) for r in result.records)
+    mlp = regression_cfg(optimizer={"kind": "sgd_minimal", "lr": 1e6}, epochs=50)
+    rosenbrock = config_mod.from_dict(
+        {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "sgd_minimal", "lr": 10},
+         "epochs": 50}
+    )
+    for cfg in (mlp, rosenbrock):
+        result = run_training(cfg)
+        assert result.status is RunStatus.DIVERGED
+        assert 0 < len(result.records) < cfg.epochs
+        assert result.failure_step == len(result.records)
+        assert all(np.isfinite(r.train_loss) for r in result.records)
+        assert np.all(np.isfinite(result.final_params.values))
 
 
 def test_runtime_limit_times_out():
