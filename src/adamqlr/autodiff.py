@@ -14,7 +14,7 @@ finite-difference oracle shares no derivative code with what it checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

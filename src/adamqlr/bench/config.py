@@ -16,13 +16,12 @@ import enum
 import functools
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..autodiff import CurvatureKind, LossKind
 from ..data import BatchPlan, SplitSpec, Task
-from ..models import Activation, MlpSpec, RosenbrockSpec
-from ..optim import AdamHyper, Direction, QLRConfig
+from ..models import MlpSpec, RosenbrockSpec
+from ..optim import AdamHyper, QLRConfig
 
 
 class ConfigError(ValueError):
@@ -90,10 +89,8 @@ class AdamOpt:
 
 
 @dataclass(frozen=True)
-class QlrOpt:
-    # Flat: the QLR knobs sit directly in the JSON optimizer object.
-    qlr: QLRConfig = field(default=QLRConfig(), metadata={"flat": True})
-    hyper: AdamHyper = AdamHyper()
+class QlrOpt(QLRConfig):
+    """The QLR knobs and Adam's `hyper`, directly in the JSON optimizer object."""
 
     kind = "qlr"
 
@@ -134,24 +131,17 @@ _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a
 
 
 @functools.cache
-def _fields(cls) -> tuple[tuple[str, object, bool, bool], ...]:
-    """(name, type, required, flat) of each field; cached, as resolving hints is slow."""
+def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type, required) of each field; cached, as resolving hints is slow."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
             hints[f.name],
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            f.metadata.get("flat", False),
         )
         for f in dataclasses.fields(cls)
     )
-
-
-@functools.cache
-def _keys(cls) -> frozenset[str]:
-    """JSON keys of a dataclass, with the keys of its flat fields inlined."""
-    return frozenset().union(*(_keys(tp) if flat else {name} for name, tp, _, flat in _fields(cls)))
 
 
 def _check_object(d, where: str) -> None:
@@ -162,17 +152,15 @@ def _check_object(d, where: str) -> None:
 def _decode_object(cls, d, path: str):
     where = path or "config"
     _check_object(d, where)
-    unknown = d.keys() - _keys(cls)
+    unknown = d.keys() - {name for name, _, _ in _fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    missing = [name for name, _, required, _ in _fields(cls) if required and name not in d]
+    missing = [name for name, _, required in _fields(cls) if required and name not in d]
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     kwargs = {}
-    for name, tp, _, flat in _fields(cls):
-        if flat:
-            kwargs[name] = _decode_object(tp, {k: d[k] for k in _keys(tp) & d.keys()}, path)
-        elif name in d:
+    for name, tp, _ in _fields(cls):
+        if name in d:
             kwargs[name] = _decode(tp, d[name], f"{path}.{name}" if path else name)
     try:
         return cls(**kwargs)
@@ -245,11 +233,9 @@ def to_dict(cfg: RunConfig) -> dict:
 def _encode(value):
     if dataclasses.is_dataclass(value):
         out = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}
-        for name, _, _, flat in _fields(type(value)):
+        for name, _, _ in _fields(type(value)):
             v = getattr(value, name)
-            if flat:
-                out.update(_encode(v))
-            elif v is not None:
+            if v is not None:
                 out[name] = _encode(v)
         return out
     if isinstance(value, enum.Enum):

@@ -10,7 +10,6 @@ import numpy as np
 
 from ..autodiff import CurvatureKind
 from ..models import RosenbrockSpec, rosenbrock_objective
-from ..optim import QLRConfig
 from ..params import NonFiniteError, ParamVector
 from .config import AdamOpt, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
@@ -42,16 +41,14 @@ def preset_optimizer(
         return AdamOpt(lr=9.8848e-2 if lr is None else lr)
     if name == "adamqlr-tuned":
         return QlrOpt(
-            qlr=QLRConfig(
-                curvature=CurvatureKind.HESSIAN,
-                lambda0=3.0270e-6,
-                omega_dec=0.9,
-                omega_inc=2.1,
-                alpha_max=6.098,
-            )
+            curvature=CurvatureKind.HESSIAN,
+            lambda0=3.0270e-6,
+            omega_dec=0.9,
+            omega_inc=2.1,
+            alpha_max=6.098,
         )
     if name == "adamqlr-untuned":
-        return QlrOpt(qlr=QLRConfig(curvature=CurvatureKind.HESSIAN))
+        return QlrOpt(curvature=CurvatureKind.HESSIAN)
     raise ValueError(f"unknown optimizer preset {name!r}; choose from {PRESET_NAMES}")
 
 

@@ -17,17 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..optim import QLRConfig
-from .config import (
-    AdamOpt,
-    ConfigError,
-    OptimizerConfig,
-    QlrOpt,
-    RunConfig,
-    SgdFullOpt,
-    SgdMinimalOpt,
-    to_dict,
-)
+from .config import ConfigError, RunConfig, to_dict
 from .training import RunResult, RunStatus, run_training
 
 BATCH_SIZE_CHOICES = (50, 100, 200, 400, 800, 1600, 3200)
@@ -113,15 +103,8 @@ def sample_space(space: dict[str, Distribution], rng: np.random.Generator) -> di
 
 def apply_sample(base_cfg: RunConfig, sample: dict) -> RunConfig:
     """New run config with the sampled hyperparameters substituted in."""
-    opt = base_cfg.optimizer
     fields = {k: v for k, v in sample.items() if k != "batch_size"}
-    if isinstance(opt, (SgdMinimalOpt, SgdFullOpt, AdamOpt)):
-        opt = replace(opt, **fields)
-    elif isinstance(opt, QlrOpt):
-        opt = replace(opt, qlr=replace(opt.qlr, **fields))
-    else:
-        raise ConfigError(f"cannot tune optimizer {type(opt).__name__}")
-    cfg = replace(base_cfg, optimizer=opt)
+    cfg = replace(base_cfg, optimizer=replace(base_cfg.optimizer, **fields))
     if "batch_size" in sample:
         if cfg.dataset is None:
             raise ConfigError("batch_size sampled but config has no dataset block")

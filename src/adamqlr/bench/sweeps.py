@@ -9,7 +9,6 @@ training loop unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -92,15 +92,12 @@ class _AdamStepper:
 
 
 class _QlrStepper:
-    def __init__(self, cfg: optim.QLRConfig, hyper: optim.AdamHyper, n_params: int):
+    def __init__(self, cfg: optim.QLRConfig, n_params: int):
         self.cfg = cfg
-        self.hyper = hyper
         self.state = optim.QLRState.init(cfg, n_params)
 
     def step(self, obj: Objective, params: ParamVector, batch: Optional[Batch]):
-        params, self.state, diag = optim.qlr_step(
-            obj, params, batch, self.state, self.cfg, self.hyper
-        )
+        params, self.state, diag = optim.qlr_step(obj, params, batch, self.state, self.cfg)
         return params, StepInfo(
             train_loss=diag.f_before,
             alpha=diag.alpha,
@@ -118,7 +115,7 @@ def make_stepper(opt: OptimizerConfig, n_params: int):
     if isinstance(opt, AdamOpt):
         return _AdamStepper(opt.lr, opt.hyper, n_params)
     if isinstance(opt, QlrOpt):
-        return _QlrStepper(opt.qlr, opt.hyper, n_params)
+        return _QlrStepper(opt, n_params)
     raise ConfigError(f"unknown optimizer config {type(opt).__name__}")
 
 
@@ -142,9 +139,19 @@ def load_dataset(loader) -> Dataset:
 
 
 def prepare_data(dcfg: DatasetConfig):
-    """Load, split and (for regression) standardize; returns splits + stats."""
+    """Load, split and (for regression) standardize; returns splits + stats.
+
+    Warns once when the batch size exceeds the train split, which every
+    epoch's `batch_iter` then clamps to one full batch.
+    """
     ds = load_dataset(dcfg.loader)
     train, val, test = data.split_dataset(ds, dcfg.split)
+    if dcfg.batch.batch_size > len(train):
+        logger.warning(
+            "batch size %d exceeds train split size %d; clamping to full batch",
+            dcfg.batch.batch_size,
+            len(train),
+        )
     stats = None
     if dcfg.standardize and ds.task is Task.REGRESSION:
         train, val, test, stats = data.standardize_splits(train, val, test)
@@ -216,18 +223,10 @@ def run_training(cfg: RunConfig) -> RunResult:
         _check_model_fits(cfg.model, train)
         obj = models.mlp_objective(cfg.model)
         params = models.mlp_init(cfg.model, cfg.seed)
-        plan = cfg.dataset.batch
-        if plan.batch_size > len(train):
-            logger.warning(
-                "batch size %d exceeds train split size %d; clamping to full batch",
-                plan.batch_size,
-                len(train),
-            )
-            plan = replace(plan, batch_size=len(train))
         splits = (train, val, test)
 
         def batches(epoch):
-            return data.batch_iter(train, plan, epoch)
+            return data.batch_iter(train, cfg.dataset.batch, epoch)
 
     stepper = make_stepper(cfg.optimizer, len(params))
     records: list[MetricRecord] = []

@@ -11,15 +11,12 @@ from __future__ import annotations
 import csv
 import enum
 import gzip
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -245,12 +242,12 @@ def _rng(seed: int, *keys: int) -> np.random.Generator:
 
 
 def batch_iter(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
-    """Shuffled batches for one epoch, deterministic in (shuffle_seed, epoch)."""
+    """Shuffled batches for one epoch, deterministic in (shuffle_seed, epoch).
+
+    A batch size above the dataset size is clamped to one full batch.
+    """
     n = len(ds)
-    size = plan.batch_size
-    if size > n:
-        logger.warning("batch size %d exceeds dataset size %d; clamping", size, n)
-        size = n
+    size = min(plan.batch_size, n)
     perm = _rng(plan.shuffle_seed, epoch).permutation(n)
     for start in range(0, n, size):
         idx = perm[start : start + size]
@@ -315,18 +312,16 @@ def standardize_splits(
     train: Dataset,
     val: Dataset,
     test: Dataset,
-    *,
-    targets: bool = True,
 ) -> tuple[Dataset, Dataset, Dataset, StandardizeStats]:
     """Per-feature standardization using train statistics only.
 
-    Target standardization is applied for regression when requested; the
-    returned stats allow raw-unit metrics to be recovered downstream.
+    Regression targets are standardized too; the returned stats allow
+    raw-unit metrics to be recovered downstream.
     """
     mean = train.inputs.mean(axis=0)
     std = np.maximum(train.inputs.std(axis=0), 1e-12)
     tmean = tstd = None
-    do_targets = targets and train.task is Task.REGRESSION
+    do_targets = train.task is Task.REGRESSION
     if do_targets:
         tmean = train.targets.mean(axis=0)
         tstd = np.maximum(train.targets.std(axis=0), 1e-12)

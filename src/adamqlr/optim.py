@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -134,7 +134,7 @@ class QLRConfig:
 
     The untuned defaults (initial damping 1e-3, halving/doubling damping
     factors, learning-rate cap 0.1) are the recommended run-anywhere
-    setting.
+    setting. `hyper` holds the moment constants of the Adam direction.
     """
 
     curvature: CurvatureKind = CurvatureKind.GGN_FISHER
@@ -145,6 +145,7 @@ class QLRConfig:
     rescale_k: float = 1.0
     damped: bool = True
     direction: Direction = Direction.ADAM
+    hyper: AdamHyper = AdamHyper()
 
     def __post_init__(self):
         if self.lambda0 <= 0:
@@ -157,14 +158,16 @@ class QLRConfig:
             raise ValueError("rescale_k must be positive")
 
 
+def _clamp_lambda(lam: float) -> float:
+    return min(max(lam, LAMBDA_MIN), LAMBDA_MAX)
+
+
 @dataclass(frozen=True)
 class QLRState:
-    """Damping plus the wrapped direction state and diagnostic counters."""
+    """Damping plus the wrapped direction state and guard-event counts."""
 
     lam: float
     adam: Optional[AdamState]
-    last_alpha: float = 0.0
-    last_rho: float = math.nan
     events: dict[GuardEvent, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -173,14 +176,8 @@ class QLRState:
 
     @classmethod
     def init(cls, cfg: QLRConfig, n_params: int) -> "QLRState":
-        lam = min(max(cfg.lambda0, LAMBDA_MIN), LAMBDA_MAX)
         adam = AdamState.init(n_params) if cfg.direction is Direction.ADAM else None
-        return cls(lam=lam, adam=adam)
-
-    def count(self, event: GuardEvent) -> dict[GuardEvent, int]:
-        events = dict(self.events)
-        events[event] = events.get(event, 0) + 1
-        return events
+        return cls(lam=_clamp_lambda(cfg.lambda0), adam=adam)
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def update_damping(rho: float, lam: float, cfg: QLRConfig) -> float:
         lam = cfg.omega_dec * lam
     elif rho < 0.25:
         lam = cfg.omega_inc * lam
-    return min(max(lam, LAMBDA_MIN), LAMBDA_MAX)
+    return _clamp_lambda(lam)
 
 
 def qlr_step(
@@ -242,7 +239,6 @@ def qlr_step(
     batch: Optional[Batch],
     state: QLRState,
     cfg: QLRConfig,
-    h: AdamHyper = AdamHyper(),
 ) -> tuple[ParamVector, QLRState, StepDiagnostics]:
     """One wrapped optimizer step.
 
@@ -258,7 +254,7 @@ def qlr_step(
     if cfg.direction is Direction.ADAM:
         if state.adam is None:
             raise ValueError("QLRState has no Adam buffers but direction is ADAM")
-        adam_state, d = adam_direction(state.adam, g, h)
+        adam_state, d = adam_direction(state.adam, g, cfg.hyper)
     else:
         adam_state, d = state.adam, g
 
@@ -281,45 +277,35 @@ def qlr_step(
         params.values - alpha * d.values
     )
 
+    fired = [] if guard is None else [guard]
+    rho, lam = math.nan, state.lam
     try:
         f_after = autodiff.eval_loss(obj, new_params, batch)
     except EvalOverflowError:
-        lam = min(max(cfg.omega_inc * state.lam, LAMBDA_MIN), LAMBDA_MAX)
-        events = dict(state.count(guard)) if guard is not None else dict(state.events)
-        events[GuardEvent.STEP_REJECTED] = events.get(GuardEvent.STEP_REJECTED, 0) + 1
-        if lam >= LAMBDA_MAX:
-            events[GuardEvent.LAMBDA_CEILING] = events.get(GuardEvent.LAMBDA_CEILING, 0) + 1
-        new_state = QLRState(lam, adam_state, alpha, math.nan, events)
-        diag = StepDiagnostics(
-            alpha, lam, math.nan, g_dot_d, f_before, math.inf, GuardEvent.STEP_REJECTED
-        )
-        return params, new_state, diag
-
-    rho = math.nan
-    lam = state.lam
-    events = state.events
-    if guard is not None:
-        events = state.count(guard)
-    else:
-        d_cld = d_cd + state.lam * d_dot_d
-        m_change = quadratic_model_change(alpha, g_dot_d, d_cld)
+        guard, f_after, new_params = GuardEvent.STEP_REJECTED, math.inf, params
+        fired.append(guard)
+        lam = _clamp_lambda(cfg.omega_inc * state.lam)
+    if guard is None:
+        m_change = quadratic_model_change(alpha, g_dot_d, d_cd + state.lam * d_dot_d)
         try:
             rho = compute_rho(f_after - f_before, m_change, f_before)
         except DegenerateModelChange:
             guard = GuardEvent.DEGENERATE_MODEL
-            events = state.count(guard)
+            fired.append(guard)
         else:
             if cfg.damped:
                 lam = update_damping(rho, state.lam, cfg)
-                if lam >= LAMBDA_MAX:
-                    events = dict(events)
-                    events[GuardEvent.LAMBDA_CEILING] = (
-                        events.get(GuardEvent.LAMBDA_CEILING, 0) + 1
-                    )
 
-    new_state = QLRState(lam, adam_state, alpha, rho, dict(events))
+    # Only a rejection or a damped update sets lambda; either may leave it at the ceiling.
+    lam_updated = guard is GuardEvent.STEP_REJECTED or (guard is None and cfg.damped)
+    if lam_updated and lam >= LAMBDA_MAX:
+        fired.append(GuardEvent.LAMBDA_CEILING)
+    events = dict(state.events)
+    for event in fired:
+        events[event] = events.get(event, 0) + 1
+
     diag = StepDiagnostics(alpha, lam, rho, g_dot_d, f_before, f_after, guard)
-    return new_params, new_state, diag
+    return new_params, QLRState(lam, adam_state, events), diag
 
 
 def empirical_fisher_diag(

@@ -33,6 +33,29 @@ def regression_cfg_dict(**over):
     return d
 
 
+def diverging_adam_cfg_dict():
+    return {
+        "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
+        "dataset": {
+            "loader": {"kind": "synthetic", "task": "classification", "n": 120,
+                       "d": 4, "seed": 5, "n_classes": 3},
+            "batch": {"batch_size": 32},
+        },
+        "optimizer": {"kind": "adam", "lr": 1e300},
+        "epochs": 1,
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "diag-fisher", "rosenbrock"])
+def test_divergence_prints_no_numpy_warnings(command, tmp_path, recwarn):
+    if command == "rosenbrock":
+        argv = ["rosenbrock", "--optimizer", "gd", "--lr", "10"]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, diverging_adam_cfg_dict())]
+    assert main(argv) == EXIT_DIVERGED
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestTrain:
     def test_writes_jsonl_and_norm_sidecar(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, regression_cfg_dict())
@@ -181,17 +204,7 @@ class TestGradcheckAndDiagFisher:
         assert report["steps"] == 40
 
     def test_diag_fisher_divergence_exit_code(self, tmp_path, capsys):
-        d = {
-            "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
-            "dataset": {
-                "loader": {"kind": "synthetic", "task": "classification", "n": 120,
-                           "d": 4, "seed": 5, "n_classes": 3},
-                "batch": {"batch_size": 32},
-            },
-            "optimizer": {"kind": "adam", "lr": 1e300},
-            "epochs": 1,
-        }
-        cfg = write_cfg(tmp_path, d)
+        cfg = write_cfg(tmp_path, diverging_adam_cfg_dict())
         assert main(["diag-fisher", "--config", cfg, "--steps", "20"]) == EXIT_DIVERGED
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -14,7 +14,6 @@ from adamqlr import (
     CurvatureKind,
     Direction,
     LossKind,
-    QLRConfig,
     SplitSpec,
     Task,
 )
@@ -49,9 +48,9 @@ def test_parse_minimal_qlr():
     cfg = config_mod.from_dict(minimal_dict())
     assert isinstance(cfg.model, MlpSpec)
     assert isinstance(cfg.optimizer, QlrOpt)
-    assert cfg.optimizer.qlr.curvature is CurvatureKind.GGN_FISHER
-    assert cfg.optimizer.qlr.direction is Direction.ADAM
-    assert cfg.optimizer.qlr.lambda0 == 1e-3
+    assert cfg.optimizer.curvature is CurvatureKind.GGN_FISHER
+    assert cfg.optimizer.direction is Direction.ADAM
+    assert cfg.optimizer.lambda0 == 1e-3
     assert cfg.dataset.batch.batch_size == 3200
 
 
@@ -212,17 +211,14 @@ optimizers = st.one_of(
     st.builds(AdamOpt, positive, hypers),
     st.builds(
         QlrOpt,
-        st.builds(
-            QLRConfig,
-            st.sampled_from(CurvatureKind),
-            positive,
-            st.floats(1e-3, 1.0),
-            st.floats(1.0, 10.0),
-            positive,
-            positive,
-            st.booleans(),
-            st.sampled_from(Direction),
-        ),
+        st.sampled_from(CurvatureKind),
+        positive,
+        st.floats(1e-3, 1.0),
+        st.floats(1.0, 10.0),
+        positive,
+        positive,
+        st.booleans(),
+        st.sampled_from(Direction),
         hypers,
     ),
 )

@@ -176,11 +176,9 @@ class TestBatchIter:
         b = np.concatenate([b.inputs for b in batch_iter(self._ds(10), BatchPlan(10, shuffle_seed=1), 1)])
         assert not np.array_equal(a, b)
 
-    def test_oversized_batch_clamped(self, caplog):
-        with caplog.at_level("WARNING"):
-            sizes = [b.n for b in batch_iter(self._ds(5), BatchPlan(50), 0)]
+    def test_oversized_batch_clamped(self):
+        sizes = [b.n for b in batch_iter(self._ds(5), BatchPlan(50), 0)]
         assert sizes == [5]
-        assert any("clamp" in rec.message for rec in caplog.records)
 
     @given(st.integers(0, 10_000), st.integers(1, 12))
     def test_epoch_covers_every_row_once(self, seed, batch_size):

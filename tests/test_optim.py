@@ -300,6 +300,32 @@ class TestQlrStep:
         assert new_state.events[GuardEvent.STEP_REJECTED] == 1
         assert math.isinf(diag.f_after)
 
+    @pytest.mark.parametrize(
+        "knobs, events, guard",
+        [
+            # a damped update that leaves lambda at the ceiling counts it
+            (dict(omega_dec=1.0), {GuardEvent.LAMBDA_CEILING: 1}, None),
+            # lambda stays at the ceiling, but no damping rule set it
+            (dict(omega_dec=1.0, damped=False), {}, None),
+            # the rejected step grows lambda into the ceiling
+            (
+                dict(alpha_max=1.0, rescale_k=1e150),
+                {GuardEvent.STEP_REJECTED: 1, GuardEvent.LAMBDA_CEILING: 1},
+                GuardEvent.STEP_REJECTED,
+            ),
+        ],
+    )
+    def test_lambda_ceiling_counted_when_damping_sets_it(self, knobs, events, guard):
+        obj = rosenbrock_objective()
+        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        cfg = QLRConfig(
+            curvature=CurvatureKind.HESSIAN, lambda0=LAMBDA_MAX, direction=Direction.SGD, **knobs
+        )
+        _, state, diag = qlr_step(obj, params, None, QLRState.init(cfg, 2), cfg)
+        assert diag.guard is guard
+        assert state.lam == LAMBDA_MAX
+        assert state.events == events
+
     def test_rosenbrock_untuned_reference(self):
         obj = rosenbrock_objective()
         cfg = QLRConfig(curvature=CurvatureKind.HESSIAN)

@@ -62,10 +62,10 @@ class TestSpaces:
     def test_apply_sample_updates_optimizer_and_batch(self):
         cfg = toy_cfg({"kind": "qlr"})
         out = apply_sample(cfg, {"lambda0": 1e-5, "batch_size": 400})
-        assert out.optimizer.qlr.lambda0 == 1e-5
+        assert out.optimizer.lambda0 == 1e-5
         assert out.dataset.batch.batch_size == 400
         # base config untouched
-        assert cfg.optimizer.qlr.lambda0 == 1e-3
+        assert cfg.optimizer.lambda0 == 1e-3
 
 
 class TestRandomSearch:

@@ -36,14 +36,14 @@ def test_enumerate_reuses_base_config():
     cfgs = enumerate_sweep(base, standard_sweeps()["lambda0"])
     assert len(cfgs) == 17
     for cfg, value in zip(cfgs, standard_sweeps()["lambda0"].values):
-        assert cfg.optimizer.qlr.lambda0 == pytest.approx(value)
+        assert cfg.optimizer.lambda0 == pytest.approx(value)
         assert cfg.epochs == base.epochs
 
 
 def test_omega_pair_set_symmetrically():
     cfg = apply_sweep_value(qlr_cfg(), "omega_sym", 2.0 ** 0.4)
-    assert cfg.optimizer.qlr.omega_inc == pytest.approx(2.0 ** 0.4)
-    assert cfg.optimizer.qlr.omega_dec == pytest.approx(2.0 ** -0.4)
+    assert cfg.optimizer.omega_inc == pytest.approx(2.0 ** 0.4)
+    assert cfg.optimizer.omega_dec == pytest.approx(2.0 ** -0.4)
 
 
 def test_batch_size_sweep_touches_dataset():

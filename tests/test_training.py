@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adamqlr.bench import config as config_mod
+from adamqlr.bench.diagnostics import fisher_alignment
 from adamqlr.bench.training import RunStatus, run_training
 from adamqlr.optim import LAMBDA_MIN
 
@@ -117,6 +118,27 @@ def test_batch_size_clamped_to_full_batch():
     # 42 train rows -> one full batch per epoch
     steps_per_epoch = sum(1 for r in result.records if r.epoch == 0)
     assert steps_per_epoch == 1
+
+
+@pytest.mark.parametrize("job", ["train", "diag-fisher"])
+def test_oversized_batch_warned_once_per_run(job, caplog):
+    # 120 rows, no batch block: the default 3200-row batch exceeds the 96-row train split
+    cfg = config_mod.from_dict(
+        {
+            "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
+            "dataset": {"loader": {"kind": "synthetic", "task": "classification", "n": 120,
+                                   "d": 4, "seed": 5, "n_classes": 3}},
+            "optimizer": {"kind": "adam", "lr": 1e-2},
+            "epochs": 5,
+        }
+    )
+    with caplog.at_level("WARNING"):
+        if job == "train":
+            assert len(run_training(cfg).records) == 5
+        else:
+            assert fisher_alignment(cfg, steps=5)["steps"] == 5
+    clamps = [rec.getMessage() for rec in caplog.records if "clamp" in rec.getMessage()]
+    assert clamps == ["batch size 3200 exceeds train split size 96; clamping to full batch"]
 
 
 def test_model_width_mismatch_is_config_error():
