@@ -13,7 +13,7 @@ from .autodiff import (
     explicit_matrix,
     fd_grad,
 )
-from .data import Batch, BatchPlan, Dataset, SplitSpec, Task
+from .data import Batch, BatchPlan, SplitSpec, Task
 from .models import (
     Activation,
     MlpSpec,

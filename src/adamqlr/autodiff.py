@@ -106,6 +106,8 @@ def _check_params(obj: Objective, params: ParamVector) -> None:
 def _check_batch(obj: Objective, batch: Optional[Batch]) -> None:
     if batch is None and not obj.batch_free:
         raise ValueError(f"objective {obj.name!r} requires a batch")
+    if batch is not None and len(batch) == 0:
+        raise ValueError(f"objective {obj.name!r} cannot be evaluated on an empty batch")
 
 
 def eval_loss(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> float:

@@ -10,7 +10,7 @@ import argparse
 import glob as globlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,16 +135,7 @@ def _cmd_tune(args) -> int:
     if args.out:
         payload = {
             "best": {"config": best.config, "score": best.score, "status": best.status.value},
-            "trials": [
-                {
-                    "config": t.config,
-                    "score": t.score,
-                    "status": t.status.value,
-                    "failure_step": t.failure_step,
-                    "rung_epochs": t.rung_epochs,
-                }
-                for t in trials
-            ],
+            "trials": [{**asdict(t), "status": t.status.value} for t in trials],
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)

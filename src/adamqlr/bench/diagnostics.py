@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 from .. import data, models, optim
-from ..data import Batch
 from .config import AdamOpt, ConfigError, RunConfig
 from .training import make_stepper, prepare_data
 
@@ -39,7 +38,7 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
         params, _ = stepper.step(obj, params, batch)
 
     n_ref = min(REFERENCE_BATCH_ROWS, len(train))
-    ref = Batch(train.inputs[:n_ref], train.targets[:n_ref])
+    ref = train.take(slice(n_ref))
     fisher_diag = optim.empirical_fisher_diag(obj, params, ref)
     v_hat = optim.bias_corrected_v(stepper.state, cfg.optimizer.hyper)
     cosine, spread = optim.fisher_adam_alignment(fisher_diag, v_hat)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import autodiff, data, models, optim
 from ..autodiff import Objective
-from ..data import Batch, Dataset, Task
+from ..data import Batch, Task
 from ..models import MlpSpec, RosenbrockSpec
 from ..params import ParamVector
 from .config import (
@@ -119,23 +119,12 @@ def make_stepper(opt: OptimizerConfig, n_params: int):
     raise ConfigError(f"unknown optimizer config {type(opt).__name__}")
 
 
-def load_dataset(loader) -> Dataset:
-    if isinstance(loader, CsvLoader):
-        return data.load_csv(loader.path, loader.n_features, loader.target_columns)
-    if isinstance(loader, IdxLoader):
-        return data.load_idx(loader.images_path, loader.labels_path)
-    if isinstance(loader, SyntheticLoader):
-        return data.synthesize(
-            loader.task,
-            loader.n,
-            loader.d,
-            loader.seed,
-            n_targets=loader.n_targets,
-            noise=loader.noise,
-            n_classes=loader.n_classes,
-            separation=loader.separation,
-        )
-    raise ConfigError(f"unknown loader config {type(loader).__name__}")
+def load_dataset(loader) -> Batch:
+    # Looked up per call, so a wrapper swapped onto a `data` loader at run time is used.
+    loaders = {CsvLoader: data.load_csv, IdxLoader: data.load_idx, SyntheticLoader: data.synthesize}
+    if type(loader) not in loaders:
+        raise ConfigError(f"unknown loader config {type(loader).__name__}")
+    return loaders[type(loader)](**vars(loader))
 
 
 def prepare_data(dcfg: DatasetConfig):
@@ -158,7 +147,7 @@ def prepare_data(dcfg: DatasetConfig):
     return train, val, test, stats
 
 
-def _check_model_fits(spec: MlpSpec, train: Dataset) -> None:
+def _check_model_fits(spec: MlpSpec, train: Batch) -> None:
     d_in = train.inputs.shape[1]
     if spec.layer_widths[0] != d_in:
         raise ConfigError(
@@ -179,22 +168,21 @@ def _fill_eval(
     rec: MetricRecord,
     obj: Objective,
     params: ParamVector,
-    train: Dataset,
-    val: Dataset,
-    test: Dataset,
+    train: Batch,
+    val: Batch,
+    test: Batch,
     stats,
 ) -> None:
     classification = train.task is Task.CLASSIFICATION
     for name, split in (("train", train), ("val", val), ("test", test)):
         if len(split) == 0:
             continue
-        batch = split.as_batch()
-        loss = autodiff.eval_loss(obj, params, batch)
+        loss = autodiff.eval_loss(obj, params, split)
         if name != "train":
             setattr(rec, f"{name}_loss", loss)
         if classification:
-            outputs = obj.predict(params.values, batch.inputs)
-            setattr(rec, f"{name}_acc", models.accuracy(outputs, batch.targets))
+            outputs = obj.predict(params.values, split.inputs)
+            setattr(rec, f"{name}_acc", models.accuracy(outputs, split.targets))
         elif name == "train" and stats is not None and stats.target_std is not None:
             if stats.target_std.size == 1:
                 logger.info(
@@ -208,7 +196,9 @@ def run_training(cfg: RunConfig) -> RunResult:
 
     An MLP takes one step per batch of its data plan and is evaluated on
     its splits at the configured epoch cadence. A Rosenbrock model takes
-    one step per epoch from (1, -1) and has no splits to evaluate.
+    one step per epoch from (1, -1) and has no splits to evaluate. A
+    ValueError raised mid-run is re-raised as a ConfigError that says how
+    many steps were taken and in which epoch.
     """
     stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
@@ -243,4 +233,6 @@ def run_training(cfg: RunConfig) -> RunResult:
                 _fill_eval(records[-1], obj, params, *splits, stats)
     except ArithmeticError:
         return RunResult(records, RunStatus.DIVERGED, len(records), params, stats)
+    except ValueError as e:
+        raise ConfigError(f"after {len(records)} steps, in epoch {epoch}: {e}") from e
     return RunResult(records, RunStatus.COMPLETED, None, params, stats)

@@ -1,4 +1,4 @@
-"""Dataset ingestion, splitting and deterministic mini-batch iteration.
+"""Data ingestion, splitting and deterministic mini-batch iteration.
 
 Loaders reject non-finite values outright instead of letting them reach
 the optimizer. Splitting and shuffling are pure functions of their seeds,
@@ -33,15 +33,20 @@ class Task(enum.Enum):
 
 @dataclass(frozen=True)
 class Batch:
-    """Input rows and aligned targets for one objective evaluation."""
+    """Input rows and aligned targets: a whole dataset, a split or a mini-batch.
+
+    Integer targets are class labels, so the batch's task is read from
+    them. A batch may have no rows (a split of fraction 0); `autodiff`
+    refuses to evaluate an objective on one.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ValueError("batch inputs must be a non-empty 2-D matrix")
+        if inputs.ndim != 2:
+            raise ValueError("batch inputs must be a 2-D matrix")
         targets = np.asarray(self.targets)
         if np.issubdtype(targets.dtype, np.integer):
             targets = targets.astype(np.int64)
@@ -61,50 +66,14 @@ class Batch:
         object.__setattr__(self, "targets", targets)
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    def row(self, i: int) -> "Batch":
-        return Batch(self.inputs[i : i + 1], self.targets[i : i + 1])
-
-
-@dataclass(frozen=True)
-class Dataset:
-    inputs: np.ndarray
-    targets: np.ndarray
-    task: Task
-    name: str = ""
-
-    def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2:
-            raise ValueError("dataset inputs must be 2-D")
-        targets = np.asarray(self.targets)
-        if self.task is Task.CLASSIFICATION:
-            targets = targets.astype(np.int64)
-            if targets.ndim != 1:
-                raise ValueError("classification targets must be 1-D labels")
-        else:
-            targets = targets.astype(np.float64)
-            if targets.ndim == 1:
-                targets = targets[:, None]
-            if not np.all(np.isfinite(targets)):
-                raise ValueError("dataset targets contain non-finite values")
-        if inputs.shape[0] != targets.shape[0]:
-            raise ValueError("dataset inputs and targets disagree on row count")
-        if not np.all(np.isfinite(inputs)):
-            raise ValueError("dataset inputs contain non-finite values")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
+    def task(self) -> Task:
+        return Task.CLASSIFICATION if self.targets.dtype == np.int64 else Task.REGRESSION
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.targets[idx], self.task, self.name)
-
-    def as_batch(self) -> Batch:
-        return Batch(self.inputs, self.targets)
+    def take(self, idx) -> "Batch":
+        return Batch(self.inputs[idx], self.targets[idx])
 
 
 @dataclass(frozen=True)
@@ -140,7 +109,7 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def load_csv(path, n_features: int, target_columns: int = 1) -> Dataset:
+def load_csv(path, n_features: int, target_columns: int = 1) -> Batch:
     """Load a numeric CSV of `n_features` inputs followed by target columns.
 
     A non-numeric first row is treated as a header and skipped. Ragged
@@ -174,12 +143,10 @@ def load_csv(path, n_features: int, target_columns: int = 1) -> Dataset:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
-    return Dataset(
-        data[:, :n_features], data[:, n_features:], Task.REGRESSION, Path(path).stem
-    )
+    return Batch(data[:, :n_features], data[:, n_features:])
 
 
-def load_idx(images_path, labels_path) -> Dataset:
+def load_idx(images_path, labels_path) -> Batch:
     """Load an IDX image/label file pair (big-endian, optionally gzipped).
 
     Images are flattened to rows and scaled to [0, 1]; labels stay integer.
@@ -209,10 +176,10 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     images = images.reshape(n_images, n_rows * n_cols) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(images, labels, Task.CLASSIFICATION, Path(images_path).stem)
+    return Batch(images, labels)
 
 
-def split_dataset(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+def split_dataset(ds: Batch, spec: SplitSpec) -> tuple[Batch, Batch, Batch]:
     """Disjoint permutation split; sizes floor-rounded, remainder to train."""
     n = len(ds)
     n_train = int(np.floor(spec.train_fraction * n))
@@ -241,7 +208,7 @@ def _rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *keys]))
 
 
-def batch_iter(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
+def batch_iter(ds: Batch, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
     """Shuffled batches for one epoch, deterministic in (shuffle_seed, epoch).
 
     A batch size above the dataset size is clamped to one full batch.
@@ -253,7 +220,7 @@ def batch_iter(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
         idx = perm[start : start + size]
         if len(idx) < size and plan.drop_last:
             return
-        yield Batch(ds.inputs[idx], ds.targets[idx])
+        yield ds.take(idx)
 
 
 def synthesize(
@@ -266,7 +233,7 @@ def synthesize(
     noise: float = 0.1,
     n_classes: int = 2,
     separation: float = 6.0,
-) -> Dataset:
+) -> Batch:
     """Deterministic synthetic data: linear regression or Gaussian blobs.
 
     Regression draws y = Wx + noise. Classification places `n_classes`
@@ -282,12 +249,12 @@ def synthesize(
         y = x @ w
         if noise > 0:
             y = y + noise * rng.normal(size=y.shape)
-        return Dataset(x, y, task, "synthetic-regression")
+        return Batch(x, y)
     centers = rng.normal(size=(n_classes, d)) * (separation / np.sqrt(2.0 * d))
     labels = np.arange(n, dtype=np.int64) % n_classes
     rng.shuffle(labels)
     x = centers[labels] + rng.normal(size=(n, d))
-    return Dataset(x, labels, task, "synthetic-blobs")
+    return Batch(x, labels)
 
 
 @dataclass(frozen=True)
@@ -298,21 +265,14 @@ class StandardizeStats:
     target_std: np.ndarray | None
 
     def to_dict(self) -> dict:
-        out = {
-            "input_mean": self.input_mean.tolist(),
-            "input_std": self.input_std.tolist(),
-        }
-        if self.target_mean is not None:
-            out["target_mean"] = self.target_mean.tolist()
-            out["target_std"] = self.target_std.tolist()
-        return out
+        return {k: v.tolist() for k, v in vars(self).items() if v is not None}
 
 
 def standardize_splits(
-    train: Dataset,
-    val: Dataset,
-    test: Dataset,
-) -> tuple[Dataset, Dataset, Dataset, StandardizeStats]:
+    train: Batch,
+    val: Batch,
+    test: Batch,
+) -> tuple[Batch, Batch, Batch, StandardizeStats]:
     """Per-feature standardization using train statistics only.
 
     Regression targets are standardized too; the returned stats allow
@@ -326,12 +286,10 @@ def standardize_splits(
         tmean = train.targets.mean(axis=0)
         tstd = np.maximum(train.targets.std(axis=0), 1e-12)
 
-    def apply(ds: Dataset) -> Dataset:
-        if len(ds) == 0:
-            return ds
+    def apply(ds: Batch) -> Batch:
         x = (ds.inputs - mean) / std
         y = (ds.targets - tmean) / tstd if do_targets else ds.targets
-        return Dataset(x, y, ds.task, ds.name)
+        return Batch(x, y)
 
     stats = StandardizeStats(mean, std, tmean, tstd)
     return apply(train), apply(val), apply(test), stats

@@ -312,11 +312,14 @@ def empirical_fisher_diag(
     obj: Objective, params: ParamVector, batch: Batch
 ) -> ParamVector:
     """Mean elementwise square of per-example gradients (data labels)."""
+    n = len(batch)
+    if n == 0:
+        raise ValueError("empirical Fisher diagonal of an empty batch")
     acc = np.zeros_like(params.values)
-    for i in range(batch.n):
-        _, g = autodiff.eval_grad(obj, params, batch.row(i))
+    for i in range(n):
+        _, g = autodiff.eval_grad(obj, params, batch.take([i]))
         acc += g.values * g.values
-    return params.with_values(acc / batch.n)
+    return params.with_values(acc / n)
 
 
 def fisher_adam_alignment(

@@ -421,7 +421,7 @@ def test_08_classification_desk_run():
         if real_data:
             train = train.take(np.arange(min(6000, len(train))))
         obj = mlp_objective(cfg.model)
-        batch = train.as_batch()
+        batch = train
         loss = eval_loss(obj, result.final_params, batch)
         outputs = obj.predict(result.final_params.values, batch.inputs)
         acc = float((outputs.argmax(axis=1) == batch.targets).mean())
@@ -486,10 +486,10 @@ def test_10_fisher_diagnostic(tmp_path):
     batch = Batch(rng.normal(size=(8, 6)), rng.integers(0, 3, size=8))
     got = empirical_fisher_diag(obj, params, batch)
     dense = np.zeros(len(params))
-    for i in range(batch.n):
-        _, g = eval_grad(obj, params, batch.row(i))
+    for i in range(len(batch)):
+        _, g = eval_grad(obj, params, batch.take([i]))
         dense += g.values**2
-    diag_err = float(np.max(np.abs(got.values - dense / batch.n)))
+    diag_err = float(np.max(np.abs(got.values - dense / len(batch))))
 
     # the command-level alignment on the frozen blob reference configuration
     cfg = {

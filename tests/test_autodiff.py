@@ -68,6 +68,7 @@ class TestEvalLoss:
         batch = Batch(np.array([[1.0, 1.0]]), np.array([[0.0]]))
         assert eval_loss(obj, params, batch) == 9.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_with_context(self):
         obj = mlp_objective(MlpSpec((2, 1), LossKind.MSE))
         params = ParamVector(np.array([1e300, 1e300, 0.0]), obj.manifest)

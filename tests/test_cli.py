@@ -98,7 +98,7 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "status=" not in captured.out
-        assert captured.err.startswith("config error:")
+        assert captured.err.startswith("config error: after 3 steps, in epoch 1:")
 
     def test_unknown_key_exit_code(self, tmp_path):
         d = regression_cfg_dict()

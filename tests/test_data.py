@@ -13,18 +13,20 @@ from adamqlr import (
     AdamState,
     Batch,
     BatchPlan,
+    CurvatureKind,
     LossKind,
     MlpSpec,
     SplitSpec,
     Task,
     adam_direction,
+    curvature_vp,
     eval_grad,
+    eval_loss,
     mlp_init,
     mlp_objective,
 )
 from adamqlr.data import (
     DataFormatError,
-    Dataset,
     batch_iter,
     load_csv,
     load_idx,
@@ -33,6 +35,7 @@ from adamqlr.data import (
     synthesize,
 )
 from adamqlr.models import accuracy
+from adamqlr.optim import empirical_fisher_diag
 
 from helpers import least_squares_mse
 
@@ -125,7 +128,7 @@ class TestLoadIdx:
 
 class TestSplit:
     def _ds(self, n=10):
-        return Dataset(np.arange(n, dtype=float)[:, None], np.zeros(n), Task.REGRESSION)
+        return Batch(np.arange(n, dtype=float)[:, None], np.zeros(n))
 
     def test_sizes_with_remainder_to_train(self):
         train, val, test = split_dataset(self._ds(10), SplitSpec(0.8, 0.1, 0.1, seed=0))
@@ -155,14 +158,14 @@ class TestSplit:
 
 class TestBatchIter:
     def _ds(self, n=10):
-        return Dataset(np.arange(n, dtype=float)[:, None], np.zeros(n), Task.REGRESSION)
+        return Batch(np.arange(n, dtype=float)[:, None], np.zeros(n))
 
     def test_short_final_batch_kept(self):
-        sizes = [b.n for b in batch_iter(self._ds(10), BatchPlan(4), epoch=0)]
+        sizes = [len(b) for b in batch_iter(self._ds(10), BatchPlan(4), epoch=0)]
         assert sizes == [4, 4, 2]
 
     def test_drop_last(self):
-        sizes = [b.n for b in batch_iter(self._ds(10), BatchPlan(4, drop_last=True), epoch=0)]
+        sizes = [len(b) for b in batch_iter(self._ds(10), BatchPlan(4, drop_last=True), epoch=0)]
         assert sizes == [4, 4]
 
     def test_deterministic_per_epoch(self):
@@ -177,7 +180,7 @@ class TestBatchIter:
         assert not np.array_equal(a, b)
 
     def test_oversized_batch_clamped(self):
-        sizes = [b.n for b in batch_iter(self._ds(5), BatchPlan(50), 0)]
+        sizes = [len(b) for b in batch_iter(self._ds(5), BatchPlan(50), 0)]
         assert sizes == [5]
 
     @given(st.integers(0, 10_000), st.integers(1, 12))
@@ -234,10 +237,9 @@ class TestSynthesize:
 class TestStandardize:
     def test_train_statistics_only(self):
         rng = np.random.default_rng(0)
-        full = Dataset(
+        full = Batch(
             rng.normal(5.0, 3.0, size=(100, 4)),
             rng.normal(-2.0, 7.0, size=(100, 1)),
-            Task.REGRESSION,
         )
         train, val, test = split_dataset(full, SplitSpec(0.6, 0.2, 0.2, seed=0))
         strain, sval, stest, stats = standardize_splits(train, val, test)
@@ -261,12 +263,53 @@ class TestStandardize:
 class TestValidation:
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            Dataset(np.array([[np.nan]]), np.array([[1.0]]), Task.REGRESSION)
+            Batch(np.array([[np.nan]]), np.array([[1.0]]))
 
     def test_batch_rejects_row_mismatch(self):
         with pytest.raises(ValueError):
             Batch(np.zeros((3, 2)), np.zeros((2, 1)))
 
     def test_batch_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Batch(np.zeros((0, 2)), np.zeros((0, 1)))
+        spec = MlpSpec((2, 1), LossKind.MSE)
+        obj, params = mlp_objective(spec), mlp_init(spec, 0)
+        empty = Batch(np.zeros((0, 2)), np.zeros((0, 1)))
+        assert len(empty) == 0
+        for evaluate in (
+            lambda: eval_loss(obj, params, empty),
+            lambda: eval_grad(obj, params, empty),
+            lambda: curvature_vp(obj, params, empty, params, CurvatureKind.GGN_FISHER),
+            lambda: empirical_fisher_diag(obj, params, empty),
+        ):
+            with pytest.raises(ValueError, match="empty batch"):
+                evaluate()
+
+
+class TestTask:
+    def test_integer_labels_are_classification(self):
+        assert Batch(np.zeros((3, 2)), np.array([0, 1, 1])).task is Task.CLASSIFICATION
+        assert Batch(np.zeros((3, 2)), np.array([0, 1, 1], dtype=np.uint8)).task is Task.CLASSIFICATION
+
+    def test_float_targets_are_regression(self):
+        assert Batch(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0])).task is Task.REGRESSION
+        assert Batch(np.zeros((3, 2)), np.zeros((3, 2))).task is Task.REGRESSION
+
+    def test_csv_of_integer_values_is_regression(self, tmp_path):
+        p = tmp_path / "ints.csv"
+        p.write_text("1,2,0\n3,4,1\n5,6,1\n")
+        ds = load_csv(p, n_features=2)
+        assert ds.task is Task.REGRESSION
+        assert ds.targets.dtype == np.float64
+
+    def test_synthesized_and_split_data_keep_the_task(self):
+        blobs = synthesize(Task.CLASSIFICATION, 30, 3, seed=0)
+        assert blobs.task is Task.CLASSIFICATION
+        assert synthesize(Task.REGRESSION, 30, 3, seed=0).task is Task.REGRESSION
+        for split in split_dataset(blobs, SplitSpec(1.0, 0.0, 0.0)):
+            assert split.task is Task.CLASSIFICATION
+
+    def test_take_selects_rows(self):
+        b = Batch(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]))
+        one = b.take([1])
+        np.testing.assert_array_equal(one.inputs, [[2.0, 3.0]])
+        np.testing.assert_array_equal(one.targets, [1])
+        assert len(b.take(np.arange(0))) == 0

@@ -280,6 +280,7 @@ class TestQlrStep:
         assert diag.alpha == pytest.approx(0.2)  # k * alpha_max
         assert state.events[GuardEvent.NON_CONVEX] == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejected_step_grows_damping_keeps_params(self):
         # A colossal rescale factor makes the proposed point overflow the
         # quartic objective: the step must be rejected and damping grown.
@@ -315,6 +316,7 @@ class TestQlrStep:
             ),
         ],
     )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lambda_ceiling_counted_when_damping_sets_it(self, knobs, events, guard):
         obj = rosenbrock_objective()
         params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
@@ -467,7 +469,7 @@ class TestEmpiricalFisherDiag:
         got = empirical_fisher_diag(obj, params, batch)
         dense = np.zeros((len(params), len(params)))
         for i in range(6):
-            _, g = autodiff.eval_grad(obj, params, batch.row(i))
+            _, g = autodiff.eval_grad(obj, params, batch.take([i]))
             dense += np.outer(g.values, g.values)
         np.testing.assert_allclose(got.values, np.diag(dense) / 6, atol=1e-10)
 

@@ -34,6 +34,7 @@ def test_stationary_start_never_drifts():
     assert res.final_f == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_truncates_trajectory():
     res = run_rosenbrock(preset_optimizer("gd", lr=10.0), steps=100, start=(1.0, -1.0))
     assert res.status is RunStatus.DIVERGED

@@ -115,6 +115,7 @@ class TestRandomSearch:
         best_lr = best.config["optimizer"]["lr"]
         assert 0.5 * grid_best <= best_lr <= 2.0 * grid_best
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_trials_rank_last(self):
         space = {"lr": Choice((1e9, 1e-2))}
         best, trials = random_search(

@@ -87,6 +87,31 @@ def test_classification_reports_accuracy():
     assert last.val_acc is not None and last.test_acc is not None
 
 
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_train_only_split_trains_to_completion(task):
+    cfg = config_mod.from_dict(
+        {
+            "model": {"kind": "mlp", "layer_widths": [4, 3],
+                      "loss": "mse" if task == "regression" else "softmax_cross_entropy"},
+            "dataset": {
+                "loader": {"kind": "synthetic", "task": task, "n": 40, "d": 4, "seed": 5,
+                           "n_targets": 3},
+                "split": {"train_fraction": 1.0, "val_fraction": 0.0, "test_fraction": 0.0},
+                "batch": {"batch_size": 16},
+            },
+            "optimizer": {"kind": "qlr"},
+            "epochs": 3,
+        }
+    )
+    result = run_training(cfg)
+    assert result.status is RunStatus.COMPLETED
+    assert len(result.records) == 9
+    last = result.records[-1]
+    assert all(getattr(last, f"{s}_{m}") is None for s in ("val", "test") for m in ("loss", "acc"))
+    assert (last.train_acc is not None) == (task == "classification")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_run_records_status():
     mlp = regression_cfg(optimizer={"kind": "sgd_minimal", "lr": 1e6}, epochs=50)
     rosenbrock = config_mod.from_dict(
