@@ -1,11 +1,16 @@
 """Loss, gradient and curvature-vector evaluations for scalar objectives.
 
 An :class:`Objective` bundles a traced computation graph with a fast
-plain-numpy value path. Gradients come from one reverse sweep; exact
-Hessian-vector products from a tangent-seeded trace whose backward pass
-carries tangents along (one extra dual pass per product, no materialized
-matrix); Gauss-Newton/Fisher products from a model-output tangent
-sandwiched with the closed-form output-space loss Hessian.
+plain-numpy value path. :func:`linearize` records the graph once at a
+point, and every derivative there reuses that one forward pass. Gradients
+come from one reverse sweep. Curvature products first replay the
+direction's tangent through the recorded tape. Exact Hessian-vector
+products then take a reverse sweep that carries tangents along (no
+materialized matrix); Gauss-Newton/Fisher products sandwich the
+model-output tangent with the closed-form output-space loss Hessian and
+take a plain reverse sweep. `eval_grad` and `curvature_vp` are the same
+calls on a fresh linearization. Each linearization owns its tape, so
+separate linearizations are safe to evaluate concurrently.
 
 `fd_grad` deliberately runs through the tape-free value path so the
 finite-difference oracle shares no derivative code with what it checks.
@@ -121,21 +126,89 @@ def eval_loss(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> fl
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """One recorded forward pass of an objective at a point.
+
+    Made by :func:`linearize`. ``value`` is the loss at the point. Each
+    derivative reuses the recorded tape: ``grad()`` is one reverse sweep,
+    ``curvature_vp()`` one tangent replay and one reverse sweep, and
+    neither runs another forward pass. Each call counts once in
+    ``counters``. A product leaves its tangents on the tape, so use one
+    linearization from one thread at a time.
+    """
+
+    obj: Objective
+    params: ParamVector
+    tape: Tape
+    theta: Node
+    outputs: Optional[Node]
+    loss: Node
+
+    @property
+    def value(self) -> float:
+        return float(self.loss.val)
+
+    def _check_finite(self, context: str) -> None:
+        if not np.isfinite(self.value):
+            raise EvalOverflowError(f"{context}({self.obj.name})", self.value)
+
+    def grad(self) -> ParamVector:
+        """Gradient of the loss from one reverse sweep."""
+        counters.eval_grad += 1
+        self._check_finite("eval_grad")
+        (grad, _), = self.tape.backward(
+            self.loss, (np.float64(1.0), None), [self.theta], use_tangents=False
+        )
+        return self.params.with_values(grad)
+
+    def curvature_vp(self, v: ParamVector, kind: CurvatureKind) -> ParamVector:
+        """Product with the chosen curvature matrix.
+
+        HESSIAN is the exact Hessian of the loss. GGN_FISHER is the
+        Gauss-Newton sandwich J^T H_out J: for softmax cross-entropy this is
+        the model Fisher matrix; for MSE it is the Gauss-Newton matrix
+        (2/N * J^T J under this module's loss convention).
+        """
+        if len(v) != len(self.params):
+            raise ValueError("direction length must match parameter length")
+        counters.curvature_vp += 1
+        obj, tape, theta = self.obj, self.tape, self.theta
+        if kind is not CurvatureKind.HESSIAN and obj.loss_kind is None:
+            raise UnsupportedCurvatureError(
+                f"objective {obj.name!r} has no model/loss split; use HESSIAN curvature"
+            )
+        self._check_finite("curvature_vp")
+        tape.replay_tangent(theta, v.values)
+        if kind is CurvatureKind.HESSIAN:
+            # Exact Hessian-vector product via a tangent-carrying reverse sweep.
+            (_, hv), = tape.backward(self.loss, (np.float64(1.0), None), [theta], use_tangents=True)
+            return self.params.with_values(np.zeros_like(self.params.values) if hv is None else hv)
+        outputs = self.outputs
+        out_tan = outputs.tan
+        if out_tan is None:
+            out_tan = np.zeros_like(outputs.val)
+        u = _output_loss_hvp(obj.loss_kind, outputs.val, out_tan, outputs.val.shape[0])
+        (jtu, _), = tape.backward(outputs, (u, None), [theta], use_tangents=False)
+        return self.params.with_values(jtu)
+
+
+def linearize(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> Linearization:
+    """Record one forward pass of ``obj`` at ``params`` for its derivatives."""
+    _check_params(obj, params)
+    _check_batch(obj, batch)
+    tape = Tape()
+    theta = tape.input(params.values)
+    outputs, loss = obj.trace(tape, theta, batch)
+    return Linearization(obj, params, tape, theta, outputs, loss)
+
+
 def eval_grad(
     obj: Objective, params: ParamVector, batch: Optional[Batch]
 ) -> tuple[float, ParamVector]:
     """Loss and its gradient from one forward + one reverse sweep."""
-    _check_params(obj, params)
-    _check_batch(obj, batch)
-    counters.eval_grad += 1
-    tape = Tape()
-    theta = tape.input(params.values)
-    _, loss = obj.trace(tape, theta, batch)
-    value = float(loss.val)
-    if not np.isfinite(value):
-        raise EvalOverflowError(f"eval_grad({obj.name})", value)
-    (grad, _), = tape.backward(loss, (np.float64(1.0), None), [theta], use_tangents=False)
-    return value, params.with_values(grad)
+    lin = linearize(obj, params, batch)
+    return lin.value, lin.grad()
 
 
 def _output_loss_hvp(
@@ -162,37 +235,9 @@ def curvature_vp(
     v: ParamVector,
     kind: CurvatureKind,
 ) -> ParamVector:
-    """Product with the chosen curvature matrix.
-
-    HESSIAN is the exact Hessian of the loss. GGN_FISHER is the
-    Gauss-Newton sandwich J^T H_out J: for softmax cross-entropy this is
-    the model Fisher matrix; for MSE it is the Gauss-Newton matrix
-    (2/N * J^T J under this module's loss convention).
-    """
-    _check_params(obj, params)
-    _check_batch(obj, batch)
-    if len(v) != len(params):
-        raise ValueError("direction length must match parameter length")
-    counters.curvature_vp += 1
-    if kind is not CurvatureKind.HESSIAN and obj.loss_kind is None:
-        raise UnsupportedCurvatureError(
-            f"objective {obj.name!r} has no model/loss split; use HESSIAN curvature"
-        )
-    tape = Tape()
-    theta = tape.input(params.values, tangent=v.values)
-    outputs, loss = obj.trace(tape, theta, batch)
-    if not np.isfinite(float(loss.val)):
-        raise EvalOverflowError(f"curvature_vp({obj.name})", float(loss.val))
-    if kind is CurvatureKind.HESSIAN:
-        # Exact Hessian-vector product via a tangent-carrying reverse sweep.
-        (_, hv), = tape.backward(loss, (np.float64(1.0), None), [theta], use_tangents=True)
-        return params.with_values(np.zeros_like(params.values) if hv is None else hv)
-    out_tan = outputs.tan
-    if out_tan is None:
-        out_tan = np.zeros_like(outputs.val)
-    u = _output_loss_hvp(obj.loss_kind, outputs.val, out_tan, outputs.val.shape[0])
-    (jtu, _), = tape.backward(outputs, (u, None), [theta], use_tangents=False)
-    return params.with_values(jtu)
+    """Curvature-vector product on a fresh linearization; see
+    :meth:`Linearization.curvature_vp`."""
+    return linearize(obj, params, batch).curvature_vp(v, kind)
 
 
 def explicit_matrix(
@@ -214,11 +259,12 @@ def explicit_matrix(
         raise MatrixCapExceededError(
             f"explicit matrix for {n} parameters exceeds cap {cap}"
         )
+    lin = linearize(obj, params, batch)
     cols = np.empty((n, n), dtype=np.float64)
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols[:, i] = curvature_vp(obj, params, batch, params.with_values(e), kind).values
+        cols[:, i] = lin.curvature_vp(params.with_values(e), kind).values
     return 0.5 * (cols + cols.T)
 
 

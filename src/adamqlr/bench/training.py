@@ -135,6 +135,11 @@ def prepare_data(dcfg: DatasetConfig):
     """
     ds = load_dataset(dcfg.loader)
     train, val, test = data.split_dataset(ds, dcfg.split)
+    if len(train) == 0:
+        raise ConfigError(
+            f"train split is empty: train_fraction {dcfg.split.train_fraction} "
+            f"of {len(ds)} rows leaves no rows to train on"
+        )
     if dcfg.batch.batch_size > len(train):
         logger.warning(
             "batch size %d exceeds train split size %d; clamping to full batch",

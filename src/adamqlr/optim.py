@@ -10,8 +10,9 @@ step size by minimizing a damped second-order model along that direction:
 where C is Hessian or Gauss-Newton/Fisher curvature. The damping lambda
 adapts Levenberg-Marquardt style from the reduction ratio rho = actual
 loss change / model-predicted change: above 3/4 the model is trusted and
-lambda shrinks, below 1/4 it grows. One curvature-vector product and one
-extra loss evaluation per step; everything else is vector arithmetic.
+lambda shrinks, below 1/4 it grows. One forward pass shared by the
+gradient and one curvature-vector product, and one extra loss evaluation
+per step; everything else is vector arithmetic.
 """
 
 from __future__ import annotations
@@ -242,14 +243,15 @@ def qlr_step(
 ) -> tuple[ParamVector, QLRState, StepDiagnostics]:
     """One wrapped optimizer step.
 
-    Order of operations: gradient, direction, one curvature-vector
-    product on the same batch, learning-rate selection with guards, the
-    parameter update, one extra loss evaluation at the new point, and
-    finally the damping update from the reduction ratio (taking effect
-    next step). A non-finite post-step loss rejects the update and grows
-    the damping instead.
+    Order of operations: one recorded forward pass, the gradient from it,
+    direction, one curvature-vector product on the same recorded pass,
+    learning-rate selection with guards, the parameter update, one extra
+    loss evaluation at the new point, and finally the damping update from
+    the reduction ratio (taking effect next step). A non-finite post-step
+    loss rejects the update and grows the damping instead.
     """
-    f_before, g = autodiff.eval_grad(obj, params, batch)
+    lin = autodiff.linearize(obj, params, batch)
+    f_before, g = lin.value, lin.grad()
 
     if cfg.direction is Direction.ADAM:
         if state.adam is None:
@@ -258,7 +260,7 @@ def qlr_step(
     else:
         adam_state, d = state.adam, g
 
-    cd = autodiff.curvature_vp(obj, params, batch, d, cfg.curvature)
+    cd = lin.curvature_vp(d, cfg.curvature)
     g_dot_d = float(g.values @ d.values)
     d_cd = float(d.values @ cd.values)
     d_dot_d = float(d.values @ d.values)

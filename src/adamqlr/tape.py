@@ -2,17 +2,24 @@
 
 Nodes are recorded on a :class:`Tape` in execution order, so the record
 itself is a topological order and the backward pass is a single reverse
-sweep. Every node carries an optional forward-mode tangent next to its
-value. Seeding the parameter leaf with a tangent ``v`` and letting the
-backward pass propagate tangents through its cotangent arithmetic yields
-the exact directional second derivative: the tangent of the accumulated
-gradient is ``Hv``. This costs one extra (dual) pass per product, never a
-materialized Hessian.
+sweep. Recording computes values only. Every node also keeps a JVP rule,
+and :meth:`Tape.replay_tangent` pushes a direction ``v`` seeded at one
+leaf through those rules, giving every node its forward-mode tangent
+without a second primal pass. A backward pass that carries those tangents
+through its cotangent arithmetic yields the exact directional second
+derivative: the tangent of the accumulated gradient is ``Hv``. This costs
+one tangent replay and one dual sweep per product, never a materialized
+Hessian.
+
+Leaves made by :meth:`Tape.const`, and nodes computed from them alone,
+are not live: they do not depend on the input leaf, so the backward pass
+neither computes nor accumulates their cotangents.
 
 Supported operations cover affine layers, ReLU/tanh, elementwise
 arithmetic and squaring, reductions, and a fused numerically-stabilized
-softmax cross-entropy. Each evaluation owns its tape; nothing is shared
-between traces, so concurrent evaluations are safe.
+softmax cross-entropy. A tape holds the tangent of its latest replay, so
+a tape serves one caller at a time; nothing is shared between tapes, so
+evaluations on separate tapes are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -60,6 +67,12 @@ def p_matmul(a: Pair, b: Pair) -> Pair:
     return a[0] @ b[0], tan
 
 
+def _mm(x: Array, y: Array) -> Array:
+    # Every matrix product on the tape goes through p_matmul, the one place
+    # to wrap in order to count them.
+    return p_matmul((x, None), (y, None))[0]
+
+
 def p_transpose(a: Pair) -> Pair:
     return a[0].T, None if a[1] is None else a[1].T
 
@@ -86,11 +99,15 @@ def p_reshape(a: Pair, shape: tuple[int, ...]) -> Pair:
 
 
 class Node:
-    """One recorded value (with optional tangent) in a traced computation."""
+    """One recorded value in a traced computation, and its current tangent.
 
-    __slots__ = ("tape", "val", "tan", "_idx", "_bwd")
+    `tan` is set by the tape's latest tangent replay (None before any).
+    `live` is false when the value depends on no input leaf.
+    """
 
-    def __init__(self, tape: "Tape", val: Array, tan: Optional[Array]):
+    __slots__ = ("tape", "val", "tan", "live", "_idx", "_bwd", "_jvp")
+
+    def __init__(self, tape: "Tape", val: Array, live: bool = True):
         # Nothing reads this back-reference, but it puts every tape in a
         # reference cycle, so the cyclic collector frees a tape's arrays in
         # batches. Freed one by one as refcounts drop, the 8-50-1 energy job
@@ -99,9 +116,11 @@ class Node:
         # MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removed the loss.
         self.tape = tape
         self.val = val
-        self.tan = tan
+        self.tan: Optional[Array] = None
+        self.live = live
         self._idx = len(tape._nodes)
         self._bwd: Optional[Callable] = None
+        self._jvp: Optional[Callable[[], Optional[Array]]] = None
         tape._nodes.append(self)
 
 
@@ -118,28 +137,27 @@ class _BackwardCtx:
 
 
 class Tape:
-    """Records a computation and replays it in reverse for gradients."""
+    """Records a computation and replays it for tangents and gradients."""
 
     def __init__(self):
         self._nodes: list[Node] = []
 
+    def _node(self, val: Array, *inputs: Node) -> Node:
+        return Node(self, val, any(x.live for x in inputs))
+
     # -- leaves ----------------------------------------------------------
 
     def const(self, x) -> Node:
-        return Node(self, np.asarray(x, dtype=np.float64), None)
+        return Node(self, np.asarray(x, dtype=np.float64), live=False)
 
-    def input(self, values: Array, tangent: Optional[Array] = None) -> Node:
-        values = np.asarray(values, dtype=np.float64)
-        if tangent is not None:
-            tangent = np.asarray(tangent, dtype=np.float64)
-            if tangent.shape != values.shape:
-                raise ValueError("tangent shape must match input shape")
-        return Node(self, values, tangent)
+    def input(self, values: Array) -> Node:
+        return Node(self, np.asarray(values, dtype=np.float64))
 
     # -- elementwise -----------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        out = Node(self, a.val + b.val, _tadd(a.tan, b.tan))
+        out = self._node(a.val + b.val, a, b)
+        out._jvp = lambda: _tadd(a.tan, b.tan)
 
         def bwd(ctx, ct, acc):
             acc(a, ct)
@@ -149,8 +167,8 @@ class Tape:
         return out
 
     def sub(self, a: Node, b: Node) -> Node:
-        tan = _tadd(a.tan, None if b.tan is None else -b.tan)
-        out = Node(self, a.val - b.val, tan)
+        out = self._node(a.val - b.val, a, b)
+        out._jvp = lambda: _tadd(a.tan, None if b.tan is None else -b.tan)
 
         def bwd(ctx, ct, acc):
             acc(a, ct)
@@ -162,18 +180,22 @@ class Tape:
     def mul(self, a: Node, b: Node) -> Node:
         if a.val.shape != b.val.shape:
             raise ValueError("mul requires equal shapes; use scale for scalars")
-        val, tan = p_mul((a.val, a.tan), (b.val, b.tan))
-        out = Node(self, val, tan)
+        out = self._node(a.val * b.val, a, b)
+
+        def jvp():
+            tan = None if a.tan is None else a.tan * b.val
+            return tan if b.tan is None else _tadd(tan, a.val * b.tan)
 
         def bwd(ctx, ct, acc):
             acc(a, p_mul(ct, ctx.pair(b)))
             acc(b, p_mul(ct, ctx.pair(a)))
 
-        out._bwd = bwd
+        out._jvp, out._bwd = jvp, bwd
         return out
 
     def scale(self, a: Node, c: float) -> Node:
-        out = Node(self, c * a.val, None if a.tan is None else c * a.tan)
+        out = self._node(c * a.val, a)
+        out._jvp = lambda: None if a.tan is None else c * a.tan
 
         def bwd(ctx, ct, acc):
             acc(a, p_scale(ct, c))
@@ -182,8 +204,8 @@ class Tape:
         return out
 
     def square(self, a: Node) -> Node:
-        tan = None if a.tan is None else 2.0 * a.val * a.tan
-        out = Node(self, a.val * a.val, tan)
+        out = self._node(a.val * a.val, a)
+        out._jvp = lambda: None if a.tan is None else 2.0 * a.val * a.tan
 
         def bwd(ctx, ct, acc):
             acc(a, p_mul(ct, p_scale(ctx.pair(a), 2.0)))
@@ -194,37 +216,46 @@ class Tape:
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        val, tan = p_matmul((a.val, a.tan), (b.val, b.tan))
-        out = Node(self, val, tan)
+        out = self._node(_mm(a.val, b.val), a, b)
+
+        def jvp():
+            tan = None if a.tan is None else _mm(a.tan, b.val)
+            return tan if b.tan is None else _tadd(tan, _mm(a.val, b.tan))
 
         def bwd(ctx, ct, acc):
-            acc(a, p_matmul(ct, p_transpose(ctx.pair(b))))
-            acc(b, p_matmul(p_transpose(ctx.pair(a)), ct))
+            if a.live:
+                acc(a, p_matmul(ct, p_transpose(ctx.pair(b))))
+            if b.live:
+                acc(b, p_matmul(p_transpose(ctx.pair(a)), ct))
 
-        out._bwd = bwd
+        out._jvp, out._bwd = jvp, bwd
         return out
 
     def add_row(self, a: Node, b: Node) -> Node:
         """Broadcast-add a length-K row vector b onto an N-by-K matrix a."""
         if a.val.ndim != 2 or b.val.shape != (a.val.shape[1],):
             raise ValueError("add_row expects (N,K) matrix and (K,) vector")
-        tan = a.tan
-        if b.tan is not None:
-            tan = (b.tan if tan is None else tan + b.tan)  # broadcasts over rows
-        out = Node(self, a.val + b.val, tan)
+        out = self._node(a.val + b.val, a, b)
+
+        def jvp():
+            tan = a.tan
+            if b.tan is not None:
+                tan = (b.tan if tan is None else tan + b.tan)  # broadcasts over rows
+            return tan
 
         def bwd(ctx, ct, acc):
             acc(a, ct)
             acc(b, p_sum0(ct))
 
-        out._bwd = bwd
+        out._jvp, out._bwd = jvp, bwd
         return out
 
     # -- nonlinearities ----------------------------------------------------
 
     def relu(self, a: Node) -> Node:
         mask = (a.val > 0.0).astype(np.float64)
-        out = Node(self, a.val * mask, None if a.tan is None else a.tan * mask)
+        out = self._node(a.val * mask, a)
+        out._jvp = lambda: None if a.tan is None else a.tan * mask
 
         def bwd(ctx, ct, acc):
             acc(a, p_mask(ct, mask))
@@ -235,14 +266,14 @@ class Tape:
     def tanh(self, a: Node) -> Node:
         val = np.tanh(a.val)
         deriv = 1.0 - val * val
-        tan = None if a.tan is None else deriv * a.tan
-        out = Node(self, val, tan)
+        out = self._node(val, a)
+        out._jvp = lambda: None if a.tan is None else deriv * a.tan
 
         def bwd(ctx, ct, acc):
             # d(1 - y^2)/deps = -2 y y_dot, with y_dot the output tangent.
             dtan = None
-            if ctx.use_tangents and tan is not None:
-                dtan = -2.0 * val * tan
+            if ctx.use_tangents and out.tan is not None:
+                dtan = -2.0 * val * out.tan
             acc(a, p_mul(ct, (deriv, dtan)))
 
         out._bwd = bwd
@@ -251,8 +282,8 @@ class Tape:
     # -- shape and reduction -------------------------------------------------
 
     def reshape(self, a: Node, shape: tuple[int, ...]) -> Node:
-        val, tan = p_reshape((a.val, a.tan), shape)
-        out = Node(self, val, tan)
+        out = self._node(a.val.reshape(shape), a)
+        out._jvp = lambda: None if a.tan is None else a.tan.reshape(shape)
         orig = a.val.shape
 
         def bwd(ctx, ct, acc):
@@ -264,8 +295,8 @@ class Tape:
     def slice1d(self, a: Node, start: int, stop: int) -> Node:
         if a.val.ndim != 1:
             raise ValueError("slice1d expects a flat vector")
-        tan = None if a.tan is None else a.tan[start:stop]
-        out = Node(self, a.val[start:stop], tan)
+        out = self._node(a.val[start:stop], a)
+        out._jvp = lambda: None if a.tan is None else a.tan[start:stop]
         n = a.val.shape[0]
 
         def bwd(ctx, ct, acc):
@@ -281,8 +312,8 @@ class Tape:
         return out
 
     def sum(self, a: Node) -> Node:
-        tan = None if a.tan is None else a.tan.sum()
-        out = Node(self, a.val.sum(), tan)
+        out = self._node(a.val.sum(), a)
+        out._jvp = lambda: None if a.tan is None else a.tan.sum()
         shape = a.val.shape
 
         def bwd(ctx, ct, acc):
@@ -323,15 +354,15 @@ class Tape:
         grad[np.arange(n), labels] -= 1.0
         grad /= n  # dL/dlogits
 
-        zt = logits.tan
-        tan = None if zt is None else np.float64((grad * zt).sum())
-        out = Node(self, val, tan)
+        out = self._node(val, logits)
+        out._jvp = lambda: None if logits.tan is None else np.float64((grad * logits.tan).sum())
 
         def bwd(ctx, ct, acc):
             cv, ctn = ct
             gv = cv * grad
             gt = None
             if ctx.use_tangents:
+                zt = logits.tan
                 if ctn is not None:
                     gt = ctn * grad
                 if zt is not None:
@@ -342,6 +373,24 @@ class Tape:
 
         out._bwd = bwd
         return out
+
+    # -- tangent replay --------------------------------------------------------
+
+    def replay_tangent(self, leaf: Node, tangent: Array) -> None:
+        """Set every node's tangent to its derivative along ``tangent`` at ``leaf``.
+
+        Every other leaf has a zero tangent. Each replay overwrites every
+        tangent the previous one set, so one recorded tape serves any
+        number of directions in turn.
+        """
+        tangent = np.asarray(tangent, dtype=np.float64)
+        if tangent.shape != leaf.val.shape:
+            raise ValueError("tangent shape must match input shape")
+        for node in self._nodes:
+            if node is leaf:
+                node.tan = tangent
+            else:
+                node.tan = None if node._jvp is None else node._jvp()
 
     # -- reverse sweep ---------------------------------------------------------
 
@@ -355,14 +404,18 @@ class Tape:
         """Accumulate cotangents of ``root`` seeded with ``seed`` into ``wrt``.
 
         With ``use_tangents`` the sweep carries the tangent of every
-        cotangent along, which is what turns a tangent-seeded trace into a
+        cotangent along, using the node tangents of the latest
+        :meth:`replay_tangent`; that turns the sweep into a
         curvature-vector product. Without it the sweep is a plain VJP at
-        the primal point.
+        the primal point. Cotangents of nodes that are not live are
+        dropped, and a ``wrt`` node that receives none gets zeros.
         """
         ctx = _BackwardCtx(use_tangents)
         cts: dict[int, Pair] = {root._idx: seed}
 
         def acc(node: Node, pair: Pair) -> None:
+            if not node.live:
+                return
             prev = cts.get(node._idx)
             cts[node._idx] = pair if prev is None else p_add(prev, pair)
 

@@ -25,6 +25,7 @@ from adamqlr.autodiff import (
     MatrixCapExceededError,
     UnsupportedCurvatureError,
     counters,
+    linearize,
 )
 
 from helpers import dense_linear_mse_ggn, dense_linear_softmax_fisher
@@ -225,6 +226,50 @@ class TestCurvatureVp:
         v = rosen_point(1, 0)
         with pytest.raises(UnsupportedCurvatureError):
             curvature_vp(ROSEN, rosen_point(0, 0), None, v, CurvatureKind.GGN_FISHER)
+
+
+class TestLinearization:
+    """One recorded forward pass serves any sequence of derivative calls."""
+
+    @pytest.mark.parametrize("case", ["tanh", "relu", "rosenbrock"])
+    def test_reuse_is_bit_identical_to_fresh_calls(self, case):
+        if case == "rosenbrock":
+            obj, params, batch = ROSEN, rosen_point(-0.7, 1.3), None
+            kinds = [HESSIAN, CurvatureKind.GGN_FISHER, HESSIAN]
+        else:
+            # Regression nets default to tanh hidden units, classifiers to relu.
+            loss = LossKind.MSE if case == "tanh" else LossKind.SOFTMAX_CROSS_ENTROPY
+            obj, params, batch = random_mlp((5, 6, 3), loss, 21)
+            kinds = [CurvatureKind.GGN_FISHER, HESSIAN, CurvatureKind.GGN_FISHER]
+        rng = np.random.default_rng(5)
+        v1, v2 = (params.with_values(rng.normal(size=len(params))) for _ in range(2))
+        lin = linearize(obj, params, batch)
+        loss_fresh, g_fresh = eval_grad(obj, params, batch)
+        assert lin.value == loss_fresh
+        np.testing.assert_array_equal(lin.grad().values, g_fresh.values)
+        for kind, v in zip(kinds, (v1, v1, v2)):
+            if kind is not HESSIAN and obj.loss_kind is None:
+                with pytest.raises(UnsupportedCurvatureError):
+                    lin.curvature_vp(v, kind)
+                continue
+            np.testing.assert_array_equal(
+                lin.curvature_vp(v, kind).values, curvature_vp(obj, params, batch, v, kind).values
+            )
+        # A gradient after the products ignores the tangents they left behind.
+        np.testing.assert_array_equal(lin.grad().values, g_fresh.values)
+        short = ParamVector(np.ones(len(params) - 1))
+        with pytest.raises(ValueError, match="direction length"):
+            lin.curvature_vp(short, HESSIAN)
+
+    def test_each_call_counts_once(self):
+        obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)
+        lin = linearize(obj, params, batch)
+        counters.reset()
+        lin.grad()
+        lin.curvature_vp(params, HESSIAN)
+        lin.curvature_vp(params, CurvatureKind.GGN_FISHER)
+        assert (counters.eval_grad, counters.curvature_vp, counters.eval_loss) == (1, 2, 0)
+        counters.reset()
 
 
 class TestExplicitMatrix:

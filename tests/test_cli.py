@@ -100,6 +100,17 @@ class TestTrain:
         assert "status=" not in captured.out
         assert captured.err.startswith("config error: after 3 steps, in epoch 1:")
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_empty_train_split_is_named_config_error(self, tmp_path, capsys, recwarn, standardize):
+        d = regression_cfg_dict()
+        d["dataset"]["split"] = {"train_fraction": 0.0, "val_fraction": 0.5, "test_fraction": 0.5}
+        d["dataset"]["standardize"] = standardize
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert captured.err.startswith("config error: train split is empty:")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unknown_key_exit_code(self, tmp_path):
         d = regression_cfg_dict()
         d["typo"] = 1

@@ -1,5 +1,6 @@
 """Adam, SGD and the damped quadratic-model learning-rate wrapper."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from adamqlr import (
     rosenbrock_objective,
     sgd_step,
 )
-from adamqlr import autodiff
+from adamqlr import autodiff, tape
 from adamqlr.optim import (
     LAMBDA_MAX,
     LAMBDA_MIN,
@@ -48,6 +49,17 @@ from adamqlr.optim import (
 from helpers import golden_section
 
 A_DIAG = np.diag([2.0, 8.0])
+
+
+def counting_trace(obj):
+    """`obj` with a `trace` that appends to the returned list on every call."""
+    calls = []
+
+    def trace(*args):
+        calls.append(args)
+        return obj.trace(*args)
+
+    return dataclasses.replace(obj, trace=trace), calls
 
 
 def quad_at(x, y):
@@ -385,12 +397,22 @@ class TestQlrStep:
         for a in rng.uniform(0.0, 1.0, size=100):
             assert best <= quadratic_model_change(float(a), g_dot_d, d_cld) + 1e-12
 
-    def test_exactly_one_curvature_product_and_one_extra_eval(self):
+    def test_exactly_one_curvature_product_and_one_extra_eval(self, monkeypatch):
         obj, theta = quad_at(1, 1)
+        obj, traces = counting_trace(obj)
+        linearize, lins = autodiff.linearize, []
+
+        def recorded(*args):
+            lins.append(linearize(*args))
+            return lins[-1]
+
+        monkeypatch.setattr(autodiff, "linearize", recorded)
         cfg = QLRConfig(curvature=CurvatureKind.HESSIAN, direction=Direction.SGD)
         state = QLRState.init(cfg, 2)
         autodiff.counters.reset()
         qlr_step(obj, theta, None, state, cfg)
+        # One recorded forward pass serves the gradient and the curvature product.
+        assert len(lins) == 1 and len(traces) == 1
         assert autodiff.counters.curvature_vp == 1
         assert autodiff.counters.eval_grad == 1
         assert autodiff.counters.eval_loss == 1  # the extra forward pass
@@ -437,6 +459,38 @@ class TestSgdStep:
         p, buf = sgd_step(p, g, lr=0.1, momentum=0.9)
         p, buf = sgd_step(p, g, lr=0.1, momentum_buf=buf, momentum=0.9)
         np.testing.assert_allclose(buf, 1.9 * g.values)
+
+
+class TestStepWork:
+    """Deterministic work of one GGN step: matrix multiply-adds on the tape."""
+
+    def test_one_forward_and_pruned_sweeps(self, monkeypatch):
+        n, widths = 8, (6, 5, 3)
+        spec = MlpSpec(widths, LossKind.SOFTMAX_CROSS_ENTROPY)
+        obj, traces = counting_trace(mlp_objective(spec))
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
+        p_matmul, madds = tape.p_matmul, []
+
+        def counted(a, b):
+            # Products of tangents count as one product each, like the primal one.
+            madds.append(math.prod(a[0].shape) * b[0].shape[-1]
+                         * (1 + (a[1] is not None) + (b[1] is not None)))
+            return p_matmul(a, b)
+
+        monkeypatch.setattr(tape, "p_matmul", counted)
+        cfg = QLRConfig(curvature=CurvatureKind.GGN_FISHER)
+        params = mlp_init(spec, 0)
+        qlr_step(obj, params, batch, QLRState.init(cfg, len(params)), cfg)
+
+        d0, d1, d2 = widths
+        forward = n * d0 * d1 + n * d1 * d2  # X W1, H W2
+        replay = n * d0 * d1 + 2 * n * d1 * d2  # X dW1, then dH W2 + H dW2
+        # Each reverse sweep (one for g, one for J^T u) forms both cotangents
+        # of H W2 but only the weight cotangent of X W1: X is a constant.
+        sweep = 2 * n * d2 * d1 + d0 * n * d1
+        assert sum(madds) == forward + replay + 2 * sweep == 1800
+        assert len(traces) == 1
 
 
 class TestEmpiricalFisherDiag:
