@@ -25,7 +25,8 @@ from .records import emit, read_records
 from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock, write_trajectory
 from .search import SearchObjective, random_search, search_space_for
 from .stats import align_time_series, bootstrap_trend
-from .training import RunStatus, run_training
+from .sweeps import enumerate_sweep, standard_sweeps
+from .training import RunStatus, run_training, start_training
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -59,6 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halving", action="store_true", help="successive-halving rungs")
     p.add_argument("--out", default=None)
 
+    p = sub.add_parser("sweep", help="final losses over one sensitivity grid around a config")
+    p.add_argument("--config", required=True)
+    p.add_argument("--sweep", choices=sorted(standard_sweeps()), required=True)
+    p.add_argument("--out", default=None)
+
     p = sub.add_parser("bootstrap", help="bootstrapped median trend over run files")
     p.add_argument("--inputs", required=True, help="glob of metric record files")
     p.add_argument("--n-boot", type=int, default=50)
@@ -89,13 +95,14 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out_path = args.out or cfg.output_path
-    result = run_training(cfg)
-    if out_path is not None:
-        fmt = "csv" if str(out_path).endswith(".csv") else "jsonl"
-        emit(result.records, out_path, fmt)
+    if out_path is None:
+        result = run_training(cfg)
+    else:
+        result, records = start_training(cfg)
         if result.standardize_stats is not None:
             with open(str(out_path) + ".norm.json", "w") as fh:
                 json.dump(result.standardize_stats.to_dict(), fh)
+        emit(records, out_path, "csv" if str(out_path).endswith(".csv") else "jsonl")
     last = result.records[-1] if result.records else None
     print(
         f"status={result.status.value} steps={len(result.records)} "
@@ -140,6 +147,27 @@ def _cmd_tune(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
     print(f"best score={best.score!r} optimizer={best.config['optimizer']}")
+    return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    sweep = standard_sweeps()[args.sweep]
+    cfgs = enumerate_sweep(config_mod.from_json(args.config), sweep)
+    lines = [f"{args.sweep},status,final_train_loss,final_val_loss"]
+    for value, cfg in zip(sweep.values, cfgs):
+        result = run_training(cfg)
+        final = result.records[-1] if result.records else None
+        val = next(
+            (r.val_loss for r in reversed(result.records) if r.val_loss is not None),
+            None,
+        )
+        lines.append(
+            f"{float(value)!r},{result.status.value},"
+            f"{final.train_loss if final else ''},{'' if val is None else val}"
+        )
+        print(lines[-1])
+    if args.out:
+        Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -236,6 +264,7 @@ _COMMANDS = {
     "train": _cmd_train,
     "rosenbrock": _cmd_rosenbrock,
     "tune": _cmd_tune,
+    "sweep": _cmd_sweep,
     "bootstrap": _cmd_bootstrap,
     "gradcheck": _cmd_gradcheck,
     "diag-fisher": _cmd_diag_fisher,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from ..optim import GuardEvent
 
@@ -63,19 +63,21 @@ def _decode(name: str, value):
     return int(value) if name in _INT_FIELDS else float(value)
 
 
-def emit(records: Sequence[MetricRecord], path, format: str = "jsonl") -> None:
+def emit(records: Iterable[MetricRecord], path, format: str = "jsonl") -> None:
     """Write records as JSONL (one object per line) or CSV (header + rows).
 
+    Each line reaches the file as it is written, so a run whose records
+    are drawn here leaves every record it yielded even if it stops early.
     Floats serialize via their shortest round-trip decimal form, so
     `read_records` recovers them exactly.
     """
     if format == "jsonl":
-        with open(path, "w") as fh:
+        with open(path, "w", buffering=1) as fh:
             for rec in records:
                 fh.write(json.dumps(rec.to_dict()) + "\n")
         return
     if format == "csv":
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", buffering=1) as fh:
             writer = csv.writer(fh)
             writer.writerow(FIELDS)
             for rec in records:

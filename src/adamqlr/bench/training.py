@@ -12,7 +12,7 @@ import enum
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def prepare_data(dcfg: DatasetConfig):
     return train, val, test, stats
 
 
-def _check_model_fits(spec: MlpSpec, train: Batch) -> None:
+def check_model_fits(spec: MlpSpec, train: Batch) -> None:
     d_in = train.inputs.shape[1]
     if spec.layer_widths[0] != d_in:
         raise ConfigError(
@@ -196,14 +196,19 @@ def _fill_eval(
                 )
 
 
-def run_training(cfg: RunConfig) -> RunResult:
-    """Run one configured training job and return its per-step records.
+def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
+    """Set up one configured training job; it runs as its records are drawn.
 
     An MLP takes one step per batch of its data plan and is evaluated on
     its splits at the configured epoch cadence. A Rosenbrock model takes
-    one step per epoch from (1, -1) and has no splits to evaluate. A
-    ValueError raised mid-run is re-raised as a ConfigError that says how
-    many steps were taken and in which epoch.
+    one step per epoch from (1, -1) and has no splits to evaluate.
+
+    The iterator yields each epoch's records once that epoch's eval fields
+    are filled; on a timeout or a divergence it first yields the records it
+    holds. The result fills in as the iterator runs: `records` holds every
+    record taken so far, and the status and final params are settled once
+    the iterator is exhausted. A ValueError raised mid-run is re-raised as
+    a ConfigError that says how many steps were taken and in which epoch.
     """
     stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
@@ -215,7 +220,7 @@ def run_training(cfg: RunConfig) -> RunResult:
 
     else:
         train, val, test, stats = prepare_data(cfg.dataset)
-        _check_model_fits(cfg.model, train)
+        check_model_fits(cfg.model, train)
         obj = models.mlp_objective(cfg.model)
         params = models.mlp_init(cfg.model, cfg.seed)
         splits = (train, val, test)
@@ -224,20 +229,39 @@ def run_training(cfg: RunConfig) -> RunResult:
             return data.batch_iter(train, cfg.dataset.batch, epoch)
 
     stepper = make_stepper(cfg.optimizer, len(params))
-    records: list[MetricRecord] = []
-    t0 = time.perf_counter()
-    try:
-        for epoch in range(cfg.epochs):
-            for batch in batches(epoch):
-                params, info = stepper.step(obj, params, batch)
-                step = len(records) + 1
-                records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **vars(info)))
-                if time.perf_counter() - t0 > cfg.max_runtime_s:
-                    return RunResult(records, RunStatus.TIMED_OUT, None, params, stats)
-            if splits and ((epoch + 1) % cfg.eval_every_epochs == 0 or epoch == cfg.epochs - 1):
-                _fill_eval(records[-1], obj, params, *splits, stats)
-    except ArithmeticError:
-        return RunResult(records, RunStatus.DIVERGED, len(records), params, stats)
-    except ValueError as e:
-        raise ConfigError(f"after {len(records)} steps, in epoch {epoch}: {e}") from e
-    return RunResult(records, RunStatus.COMPLETED, None, params, stats)
+    result = RunResult([], RunStatus.COMPLETED, None, params, stats)
+
+    def steps() -> Iterator[MetricRecord]:
+        params, records, held = result.final_params, result.records, 0
+        t0 = time.perf_counter()
+        try:
+            for epoch in range(cfg.epochs):
+                for batch in batches(epoch):
+                    params, info = stepper.step(obj, params, batch)
+                    step = len(records) + 1
+                    records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **vars(info)))
+                    if time.perf_counter() - t0 > cfg.max_runtime_s:
+                        result.status = RunStatus.TIMED_OUT
+                        break
+                if result.status is RunStatus.TIMED_OUT:
+                    break
+                if splits and ((epoch + 1) % cfg.eval_every_epochs == 0 or epoch == cfg.epochs - 1):
+                    _fill_eval(records[-1], obj, params, *splits, stats)
+                yield from records[held:]
+                held = len(records)
+        except ArithmeticError:
+            result.status, result.failure_step = RunStatus.DIVERGED, len(records)
+        except ValueError as e:
+            raise ConfigError(f"after {len(records)} steps, in epoch {epoch}: {e}") from e
+        result.final_params = params
+        yield from records[held:]
+
+    return result, steps()
+
+
+def run_training(cfg: RunConfig) -> RunResult:
+    """Run one configured training job to its end; see `start_training`."""
+    result, records = start_training(cfg)
+    for _ in records:
+        pass
+    return result

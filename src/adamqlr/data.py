@@ -95,7 +95,6 @@ class SplitSpec:
 class BatchPlan:
     batch_size: int = 3200
     shuffle_seed: int = 0
-    drop_last: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -217,10 +216,7 @@ def batch_iter(ds: Batch, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
     size = min(plan.batch_size, n)
     perm = _rng(plan.shuffle_seed, epoch).permutation(n)
     for start in range(0, n, size):
-        idx = perm[start : start + size]
-        if len(idx) < size and plan.drop_last:
-            return
-        yield ds.take(idx)
+        yield ds.take(perm[start : start + size])
 
 
 def synthesize(

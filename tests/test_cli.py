@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from adamqlr import data
+from adamqlr.bench import training
 from adamqlr.bench.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from adamqlr.bench.records import read_records
+from adamqlr.bench.sweeps import standard_sweeps
 from adamqlr.data import Batch
 
 
@@ -95,10 +97,36 @@ class TestTrain:
 
         monkeypatch.setattr(data, "batch_iter", drop_a_column_after_epoch_0)
         cfg = write_cfg(tmp_path, regression_cfg_dict())
-        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        out = tmp_path / "run.jsonl"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "status=" not in captured.out
         assert captured.err.startswith("config error: after 3 steps, in epoch 1:")
+        records = read_records(out)  # epoch 0, evaluated, is kept
+        assert [(r.step, r.epoch) for r in records] == [(1, 0), (2, 0), (3, 0)]
+        assert records[-1].val_loss is not None
+
+    def test_interrupt_leaves_every_finished_epoch(self, tmp_path, monkeypatch):
+        make_stepper = training.make_stepper
+
+        class InterruptedAtStep8:
+            def __init__(self, opt, n_params):
+                self.inner, self.steps = make_stepper(opt, n_params), 0
+
+            def step(self, *args):
+                self.steps += 1
+                if self.steps == 8:
+                    raise KeyboardInterrupt
+                return self.inner.step(*args)
+
+        monkeypatch.setattr(training, "make_stepper", InterruptedAtStep8)
+        cfg = write_cfg(tmp_path, regression_cfg_dict())
+        out = tmp_path / "run.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--config", cfg, "--out", str(out)])
+        records = read_records(out)  # 3 steps per epoch: epochs 0 and 1
+        assert [r.step for r in records] == [1, 2, 3, 4, 5, 6]
+        assert [r.val_loss is not None for r in records] == [False, False, True] * 2
 
     @pytest.mark.parametrize("standardize", [True, False])
     def test_empty_train_split_is_named_config_error(self, tmp_path, capsys, recwarn, standardize):
@@ -159,6 +187,26 @@ class TestTune:
         sampled = payload["trials"][0]["config"]["optimizer"]
         assert sampled["kind"] == "qlr"
         assert 1e-8 <= sampled["lambda0"] <= 1.0
+
+
+class TestSweep:
+    def test_one_row_per_grid_value(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(epochs=2))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--sweep", "omega_sym", "--out", str(out)]) == EXIT_OK
+        header, *rows = out.read_text().splitlines()
+        assert header == "omega_sym,status,final_train_loss,final_val_loss"
+        values = standard_sweeps()["omega_sym"].values
+        assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values]
+        assert {row.split(",")[1] for row in rows} == {"completed"}
+        assert capsys.readouterr().out.splitlines() == rows
+
+    def test_qlr_field_on_adam_config_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}))
+        assert main(["sweep", "--config", cfg, "--sweep", "lambda0"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: sweep field 'lambda0' requires the qlr optimizer\n"
 
 
 class TestBootstrap:
@@ -225,3 +273,18 @@ class TestGradcheckAndDiagFisher:
     def test_diag_fisher_requires_adam(self, tmp_path):
         cfg = write_cfg(tmp_path, regression_cfg_dict())
         assert main(["diag-fisher", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            ([5, 16, 3], "model input width 5 != data feature count 4"),
+            ([4, 16, 2], "output width 2 < 3 classes"),
+        ],
+        ids=["input-width", "output-width"],
+    )
+    def test_diag_fisher_checks_model_fits_data(self, tmp_path, capsys, widths, message):
+        d = diverging_adam_cfg_dict()  # 4 features, 3 classes
+        d["model"]["layer_widths"] = widths
+        d["optimizer"]["lr"] = 0.01
+        assert main(["diag-fisher", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"

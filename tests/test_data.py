@@ -164,10 +164,6 @@ class TestBatchIter:
         sizes = [len(b) for b in batch_iter(self._ds(10), BatchPlan(4), epoch=0)]
         assert sizes == [4, 4, 2]
 
-    def test_drop_last(self):
-        sizes = [len(b) for b in batch_iter(self._ds(10), BatchPlan(4, drop_last=True), epoch=0)]
-        assert sizes == [4, 4]
-
     def test_deterministic_per_epoch(self):
         a = [b.inputs for b in batch_iter(self._ds(10), BatchPlan(3, shuffle_seed=1), 2)]
         b = [b.inputs for b in batch_iter(self._ds(10), BatchPlan(3, shuffle_seed=1), 2)]

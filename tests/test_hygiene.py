@@ -1,13 +1,15 @@
-"""Source hygiene: every module imports only names it uses."""
+"""Source hygiene: every module and script imports only names it uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parents[1] / "src" / "adamqlr"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "adamqlr"
 # The package __init__ files import names only to re-export them.
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,11 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: str(p.relative_to(SRC if p in MODULES else ROOT)),
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
