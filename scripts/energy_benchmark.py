@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from adamqlr.bench import config as config_mod
+from adamqlr.bench.cli import configure_malloc
 from adamqlr.bench.records import emit
 from adamqlr.bench.stats import bootstrap_trend
 from adamqlr.bench.training import run_training
@@ -46,6 +47,7 @@ def base_config(optimizer: dict, seed: int, epochs: int, csv_path: str | None) -
 
 
 def main():
+    configure_malloc()
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--epochs", type=int, default=400)

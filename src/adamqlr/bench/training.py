@@ -9,6 +9,7 @@ with a recorded status instead of raising.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -127,11 +128,19 @@ def load_dataset(loader) -> Batch:
     return loaders[type(loader)](**vars(loader))
 
 
+@functools.cache
+def _warn_batch_clamp(batch_size: int, n_train: int) -> None:
+    logger.warning(
+        "batch size %d exceeds train split size %d; clamping to full batch", batch_size, n_train
+    )
+
+
 def prepare_data(dcfg: DatasetConfig):
     """Load, split and (for regression) standardize; returns splits + stats.
 
-    Warns once when the batch size exceeds the train split, which every
-    epoch's `batch_iter` then clamps to one full batch.
+    Warns when the batch size exceeds the train split, which every epoch's
+    `batch_iter` then clamps to one full batch: once per process for each
+    (batch size, train split size) pair, so a sweep or a tuner says it once.
     """
     ds = load_dataset(dcfg.loader)
     train, val, test = data.split_dataset(ds, dcfg.split)
@@ -141,11 +150,7 @@ def prepare_data(dcfg: DatasetConfig):
             f"of {len(ds)} rows leaves no rows to train on"
         )
     if dcfg.batch.batch_size > len(train):
-        logger.warning(
-            "batch size %d exceeds train split size %d; clamping to full batch",
-            dcfg.batch.batch_size,
-            len(train),
-        )
+        _warn_batch_clamp(dcfg.batch.batch_size, len(train))
     stats = None
     if dcfg.standardize and ds.task is Task.REGRESSION:
         train, val, test, stats = data.standardize_splits(train, val, test)

@@ -102,19 +102,14 @@ class Node:
     """One recorded value in a traced computation, and its current tangent.
 
     `tan` is set by the tape's latest tangent replay (None before any).
-    `live` is false when the value depends on no input leaf.
+    `live` is false when the value depends on no input leaf. A node holds
+    no reference to its tape and its rules none to itself, so a tape is
+    freed by refcount as soon as its step lets go of it.
     """
 
-    __slots__ = ("tape", "val", "tan", "live", "_idx", "_bwd", "_jvp")
+    __slots__ = ("val", "tan", "live", "_idx", "_bwd", "_jvp")
 
     def __init__(self, tape: "Tape", val: Array, live: bool = True):
-        # Nothing reads this back-reference, but it puts every tape in a
-        # reference cycle, so the cyclic collector frees a tape's arrays in
-        # batches. Freed one by one as refcounts drop, the 8-50-1 energy job
-        # ran 1.5x slower (with half the peak memory): glibc handed the large
-        # blocks back to the OS and page-faulted fresh ones; raising
-        # MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removed the loss.
-        self.tape = tape
         self.val = val
         self.tan: Optional[Array] = None
         self.live = live
@@ -270,10 +265,12 @@ class Tape:
         out._jvp = lambda: None if a.tan is None else deriv * a.tan
 
         def bwd(ctx, ct, acc):
-            # d(1 - y^2)/deps = -2 y y_dot, with y_dot the output tangent.
+            # d(1 - y^2)/deps = -2 y y_dot, with y_dot = deriv * a.tan the
+            # output tangent, formed from the input so the closure holds no
+            # reference to its own node.
             dtan = None
-            if ctx.use_tangents and out.tan is not None:
-                dtan = -2.0 * val * out.tan
+            if ctx.use_tangents and a.tan is not None:
+                dtan = -2.0 * val * (deriv * a.tan)
             acc(a, p_mul(ct, (deriv, dtan)))
 
         out._bwd = bwd

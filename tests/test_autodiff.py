@@ -1,5 +1,7 @@
 """Gradient, Hessian-vector and curvature-vector product contracts."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -228,18 +230,23 @@ class TestCurvatureVp:
             curvature_vp(ROSEN, rosen_point(0, 0), None, v, CurvatureKind.GGN_FISHER)
 
 
+def linearization_case(case):
+    if case == "rosenbrock":
+        return ROSEN, rosen_point(-0.7, 1.3), None
+    # Regression nets default to tanh hidden units, classifiers to relu.
+    loss = LossKind.MSE if case == "tanh" else LossKind.SOFTMAX_CROSS_ENTROPY
+    return random_mlp((5, 6, 3), loss, 21)
+
+
 class TestLinearization:
     """One recorded forward pass serves any sequence of derivative calls."""
 
     @pytest.mark.parametrize("case", ["tanh", "relu", "rosenbrock"])
     def test_reuse_is_bit_identical_to_fresh_calls(self, case):
+        obj, params, batch = linearization_case(case)
         if case == "rosenbrock":
-            obj, params, batch = ROSEN, rosen_point(-0.7, 1.3), None
             kinds = [HESSIAN, CurvatureKind.GGN_FISHER, HESSIAN]
         else:
-            # Regression nets default to tanh hidden units, classifiers to relu.
-            loss = LossKind.MSE if case == "tanh" else LossKind.SOFTMAX_CROSS_ENTROPY
-            obj, params, batch = random_mlp((5, 6, 3), loss, 21)
             kinds = [CurvatureKind.GGN_FISHER, HESSIAN, CurvatureKind.GGN_FISHER]
         rng = np.random.default_rng(5)
         v1, v2 = (params.with_values(rng.normal(size=len(params))) for _ in range(2))
@@ -260,6 +267,25 @@ class TestLinearization:
         short = ParamVector(np.ones(len(params) - 1))
         with pytest.raises(ValueError, match="direction length"):
             lin.curvature_vp(short, HESSIAN)
+
+    @pytest.mark.parametrize("case", ["tanh", "relu", "rosenbrock"])
+    def test_freed_by_refcount_alone(self, case):
+        # A tape in a reference cycle lives until the cyclic collector runs.
+        obj, params, batch = linearization_case(case)
+        v = params.with_values(np.random.default_rng(5).normal(size=len(params)))
+        # Rosenbrock has no model/loss split, so GGN products do not apply.
+        kinds = [HESSIAN] if obj.loss_kind is None else [CurvatureKind.GGN_FISHER, HESSIAN]
+        gc.collect()
+        gc.disable()
+        try:
+            lin = linearize(obj, params, batch)
+            lin.grad()
+            for kind in kinds:
+                lin.curvature_vp(v, kind)
+            del lin
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_each_call_counts_once(self):
         obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)

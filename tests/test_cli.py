@@ -1,15 +1,25 @@
 """Command-line interface contracts: subcommands and exit codes."""
 
+import ctypes
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adamqlr import data
-from adamqlr.bench import training
-from adamqlr.bench.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from adamqlr.bench import cli, training
+from adamqlr.bench.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_INTERRUPTED,
+    EXIT_IO,
+    EXIT_OK,
+    configure_malloc,
+    main,
+)
 from adamqlr.bench.records import read_records
-from adamqlr.bench.sweeps import standard_sweeps
+from adamqlr.bench.sweeps import SweepSpec, standard_sweeps
 from adamqlr.data import Batch
 
 
@@ -106,7 +116,7 @@ class TestTrain:
         assert [(r.step, r.epoch) for r in records] == [(1, 0), (2, 0), (3, 0)]
         assert records[-1].val_loss is not None
 
-    def test_interrupt_leaves_every_finished_epoch(self, tmp_path, monkeypatch):
+    def test_interrupt_leaves_every_finished_epoch(self, tmp_path, monkeypatch, capsys):
         make_stepper = training.make_stepper
 
         class InterruptedAtStep8:
@@ -122,8 +132,8 @@ class TestTrain:
         monkeypatch.setattr(training, "make_stepper", InterruptedAtStep8)
         cfg = write_cfg(tmp_path, regression_cfg_dict())
         out = tmp_path / "run.csv"
-        with pytest.raises(KeyboardInterrupt):
-            main(["train", "--config", cfg, "--out", str(out)])
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_INTERRUPTED == 130
+        assert capsys.readouterr().err == "interrupted\n"
         records = read_records(out)  # 3 steps per epoch: epochs 0 and 1
         assert [r.step for r in records] == [1, 2, 3, 4, 5, 6]
         assert [r.val_loss is not None for r in records] == [False, False, True] * 2
@@ -200,6 +210,17 @@ class TestSweep:
         assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values]
         assert {row.split(",")[1] for row in rows} == {"completed"}
         assert capsys.readouterr().out.splitlines() == rows
+
+    def test_batch_clamp_warned_once_per_sweep(self, tmp_path, monkeypatch, caplog):
+        training._warn_batch_clamp.cache_clear()
+        two = {"lambda0": SweepSpec("lambda0", (1e-3, 1e-2))}
+        monkeypatch.setattr(cli, "standard_sweeps", lambda: two)
+        d = regression_cfg_dict(epochs=2)
+        d["dataset"]["batch"]["batch_size"] = 3200
+        with caplog.at_level("WARNING"):
+            assert main(["sweep", "--config", write_cfg(tmp_path, d), "--sweep", "lambda0"]) == EXIT_OK
+        clamps = [rec.getMessage() for rec in caplog.records if "clamp" in rec.getMessage()]
+        assert clamps == ["batch size 3200 exceeds train split size 36; clamping to full batch"]
 
     def test_qlr_field_on_adam_config_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}))
@@ -288,3 +309,33 @@ class TestGradcheckAndDiagFisher:
         d["optimizer"]["lr"] = 0.01
         assert main(["diag-fisher", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestConfigureMalloc:
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        calls = []
+        lib = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        configure_malloc()
+        # M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 256 MiB.
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "no-library"])
+    def test_missing_mallopt_is_a_no_op(self, monkeypatch, capsys, libc):
+        def cdll(name):
+            if libc == "no-library":
+                raise OSError("no C library")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(["gradcheck"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("OK\n")
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no mallopt")
+    def test_thresholds_accepted_by_the_c_library(self, monkeypatch):
+        real = ctypes.CDLL(None).mallopt
+        results = []
+        lib = SimpleNamespace(mallopt=lambda param, value: results.append(real(param, value)))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        configure_malloc()
+        assert results == [1, 1]  # mallopt returns 0 for a value it rejects

@@ -1,9 +1,12 @@
 """End-to-end training loop behavior."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from adamqlr.bench import config as config_mod
+from adamqlr.bench import training
 from adamqlr.bench.diagnostics import fisher_alignment
 from adamqlr.bench.training import RunStatus, run_training
 from adamqlr.optim import LAMBDA_MIN
@@ -147,6 +150,7 @@ def test_batch_size_clamped_to_full_batch():
 
 @pytest.mark.parametrize("job", ["train", "diag-fisher"])
 def test_oversized_batch_warned_once_per_run(job, caplog):
+    training._warn_batch_clamp.cache_clear()  # said once per process
     # 120 rows, no batch block: the default 3200-row batch exceeds the 96-row train split
     cfg = config_mod.from_dict(
         {
@@ -197,3 +201,32 @@ def test_oracle_floor_matches_least_squares():
     cfg = regression_cfg(epochs=300)
     train, _, _, _ = prepare_data(cfg.dataset)
     assert least_squares_mse(train.inputs, train.targets) <= 1e-20
+
+
+@pytest.mark.parametrize("curvature", ["ggn_fisher", "hessian"])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_training_run_leaves_no_cyclic_garbage(task, curvature):
+    # Regression nets use tanh hidden units, classifiers relu; each step's tape
+    # must be freed by refcount alone, not left for the cyclic collector.
+    loss = "mse" if task == "regression" else "softmax_cross_entropy"
+    cfg = config_mod.from_dict(
+        {
+            "model": {"kind": "mlp", "layer_widths": [4, 8, 3], "loss": loss},
+            "dataset": {
+                "loader": {"kind": "synthetic", "task": task, "n": 60, "d": 4, "seed": 3,
+                           **({"n_classes": 3} if task == "classification" else {"n_targets": 3})},
+                "batch": {"batch_size": 16},
+            },
+            "optimizer": {"kind": "qlr", "curvature": curvature},
+            "epochs": 3,
+        }
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_training(cfg)
+        assert result.status is RunStatus.COMPLETED
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
