@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import Batch
-from .params import ManifestEntry, ParamVector
+from .params import ParamVector
 from .tape import Node, Tape
 
 
@@ -77,6 +77,7 @@ counters = OpCounters()
 class Objective:
     """A scalar training objective: model graph + loss, mean-reduced.
 
+    `n_params` is the length of the flat parameter vector it reads.
     `trace` builds the computation graph on a tape and returns the model
     output node (None for objectives that are directly a scalar, like the
     banana-valley benchmark) and the scalar loss node. `value` computes
@@ -85,20 +86,12 @@ class Objective:
     """
 
     name: str
-    manifest: tuple[ManifestEntry, ...]
+    n_params: int
     loss_kind: Optional[LossKind]
     trace: Callable[[Tape, Node, Optional[Batch]], tuple[Optional[Node], Node]]
     value: Callable[[np.ndarray, Optional[Batch]], float]
     predict: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     batch_free: bool = False
-
-    @property
-    def n_params(self) -> int:
-        last = self.manifest[-1]
-        return last.offset + last.size
-
-    def init_vector(self, values: np.ndarray) -> ParamVector:
-        return ParamVector(values, self.manifest)
 
 
 def _check_params(obj: Objective, params: ParamVector) -> None:

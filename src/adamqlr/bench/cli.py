@@ -20,10 +20,11 @@ import numpy as np
 from .. import autodiff, models
 from ..autodiff import LossKind
 from ..data import Batch, DataFormatError
+from ..params import ParamVector
 from . import config as config_mod
 from .config import ConfigError
 from .diagnostics import fisher_alignment
-from .records import emit, read_records
+from .records import FIELDS, emit, read_records
 from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock, write_trajectory
 from .search import SearchObjective, random_search, search_space_for
 from .stats import align_time_series, bootstrap_trend
@@ -96,7 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True, help="glob of metric record files")
     p.add_argument("--n-boot", type=int, default=50)
     p.add_argument("--align", choices=["step", "time"], default="step")
-    p.add_argument("--metric", default="train_loss")
+    p.add_argument(
+        "--metric", choices=[k for k in FIELDS if k != "guard_event"], default="train_loss"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-points", type=int, default=100)
     p.add_argument("--out", default=None)
@@ -242,7 +245,7 @@ def _gradcheck_model(name: str, seed: int):
     rng = np.random.default_rng(seed)
     if name == "rosenbrock":
         obj = models.rosenbrock_objective()
-        params = obj.init_vector(rng.normal(size=2))
+        params = ParamVector(rng.normal(size=2))
         return obj, params, None
     if name == "mlp-regression":
         spec = models.MlpSpec((8, 50, 1), LossKind.MSE)

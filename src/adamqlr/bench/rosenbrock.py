@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,10 +12,27 @@ import numpy as np
 from ..autodiff import CurvatureKind
 from ..models import RosenbrockSpec, rosenbrock_objective
 from ..params import NonFiniteError, ParamVector
-from .config import AdamOpt, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
+from .config import AdamOpt, ConfigError, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
 
-PRESET_NAMES = ("gd", "gd-full", "adam", "adamqlr-tuned", "adamqlr-untuned")
+# Each preset's optimizer block; its keyword arguments are the overrides it takes.
+_PRESETS = {
+    "gd": lambda lr=1e-3: SgdMinimalOpt(lr=lr),
+    # default lr scaled down so the momentum-amplified step stays stable
+    "gd-full": lambda lr=1e-4, momentum=0.9, weight_decay=0.0: SgdFullOpt(
+        lr=lr, momentum=momentum, weight_decay=weight_decay
+    ),
+    "adam": lambda lr=9.8848e-2: AdamOpt(lr=lr),
+    "adamqlr-tuned": lambda: QlrOpt(
+        curvature=CurvatureKind.HESSIAN,
+        lambda0=3.0270e-6,
+        omega_dec=0.9,
+        omega_inc=2.1,
+        alpha_max=6.098,
+    ),
+    "adamqlr-untuned": lambda: QlrOpt(curvature=CurvatureKind.HESSIAN),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_optimizer(
@@ -23,33 +41,24 @@ def preset_optimizer(
     momentum: Optional[float] = None,
     weight_decay: Optional[float] = None,
 ) -> OptimizerConfig:
-    """Optimizer block for one preset; lr/momentum flags override GD defaults.
+    """Optimizer block for one preset, with the given overrides applied.
 
-    The quadratic-model variants use Hessian curvature here: with no
-    probabilistic model there is no Fisher matrix on this objective.
+    `gd` and `adam` take `lr`, `gd-full` takes all three overrides and the
+    quadratic-model presets take none; an override the preset would
+    ignore is a ConfigError. The quadratic-model variants use Hessian
+    curvature here: with no probabilistic model there is no Fisher matrix
+    on this objective.
     """
-    if name == "gd":
-        return SgdMinimalOpt(lr=1e-3 if lr is None else lr)
-    if name == "gd-full":
-        # default lr scaled down so the momentum-amplified step stays stable
-        return SgdFullOpt(
-            lr=1e-4 if lr is None else lr,
-            momentum=0.9 if momentum is None else momentum,
-            weight_decay=0.0 if weight_decay is None else weight_decay,
-        )
-    if name == "adam":
-        return AdamOpt(lr=9.8848e-2 if lr is None else lr)
-    if name == "adamqlr-tuned":
-        return QlrOpt(
-            curvature=CurvatureKind.HESSIAN,
-            lambda0=3.0270e-6,
-            omega_dec=0.9,
-            omega_inc=2.1,
-            alpha_max=6.098,
-        )
-    if name == "adamqlr-untuned":
-        return QlrOpt(curvature=CurvatureKind.HESSIAN)
-    raise ValueError(f"unknown optimizer preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown optimizer preset {name!r}; choose from {PRESET_NAMES}")
+    make = _PRESETS[name]
+    takes = inspect.signature(make).parameters
+    given = {"lr": lr, "momentum": momentum, "weight_decay": weight_decay}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    ignored = ["--" + key.replace("_", "-") for key in overrides if key not in takes]
+    if ignored:
+        raise ConfigError(f"optimizer preset {name!r} does not take {', '.join(ignored)}")
+    return make(**overrides)
 
 
 @dataclass
@@ -73,7 +82,7 @@ def run_rosenbrock(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     obj = rosenbrock_objective(spec)
-    params = ParamVector(np.asarray(start, dtype=np.float64), obj.manifest)
+    params = ParamVector(start)
     stepper = make_stepper(optimizer, 2)
     points = [(0, float(params.values[0]), float(params.values[1]), obj.value(params.values, None))]
     try:

@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..data import keyed_rng
 from .config import ConfigError, RunConfig, to_dict
 from .training import RunResult, RunStatus, run_training
 
@@ -129,11 +130,6 @@ def score_of(result: RunResult, objective: SearchObjective) -> float:
     return result.records[-1].train_loss
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    # Trial streams split by (seed, index); order of execution is irrelevant.
-    return np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), index]))
-
-
 def random_search(
     space: dict[str, Distribution],
     budget: int,
@@ -145,7 +141,7 @@ def random_search(
     """Best trial plus all trials, deterministic in (space, budget, seed)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    samples = [sample_space(space, trial_rng(seed, i)) for i in range(budget)]
+    samples = [sample_space(space, keyed_rng(seed, i)) for i in range(budget)]
     rungs = [max(1, base_cfg.epochs // 4), max(1, base_cfg.epochs // 2), base_cfg.epochs] if halving else [base_cfg.epochs]
 
     all_trials: list[TrialResult] = []

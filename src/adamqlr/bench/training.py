@@ -218,7 +218,7 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
     stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
         obj = models.rosenbrock_objective(cfg.model)
-        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        params = ParamVector(np.array([1.0, -1.0]))
 
         def batches(epoch):
             return (None,)

@@ -202,8 +202,12 @@ def split_dataset(ds: Batch, spec: SplitSpec) -> tuple[Batch, Batch, Batch]:
     )
 
 
-def _rng(seed: int, *keys: int) -> np.random.Generator:
-    # Documented splitting rule: a SeedSequence keyed on (seed, *keys).
+def keyed_rng(seed: int, *keys: int) -> np.random.Generator:
+    """Random stream keyed on (seed, *keys): a SeedSequence over both.
+
+    Streams with different keys are independent, so what each one draws
+    does not depend on the order in which they are used.
+    """
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *keys]))
 
 
@@ -214,7 +218,7 @@ def batch_iter(ds: Batch, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
     """
     n = len(ds)
     size = min(plan.batch_size, n)
-    perm = _rng(plan.shuffle_seed, epoch).permutation(n)
+    perm = keyed_rng(plan.shuffle_seed, epoch).permutation(n)
     for start in range(0, n, size):
         yield ds.take(perm[start : start + size])
 
@@ -238,7 +242,7 @@ def synthesize(
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    rng = _rng(seed)
+    rng = keyed_rng(seed)
     if task is Task.REGRESSION:
         x = rng.normal(size=(n, d))
         w = rng.normal(size=(d, n_targets)) / np.sqrt(d)

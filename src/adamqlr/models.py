@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import LossKind, Objective
 from .data import Batch
-from .params import ManifestEntry, ParamVector
+from .params import ParamVector
 from .tape import Node, Tape
 
 
@@ -63,39 +63,40 @@ class RosenbrockSpec:
             raise ValueError("b must be positive")
 
 
-def mlp_manifest(spec: MlpSpec) -> tuple[ManifestEntry, ...]:
-    entries = []
+def _mlp_layers(spec: MlpSpec):
+    """Yield (din, dout, weight offset, bias offset) for each layer in turn.
+
+    This is the MLP's one statement of its parameter layout: each layer's
+    (din, dout) weight matrix, row-major, then its dout biases, then the
+    next layer.
+    """
     offset = 0
-    for i, (din, dout) in enumerate(zip(spec.layer_widths[:-1], spec.layer_widths[1:])):
-        entries.append(ManifestEntry(f"layer{i}.weight", (din, dout), offset))
-        offset += din * dout
-        entries.append(ManifestEntry(f"layer{i}.bias", (dout,), offset))
-        offset += dout
-    return tuple(entries)
+    for din, dout in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+        yield din, dout, offset, offset + din * dout
+        offset += din * dout + dout
+
+
+def _mlp_n_params(spec: MlpSpec) -> int:
+    *_, (_, dout, _, b0) = _mlp_layers(spec)
+    return b0 + dout
 
 
 def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
     """Uniform fan-in/fan-out weights in [-s, s], s = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    for din, dout in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+    values = np.zeros(_mlp_n_params(spec))
+    for din, dout, w0, b0 in _mlp_layers(spec):
         s = np.sqrt(6.0 / (din + dout))
-        chunks.append(rng.uniform(-s, s, size=din * dout))
-        chunks.append(np.zeros(dout))
-    return ParamVector(np.concatenate(chunks), mlp_manifest(spec))
+        values[w0:b0] = rng.uniform(-s, s, size=din * dout)
+    return ParamVector(values)
 
 
 def _mlp_forward_raw(spec: MlpSpec, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     act = spec.hidden_activation
     h = inputs
-    offset = 0
     n_layers = len(spec.layer_widths) - 1
-    for i, (din, dout) in enumerate(zip(spec.layer_widths[:-1], spec.layer_widths[1:])):
-        w = values[offset : offset + din * dout].reshape(din, dout)
-        offset += din * dout
-        b = values[offset : offset + dout]
-        offset += dout
-        h = h @ w + b
+    for i, (din, dout, w0, b0) in enumerate(_mlp_layers(spec)):
+        h = h @ values[w0:b0].reshape(din, dout) + values[b0 : b0 + dout]
         if i < n_layers - 1:
             h = np.maximum(h, 0.0) if act is Activation.RELU else np.tanh(h)
     return h
@@ -104,13 +105,10 @@ def _mlp_forward_raw(spec: MlpSpec, values: np.ndarray, inputs: np.ndarray) -> n
 def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> Node:
     act = spec.hidden_activation
     h = tape.const(inputs)
-    offset = 0
     n_layers = len(spec.layer_widths) - 1
-    for i, (din, dout) in enumerate(zip(spec.layer_widths[:-1], spec.layer_widths[1:])):
-        w = tape.reshape(tape.slice1d(theta, offset, offset + din * dout), (din, dout))
-        offset += din * dout
-        b = tape.slice1d(theta, offset, offset + dout)
-        offset += dout
+    for i, (din, dout, w0, b0) in enumerate(_mlp_layers(spec)):
+        w = tape.reshape(tape.slice1d(theta, w0, b0), (din, dout))
+        b = tape.slice1d(theta, b0, b0 + dout)
         h = tape.add_row(tape.matmul(h, w), b)
         if i < n_layers - 1:
             h = tape.relu(h) if act is Activation.RELU else tape.tanh(h)
@@ -128,8 +126,6 @@ def _loss_node(tape: Tape, kind: LossKind, outputs: Node, targets: np.ndarray) -
 
 
 def mlp_objective(spec: MlpSpec) -> Objective:
-    manifest = mlp_manifest(spec)
-
     def trace(tape: Tape, theta: Node, batch: Batch):
         outputs = _mlp_trace(spec, tape, theta, batch.inputs)
         return outputs, _loss_node(tape, spec.loss, outputs, batch.targets)
@@ -144,7 +140,7 @@ def mlp_objective(spec: MlpSpec) -> Objective:
     widths = "x".join(str(w) for w in spec.layer_widths)
     return Objective(
         name=f"mlp[{widths}]",
-        manifest=manifest,
+        n_params=_mlp_n_params(spec),
         loss_kind=spec.loss,
         trace=trace,
         value=value,
@@ -159,7 +155,6 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
     no model/loss split, so Gauss-Newton/Fisher curvature is undefined).
     """
     a, b = spec.a, spec.b
-    manifest = (ManifestEntry("xy", (2,), 0),)
 
     def trace(tape: Tape, theta: Node, batch):
         x = tape.slice1d(theta, 0, 1)
@@ -176,7 +171,7 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
 
     return Objective(
         name="rosenbrock",
-        manifest=manifest,
+        n_params=2,
         loss_kind=None,
         trace=trace,
         value=value,
@@ -194,7 +189,6 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
     n = a_matrix.shape[0]
     if a_matrix.shape != (n, n):
         raise ValueError("A must be square")
-    manifest = (ManifestEntry("theta", (n,), 0),)
 
     def trace(tape: Tape, theta: Node, batch):
         q = tape.matmul(tape.const(a_matrix), theta)
@@ -211,7 +205,7 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
 
     return Objective(
         name="quadratic",
-        manifest=manifest,
+        n_params=n,
         loss_kind=None,
         trace=trace,
         value=value,

@@ -4,7 +4,6 @@ import ctypes
 import json
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from adamqlr import data
@@ -183,6 +182,22 @@ class TestRosenbrock:
     def test_lr_override(self, capsys):
         assert main(["rosenbrock", "--optimizer", "gd", "--steps", "5", "--lr", "1e-5"]) == EXIT_OK
 
+    def test_gd_full_takes_every_override(self, capsys):
+        argv = ["rosenbrock", "--optimizer", "gd-full", "--steps", "5",
+                "--lr", "1e-5", "--momentum", "0.5", "--weight-decay", "0.1"]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "preset,flag,value",
+        [("gd", "--momentum", "0.9"), ("adam", "--weight-decay", "0.1"),
+         ("adamqlr-tuned", "--lr", "5")],
+    )
+    def test_override_the_preset_ignores_is_config_error(self, preset, flag, value, capsys):
+        argv = ["rosenbrock", "--optimizer", preset, "--steps", "5", flag, value]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and repr(preset) in err
+
 
 class TestTune:
     def test_writes_results_json(self, tmp_path):
@@ -257,6 +272,13 @@ class TestBootstrap:
 
     def test_no_matches_is_config_error(self, tmp_path):
         assert main(["bootstrap", "--inputs", str(tmp_path / "zzz*.jsonl")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("metric", ["nosuch", "guard_event"])
+    def test_non_numeric_metric_is_usage_error(self, metric, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"), "--metric", metric])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestGradcheckAndDiagFisher:

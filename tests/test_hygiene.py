@@ -1,4 +1,4 @@
-"""Source hygiene: every module and script imports only names it uses."""
+"""Source hygiene: every module, script and test file imports only names it uses."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ SRC = ROOT / "src" / "adamqlr"
 # The package __init__ files import names only to re-export them.
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +34,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    MODULES + SCRIPTS,
+    MODULES + SCRIPTS + TESTS,
     ids=lambda p: str(p.relative_to(SRC if p in MODULES else ROOT)),
 )
 def test_no_unused_imports(path):

@@ -18,7 +18,7 @@ from adamqlr import (
     mlp_objective,
     rosenbrock_objective,
 )
-from adamqlr.models import accuracy, loss_eval, mlp_manifest
+from adamqlr.models import accuracy, loss_eval
 
 
 class TestMlpSpec:
@@ -57,8 +57,9 @@ class TestMlpInit:
     def test_biases_zero(self):
         spec = MlpSpec((4, 7, 3), LossKind.MSE)
         pv = mlp_init(spec, 5)
-        np.testing.assert_array_equal(pv.view("layer0.bias"), np.zeros(7))
-        np.testing.assert_array_equal(pv.view("layer1.bias"), np.zeros(3))
+        # layout: 4x7 weights, 7 biases, 7x3 weights, 3 biases
+        np.testing.assert_array_equal(pv.values[28:35], np.zeros(7))
+        np.testing.assert_array_equal(pv.values[56:], np.zeros(3))
 
     def test_weight_distribution_bounds(self):
         # aggregate 1e4 draws per layer: max |w| <= s, mean within 3 sigma of 0
@@ -67,8 +68,8 @@ class TestMlpInit:
         per_layer = {0: [], 1: []}
         for seed in range(draws):
             pv = mlp_init(spec, seed)
-            per_layer[0].append(pv.view("layer0.weight").ravel())
-            per_layer[1].append(pv.view("layer1.weight").ravel())
+            per_layer[0].append(pv.values[:200])  # 10x20 weights, then 20 biases
+            per_layer[1].append(pv.values[220:300])  # 20x4 weights, then 4 biases
         for i, (din, dout) in enumerate([(10, 20), (20, 4)]):
             w = np.concatenate(per_layer[i])
             s = np.sqrt(6.0 / (din + dout))
@@ -76,14 +77,19 @@ class TestMlpInit:
             sigma_mean = (s / np.sqrt(3.0)) / np.sqrt(w.size)
             assert abs(w.mean()) <= 3.0 * sigma_mean
 
-    def test_manifest_layout(self):
-        entries = mlp_manifest(MlpSpec((2, 3, 1), LossKind.MSE))
-        assert [(e.name, e.shape, e.offset) for e in entries] == [
-            ("layer0.weight", (2, 3), 0),
-            ("layer0.bias", (3,), 6),
-            ("layer1.weight", (3, 1), 9),
-            ("layer1.bias", (1,), 12),
-        ]
+    def test_parameter_layout(self):
+        # row-major 2x3 weight, 3 biases, then the 3x1 weight and its bias
+        spec = MlpSpec((2, 3, 1), LossKind.MSE, Activation.RELU)
+        w0 = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0]])
+        b0 = np.array([0.1, 0.2, -0.3])
+        w1 = np.array([[2.0], [-1.0], [4.0]])
+        b1 = np.array([0.7])
+        values = np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
+        x = np.array([[1.0, 2.0], [-0.5, 0.25]])
+        want = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
+        obj = mlp_objective(spec)
+        np.testing.assert_array_equal(obj.predict(values, x), want)
+        assert obj.n_params == len(mlp_init(spec, 0)) == 13
 
 
 class TestRosenbrock:
@@ -98,7 +104,7 @@ class TestRosenbrock:
 
     def test_gradient_at_1_minus1(self):
         obj = rosenbrock_objective()
-        _, g = eval_grad(obj, ParamVector(np.array([1.0, -1.0]), obj.manifest), None)
+        _, g = eval_grad(obj, ParamVector(np.array([1.0, -1.0])), None)
         np.testing.assert_allclose(g.values, [800.0, -400.0], rtol=1e-13)
 
     def test_unique_stationary_point_in_box(self):
@@ -107,12 +113,12 @@ class TestRosenbrock:
         xs = np.linspace(-2, 2, 41)
         for x in xs:
             for y in xs:
-                p = ParamVector(np.array([x, y]), obj.manifest)
+                p = ParamVector(np.array([x, y]))
                 _, g = eval_grad(obj, p, None)
                 norm = np.linalg.norm(g.values)
                 if np.hypot(x - spec.a, y - spec.a**2) > 0.05:
                     assert norm > 1e-6, (x, y)
-        _, g = eval_grad(obj, ParamVector(np.array([spec.a, spec.a**2]), obj.manifest), None)
+        _, g = eval_grad(obj, ParamVector(np.array([spec.a, spec.a**2])), None)
         assert np.linalg.norm(g.values) == 0.0
 
 

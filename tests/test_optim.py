@@ -64,7 +64,7 @@ def counting_trace(obj):
 
 def quad_at(x, y):
     obj = quadratic_objective(A_DIAG)
-    return obj, ParamVector(np.array([float(x), float(y)]), obj.manifest)
+    return obj, ParamVector(np.array([float(x), float(y)]))
 
 
 class TestAdamDirection:
@@ -279,7 +279,7 @@ class TestQlrStep:
 
     def test_non_convex_guard_uses_clipping_scale(self):
         obj = quadratic_objective(np.diag([-2.0, -8.0]))  # concave everywhere
-        theta = ParamVector(np.array([1.0, 1.0]), obj.manifest)
+        theta = ParamVector(np.array([1.0, 1.0]))
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN,
             lambda0=LAMBDA_MIN,
@@ -297,7 +297,7 @@ class TestQlrStep:
         # A colossal rescale factor makes the proposed point overflow the
         # quartic objective: the step must be rejected and damping grown.
         obj = rosenbrock_objective()
-        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        params = ParamVector(np.array([1.0, -1.0]))
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN,
             lambda0=1e-3,
@@ -331,7 +331,7 @@ class TestQlrStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lambda_ceiling_counted_when_damping_sets_it(self, knobs, events, guard):
         obj = rosenbrock_objective()
-        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        params = ParamVector(np.array([1.0, -1.0]))
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN, lambda0=LAMBDA_MAX, direction=Direction.SGD, **knobs
         )
@@ -344,7 +344,7 @@ class TestQlrStep:
         obj = rosenbrock_objective()
         cfg = QLRConfig(curvature=CurvatureKind.HESSIAN)
         state = QLRState.init(cfg, 2)
-        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        params = ParamVector(np.array([1.0, -1.0]))
         f0 = obj.value(params.values, None)
         for _ in range(200):
             params, state, diag = qlr_step(obj, params, None, state, cfg)
@@ -356,7 +356,7 @@ class TestQlrStep:
         obj = rosenbrock_objective()
         cfg = QLRConfig(curvature=CurvatureKind.HESSIAN, damped=False, lambda0=1e-2)
         state = QLRState.init(cfg, 2)
-        params = ParamVector(np.array([1.0, -1.0]), obj.manifest)
+        params = ParamVector(np.array([1.0, -1.0]))
         for _ in range(50):
             params, state, _ = qlr_step(obj, params, None, state, cfg)
             assert state.lam == 1e-2
@@ -365,7 +365,7 @@ class TestQlrStep:
         obj = rosenbrock_objective()
         cfg = QLRConfig(curvature=CurvatureKind.HESSIAN, rescale_k=1.5)
         state = QLRState.init(cfg, 2)
-        params = ParamVector(np.array([-1.5, 2.0]), obj.manifest)
+        params = ParamVector(np.array([-1.5, 2.0]))
         for _ in range(100):
             params, state, diag = qlr_step(obj, params, None, state, cfg)
             assert LAMBDA_MIN <= state.lam <= LAMBDA_MAX

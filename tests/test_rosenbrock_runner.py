@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from adamqlr.bench.rosenbrock import (
-    PRESET_NAMES,
-    RosenbrockResult,
-    preset_optimizer,
-    run_rosenbrock,
-    write_trajectory,
-)
+from adamqlr.bench.rosenbrock import preset_optimizer, run_rosenbrock, write_trajectory
 from adamqlr.bench.training import RunStatus
 
 

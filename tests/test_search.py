@@ -14,9 +14,9 @@ from adamqlr.bench.search import (
     random_search,
     sample_space,
     search_space_for,
-    trial_rng,
 )
 from adamqlr.bench.training import run_training
+from adamqlr.data import keyed_rng
 
 
 def toy_cfg(optimizer=None, epochs=6):
@@ -92,8 +92,8 @@ class TestRandomSearch:
 
     def test_trial_streams_independent_of_order(self):
         space = search_space_for("adam")
-        direct = [sample_space(space, trial_rng(3, i)) for i in range(5)]
-        reverse = [sample_space(space, trial_rng(3, i)) for i in reversed(range(5))]
+        direct = [sample_space(space, keyed_rng(3, i)) for i in range(5)]
+        reverse = [sample_space(space, keyed_rng(3, i)) for i in reversed(range(5))]
         assert direct == list(reversed(reverse))
 
     def test_lr_only_convex_toy_matches_grid_oracle(self):
