@@ -150,8 +150,8 @@ class Linearization:
         """Gradient of the loss from one reverse sweep."""
         counters.eval_grad += 1
         self._check_finite("eval_grad")
-        (grad, _), = self.tape.backward(
-            self.loss, (np.float64(1.0), None), [self.theta], use_tangents=False
+        grad, _ = self.tape.backward(
+            self.loss, (np.float64(1.0), None), self.theta, use_tangents=False
         )
         return self.params.with_values(grad)
 
@@ -175,14 +175,14 @@ class Linearization:
         tape.replay_tangent(theta, v.values)
         if kind is CurvatureKind.HESSIAN:
             # Exact Hessian-vector product via a tangent-carrying reverse sweep.
-            (_, hv), = tape.backward(self.loss, (np.float64(1.0), None), [theta], use_tangents=True)
+            _, hv = tape.backward(self.loss, (np.float64(1.0), None), theta, use_tangents=True)
             return self.params.with_values(np.zeros_like(self.params.values) if hv is None else hv)
         outputs = self.outputs
         out_tan = outputs.tan
         if out_tan is None:
             out_tan = np.zeros_like(outputs.val)
         u = _output_loss_hvp(obj.loss_kind, outputs.val, out_tan, outputs.val.shape[0])
-        (jtu, _), = tape.backward(outputs, (u, None), [theta], use_tangents=False)
+        jtu, _ = tape.backward(outputs, (u, None), theta, use_tangents=False)
         return self.params.with_values(jtu)
 
 

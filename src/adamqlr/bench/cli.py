@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import glob as globlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -146,6 +147,8 @@ def _cmd_rosenbrock(args) -> int:
         x, y = (float(s) for s in args.start.split(","))
     except ValueError:
         raise ConfigError(f"--start expects 'x,y', got {args.start!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"--start must be finite, got {args.start!r}")
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
     result = run_rosenbrock(opt, steps=args.steps, start=(x, y))
     if args.out:

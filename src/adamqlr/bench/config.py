@@ -15,6 +15,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -64,11 +65,23 @@ class DatasetConfig:
     standardize: bool = True
 
 
+def _check_step(lr: float, **finite: float) -> None:
+    """Reject an `lr` that is not finite and positive, and any other non-finite knob."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr!r}")
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SgdMinimalOpt:
     lr: float
 
     kind = "sgd_minimal"
+
+    def __post_init__(self):
+        _check_step(self.lr)
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,9 @@ class SgdFullOpt:
 
     kind = "sgd_full"
 
+    def __post_init__(self):
+        _check_step(self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
+
 
 @dataclass(frozen=True)
 class AdamOpt:
@@ -86,6 +102,9 @@ class AdamOpt:
     hyper: AdamHyper = AdamHyper()
 
     kind = "adam"
+
+    def __post_init__(self):
+        _check_step(self.lr)
 
 
 @dataclass(frozen=True)

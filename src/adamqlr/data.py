@@ -145,13 +145,21 @@ def load_csv(path, n_features: int, target_columns: int = 1) -> Batch:
     return Batch(data[:, :n_features], data[:, n_features:])
 
 
+def _read_header(fh, fmt: str, path) -> tuple[int, ...]:
+    size = struct.calcsize(fmt)
+    head = fh.read(size)
+    if len(head) != size:
+        raise DataFormatError(f"{path}: truncated header ({len(head)} of {size} bytes)")
+    return struct.unpack(fmt, head)
+
+
 def load_idx(images_path, labels_path) -> Batch:
     """Load an IDX image/label file pair (big-endian, optionally gzipped).
 
     Images are flattened to rows and scaled to [0, 1]; labels stay integer.
     """
     with _open_maybe_gzip(images_path) as fh:
-        magic, n_images, n_rows, n_cols = struct.unpack(">IIII", fh.read(16))
+        magic, n_images, n_rows, n_cols = _read_header(fh, ">IIII", images_path)
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(
                 f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
@@ -160,7 +168,7 @@ def load_idx(images_path, labels_path) -> Batch:
     if len(raw) != n_images * n_rows * n_cols:
         raise DataFormatError(f"{images_path}: truncated pixel data")
     with _open_maybe_gzip(labels_path) as fh:
-        magic, n_labels = struct.unpack(">II", fh.read(8))
+        magic, n_labels = _read_header(fh, ">II", labels_path)
         if magic != IDX_LABELS_MAGIC:
             raise DataFormatError(
                 f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
@@ -250,6 +258,8 @@ def synthesize(
         if noise > 0:
             y = y + noise * rng.normal(size=y.shape)
         return Batch(x, y)
+    if n_classes < 1:
+        raise ValueError("n_classes must be positive")
     centers = rng.normal(size=(n_classes, d)) * (separation / np.sqrt(2.0 * d))
     labels = np.arange(n, dtype=np.int64) % n_classes
     rng.shuffle(labels)

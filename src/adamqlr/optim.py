@@ -68,7 +68,7 @@ class AdamHyper:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:  # NaN fails this too
             raise ValueError("epsilon must be non-negative")
 
 

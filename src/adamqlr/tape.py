@@ -15,22 +15,27 @@ Leaves made by :meth:`Tape.const`, and nodes computed from them alone,
 are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
-Supported operations cover affine layers, ReLU/tanh, elementwise
-arithmetic and squaring, reductions, and a fused numerically-stabilized
-softmax cross-entropy. A tape holds the tangent of its latest replay, so
-a tape serves one caller at a time; nothing is shared between tapes, so
-evaluations on separate tapes are safe to run concurrently.
+Most ops belong to one of three families, each of which states its JVP
+and backward rules once: linear maps, sums ``a + g(b)`` with a linear
+``g``, and elementwise functions. Supported operations cover affine
+layers, ReLU/tanh, elementwise arithmetic and squaring, reductions, and a
+fused numerically-stabilized softmax cross-entropy. A tape holds the
+tangent of its latest replay, so a tape serves one caller at a time;
+nothing is shared between tapes, so evaluations on separate tapes are
+safe to run concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import operator
+from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
 # (value, tangent); a None tangent means an exact zero that is never allocated.
 Pair = tuple[Array, Optional[Array]]
+LinearMap = Callable[[Array], Array]
 
 
 def _tadd(a: Optional[Array], b: Optional[Array]) -> Optional[Array]:
@@ -43,10 +48,6 @@ def _tadd(a: Optional[Array], b: Optional[Array]) -> Optional[Array]:
 
 def p_add(a: Pair, b: Pair) -> Pair:
     return a[0] + b[0], _tadd(a[1], b[1])
-
-
-def p_neg(a: Pair) -> Pair:
-    return -a[0], None if a[1] is None else -a[1]
 
 
 def p_mul(a: Pair, b: Pair) -> Pair:
@@ -73,29 +74,17 @@ def _mm(x: Array, y: Array) -> Array:
     return p_matmul((x, None), (y, None))[0]
 
 
-def p_transpose(a: Pair) -> Pair:
-    return a[0].T, None if a[1] is None else a[1].T
+def p_linear(a: Pair, f: LinearMap) -> Pair:
+    """The linear map ``f`` applied to a value and its tangent alike."""
+    return f(a[0]), None if a[1] is None else f(a[1])
 
 
-def p_scale(a: Pair, c: float) -> Pair:
-    return c * a[0], None if a[1] is None else c * a[1]
+def _identity(x: Array) -> Array:
+    return x
 
 
-def p_mask(a: Pair, mask: Array) -> Pair:
-    return a[0] * mask, None if a[1] is None else a[1] * mask
-
-
-def p_sum0(a: Pair) -> Pair:
-    return a[0].sum(axis=0), None if a[1] is None else a[1].sum(axis=0)
-
-
-def p_full(a: Pair, shape: tuple[int, ...]) -> Pair:
-    tan = None if a[1] is None else np.full(shape, a[1], dtype=np.float64)
-    return np.full(shape, a[0], dtype=np.float64), tan
-
-
-def p_reshape(a: Pair, shape: tuple[int, ...]) -> Pair:
-    return a[0].reshape(shape), None if a[1] is None else a[1].reshape(shape)
+def _transpose(x: Array) -> Array:
+    return x.T
 
 
 class Node:
@@ -119,20 +108,18 @@ class Node:
         tape._nodes.append(self)
 
 
-class _BackwardCtx:
-    """Controls whether saved tangents participate in the backward sweep."""
-
-    __slots__ = ("use_tangents",)
-
-    def __init__(self, use_tangents: bool):
-        self.use_tangents = use_tangents
-
-    def pair(self, node: Node) -> Pair:
-        return (node.val, node.tan if self.use_tangents else None)
+def _pair(node: Node, use_tangents: bool) -> Pair:
+    """A node's value, with its tangent only when the sweep carries tangents."""
+    return node.val, node.tan if use_tangents else None
 
 
 class Tape:
-    """Records a computation and replays it for tangents and gradients."""
+    """Records a computation and replays it for tangents and gradients.
+
+    A backward rule is called as ``rule(ct, acc, use_tangents)``: ``ct``
+    is the node's cotangent pair and ``acc(node, pair)`` adds a cotangent
+    to an input.
+    """
 
     def __init__(self):
         self._nodes: list[Node] = []
@@ -148,29 +135,56 @@ class Tape:
     def input(self, values: Array) -> Node:
         return Node(self, np.asarray(values, dtype=np.float64))
 
+    # -- rule families -----------------------------------------------------
+
+    def _linear(self, a: Node, f: LinearMap, f_t: LinearMap) -> Node:
+        """``f(a)`` for a linear map ``f`` whose transpose is ``f_t``."""
+        out = self._node(f(a.val), a)
+        out._jvp = lambda: None if a.tan is None else f(a.tan)
+        out._bwd = lambda ct, acc, use_tangents: acc(a, p_linear(ct, f_t))
+        return out
+
+    def _add(
+        self, val: Array, a: Node, b: Node, g: LinearMap = _identity, g_t: LinearMap = _identity
+    ) -> Node:
+        """``a + g(b)``, computed as ``val``, for a linear ``g`` with transpose ``g_t``."""
+        out = self._node(val, a, b)
+        out._jvp = lambda: _tadd(a.tan, None if b.tan is None else g(b.tan))
+
+        def bwd(ct, acc, use_tangents):
+            acc(a, ct)
+            acc(b, p_linear(ct, g_t))
+
+        out._bwd = bwd
+        return out
+
+    def _elementwise(
+        self, a: Node, val: Array, deriv: Array, deriv_tan: Optional[LinearMap] = None
+    ) -> Node:
+        """``h(a)`` elementwise, with value ``val`` and derivative ``deriv``.
+
+        ``deriv_tan(a.tan)`` is the tangent of ``deriv``; None means ``deriv``
+        is locally constant. It reads arrays, never the output node.
+        """
+        out = self._node(val, a)
+        out._jvp = lambda: None if a.tan is None else deriv * a.tan
+
+        def bwd(ct, acc, use_tangents):
+            dtan = None
+            if use_tangents and deriv_tan is not None and a.tan is not None:
+                dtan = deriv_tan(a.tan)
+            acc(a, p_mul(ct, (deriv, dtan)))
+
+        out._bwd = bwd
+        return out
+
     # -- elementwise -----------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        out = self._node(a.val + b.val, a, b)
-        out._jvp = lambda: _tadd(a.tan, b.tan)
-
-        def bwd(ctx, ct, acc):
-            acc(a, ct)
-            acc(b, ct)
-
-        out._bwd = bwd
-        return out
+        return self._add(a.val + b.val, a, b)
 
     def sub(self, a: Node, b: Node) -> Node:
-        out = self._node(a.val - b.val, a, b)
-        out._jvp = lambda: _tadd(a.tan, None if b.tan is None else -b.tan)
-
-        def bwd(ctx, ct, acc):
-            acc(a, ct)
-            acc(b, p_neg(ct))
-
-        out._bwd = bwd
-        return out
+        return self._add(a.val - b.val, a, b, operator.neg, operator.neg)
 
     def mul(self, a: Node, b: Node) -> Node:
         if a.val.shape != b.val.shape:
@@ -181,32 +195,18 @@ class Tape:
             tan = None if a.tan is None else a.tan * b.val
             return tan if b.tan is None else _tadd(tan, a.val * b.tan)
 
-        def bwd(ctx, ct, acc):
-            acc(a, p_mul(ct, ctx.pair(b)))
-            acc(b, p_mul(ct, ctx.pair(a)))
+        def bwd(ct, acc, use_tangents):
+            acc(a, p_mul(ct, _pair(b, use_tangents)))
+            acc(b, p_mul(ct, _pair(a, use_tangents)))
 
         out._jvp, out._bwd = jvp, bwd
         return out
 
     def scale(self, a: Node, c: float) -> Node:
-        out = self._node(c * a.val, a)
-        out._jvp = lambda: None if a.tan is None else c * a.tan
-
-        def bwd(ctx, ct, acc):
-            acc(a, p_scale(ct, c))
-
-        out._bwd = bwd
-        return out
+        return self._linear(a, lambda x: c * x, lambda ct: c * ct)
 
     def square(self, a: Node) -> Node:
-        out = self._node(a.val * a.val, a)
-        out._jvp = lambda: None if a.tan is None else 2.0 * a.val * a.tan
-
-        def bwd(ctx, ct, acc):
-            acc(a, p_mul(ct, p_scale(ctx.pair(a), 2.0)))
-
-        out._bwd = bwd
-        return out
+        return self._elementwise(a, a.val * a.val, 2.0 * a.val, lambda t: 2.0 * t)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -217,11 +217,11 @@ class Tape:
             tan = None if a.tan is None else _mm(a.tan, b.val)
             return tan if b.tan is None else _tadd(tan, _mm(a.val, b.tan))
 
-        def bwd(ctx, ct, acc):
+        def bwd(ct, acc, use_tangents):
             if a.live:
-                acc(a, p_matmul(ct, p_transpose(ctx.pair(b))))
+                acc(a, p_matmul(ct, p_linear(_pair(b, use_tangents), _transpose)))
             if b.live:
-                acc(b, p_matmul(p_transpose(ctx.pair(a)), ct))
+                acc(b, p_matmul(p_linear(_pair(a, use_tangents), _transpose), ct))
 
         out._jvp, out._bwd = jvp, bwd
         return out
@@ -230,94 +230,41 @@ class Tape:
         """Broadcast-add a length-K row vector b onto an N-by-K matrix a."""
         if a.val.ndim != 2 or b.val.shape != (a.val.shape[1],):
             raise ValueError("add_row expects (N,K) matrix and (K,) vector")
-        out = self._node(a.val + b.val, a, b)
-
-        def jvp():
-            tan = a.tan
-            if b.tan is not None:
-                tan = (b.tan if tan is None else tan + b.tan)  # broadcasts over rows
-            return tan
-
-        def bwd(ctx, ct, acc):
-            acc(a, ct)
-            acc(b, p_sum0(ct))
-
-        out._jvp, out._bwd = jvp, bwd
-        return out
+        return self._add(a.val + b.val, a, b, g_t=lambda ct: ct.sum(axis=0))
 
     # -- nonlinearities ----------------------------------------------------
 
     def relu(self, a: Node) -> Node:
         mask = (a.val > 0.0).astype(np.float64)
-        out = self._node(a.val * mask, a)
-        out._jvp = lambda: None if a.tan is None else a.tan * mask
-
-        def bwd(ctx, ct, acc):
-            acc(a, p_mask(ct, mask))
-
-        out._bwd = bwd
-        return out
+        return self._elementwise(a, a.val * mask, mask)
 
     def tanh(self, a: Node) -> Node:
         val = np.tanh(a.val)
         deriv = 1.0 - val * val
-        out = self._node(val, a)
-        out._jvp = lambda: None if a.tan is None else deriv * a.tan
-
-        def bwd(ctx, ct, acc):
-            # d(1 - y^2)/deps = -2 y y_dot, with y_dot = deriv * a.tan the
-            # output tangent, formed from the input so the closure holds no
-            # reference to its own node.
-            dtan = None
-            if ctx.use_tangents and a.tan is not None:
-                dtan = -2.0 * val * (deriv * a.tan)
-            acc(a, p_mul(ct, (deriv, dtan)))
-
-        out._bwd = bwd
-        return out
+        # d(1 - y^2)/deps = -2 y y_dot, with y_dot = deriv * t the output tangent.
+        return self._elementwise(a, val, deriv, lambda t: -2.0 * val * (deriv * t))
 
     # -- shape and reduction -------------------------------------------------
 
     def reshape(self, a: Node, shape: tuple[int, ...]) -> Node:
-        out = self._node(a.val.reshape(shape), a)
-        out._jvp = lambda: None if a.tan is None else a.tan.reshape(shape)
         orig = a.val.shape
-
-        def bwd(ctx, ct, acc):
-            acc(a, p_reshape(ct, orig))
-
-        out._bwd = bwd
-        return out
+        return self._linear(a, lambda x: x.reshape(shape), lambda ct: ct.reshape(orig))
 
     def slice1d(self, a: Node, start: int, stop: int) -> Node:
         if a.val.ndim != 1:
             raise ValueError("slice1d expects a flat vector")
-        out = self._node(a.val[start:stop], a)
-        out._jvp = lambda: None if a.tan is None else a.tan[start:stop]
         n = a.val.shape[0]
 
-        def bwd(ctx, ct, acc):
-            zv = np.zeros(n, dtype=np.float64)
-            zv[start:stop] = ct[0]
-            zt = None
-            if ct[1] is not None:
-                zt = np.zeros(n, dtype=np.float64)
-                zt[start:stop] = ct[1]
-            acc(a, (zv, zt))
+        def scatter(ct):
+            z = np.zeros(n, dtype=np.float64)
+            z[start:stop] = ct
+            return z
 
-        out._bwd = bwd
-        return out
+        return self._linear(a, lambda x: x[start:stop], scatter)
 
     def sum(self, a: Node) -> Node:
-        out = self._node(a.val.sum(), a)
-        out._jvp = lambda: None if a.tan is None else a.tan.sum()
         shape = a.val.shape
-
-        def bwd(ctx, ct, acc):
-            acc(a, p_full(ct, shape))
-
-        out._bwd = bwd
-        return out
+        return self._linear(a, lambda x: x.sum(), lambda ct: np.full(shape, ct, dtype=np.float64))
 
     # -- fused loss ----------------------------------------------------------
 
@@ -354,11 +301,11 @@ class Tape:
         out = self._node(val, logits)
         out._jvp = lambda: None if logits.tan is None else np.float64((grad * logits.tan).sum())
 
-        def bwd(ctx, ct, acc):
+        def bwd(ct, acc, use_tangents):
             cv, ctn = ct
             gv = cv * grad
             gt = None
-            if ctx.use_tangents:
+            if use_tangents:
                 zt = logits.tan
                 if ctn is not None:
                     gt = ctn * grad
@@ -391,23 +338,16 @@ class Tape:
 
     # -- reverse sweep ---------------------------------------------------------
 
-    def backward(
-        self,
-        root: Node,
-        seed: Pair,
-        wrt: Sequence[Node],
-        use_tangents: bool = True,
-    ) -> list[Pair]:
-        """Accumulate cotangents of ``root`` seeded with ``seed`` into ``wrt``.
+    def backward(self, root: Node, seed: Pair, wrt: Node, use_tangents: bool) -> Pair:
+        """The cotangent pair at ``wrt`` of ``root`` seeded with ``seed``.
 
         With ``use_tangents`` the sweep carries the tangent of every
         cotangent along, using the node tangents of the latest
         :meth:`replay_tangent`; that turns the sweep into a
         curvature-vector product. Without it the sweep is a plain VJP at
         the primal point. Cotangents of nodes that are not live are
-        dropped, and a ``wrt`` node that receives none gets zeros.
+        dropped, and a ``wrt`` that receives none gets zeros.
         """
-        ctx = _BackwardCtx(use_tangents)
         cts: dict[int, Pair] = {root._idx: seed}
 
         def acc(node: Node, pair: Pair) -> None:
@@ -422,13 +362,7 @@ class Tape:
             ct = cts.pop(node._idx, None)
             if ct is None:
                 continue
-            node._bwd(ctx, ct, acc)
+            node._bwd(ct, acc, use_tangents)
 
-        out = []
-        for node in wrt:
-            ct = cts.get(node._idx)
-            if ct is None:
-                zero = np.zeros_like(node.val)
-                ct = (zero, None)
-            out.append(ct)
-        return out
+        ct = cts.get(wrt._idx)
+        return (np.zeros_like(wrt.val), None) if ct is None else ct

@@ -4,6 +4,7 @@ import ctypes
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from adamqlr import data
@@ -20,6 +21,8 @@ from adamqlr.bench.cli import (
 from adamqlr.bench.records import read_records
 from adamqlr.bench.sweeps import SweepSpec, standard_sweeps
 from adamqlr.data import Batch
+
+from test_data import write_idx
 
 
 def write_cfg(tmp_path, d, name="cfg.json"):
@@ -153,7 +156,15 @@ class TestTrain:
         d["typo"] = 1
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key, text", [("model", "null"), ("epochs", "1e400")])
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("model", "null"),
+            ("epochs", "1e400"),
+            ("optimizer", '{"kind": "adam", "lr": NaN}'),
+            ("optimizer", '{"kind": "sgd_minimal", "lr": -0.01}'),
+        ],
+    )
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, text):
         path = tmp_path / "cfg.json"
         text = json.dumps(regression_cfg_dict(**{key: "PLACEHOLDER"})).replace('"PLACEHOLDER"', text)
@@ -163,6 +174,26 @@ class TestTrain:
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_truncated_idx_header_is_config_error(self, tmp_path, capsys, which):
+        img, lbl = write_idx(tmp_path, np.zeros((1, 1, 1)), [0])
+        path = img if which == "images" else lbl
+        path.write_bytes(path.read_bytes()[:5])
+        d = regression_cfg_dict()
+        d["model"] = {"kind": "mlp", "layer_widths": [1, 2], "loss": "softmax_cross_entropy"}
+        d["dataset"]["loader"] = {"kind": "idx", "images_path": str(img), "labels_path": str(lbl)}
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert f"{path}: truncated header" in capsys.readouterr().err
+
+    def test_no_classes_is_config_error(self, tmp_path, capsys, recwarn):
+        d = regression_cfg_dict()
+        d["model"] = {"kind": "mlp", "layer_widths": [3, 2], "loss": "softmax_cross_entropy"}
+        d["dataset"]["loader"] = {"kind": "synthetic", "task": "classification", "n": 50,
+                                  "d": 3, "n_classes": 0}
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert "n_classes must be positive" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRosenbrock:
@@ -176,8 +207,19 @@ class TestRosenbrock:
         assert len(lines) == 27  # header + start + 25 steps
         assert "final_f=" in capsys.readouterr().out
 
-    def test_bad_start_is_config_error(self):
-        assert main(["rosenbrock", "--optimizer", "gd", "--start", "oops"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("start", ["oops", "nan,0", "0,inf"])
+    def test_bad_start_is_config_error(self, start):
+        assert main(["rosenbrock", "--optimizer", "gd", "--start", start]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "preset,flag,value",
+        [("gd", "--lr", "nan"), ("gd", "--lr", "-0.01"), ("adam", "--lr", "0"),
+         ("gd-full", "--momentum", "nan"), ("gd-full", "--weight-decay", "inf")],
+    )
+    def test_bad_step_size_override_is_config_error(self, preset, flag, value, capsys):
+        argv = ["rosenbrock", "--optimizer", preset, "--steps", "5", flag, value]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_lr_override(self, capsys):
         assert main(["rosenbrock", "--optimizer", "gd", "--steps", "5", "--lr", "1e-5"]) == EXIT_OK

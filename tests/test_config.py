@@ -110,6 +110,28 @@ def test_invalid_hyper_becomes_config_error():
         config_mod.from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        ({"kind": "sgd_minimal", "lr": -0.01}, "optimizer: lr must be finite and positive"),
+        ({"kind": "sgd_minimal", "lr": 0.0}, "optimizer: lr must be finite and positive"),
+        ({"kind": "adam", "lr": float("nan")}, "optimizer: lr must be finite and positive"),
+        ({"kind": "sgd_full", "lr": float("inf")}, "optimizer: lr must be finite and positive"),
+        ({"kind": "sgd_full", "lr": 0.1, "momentum": float("nan")},
+         "optimizer: momentum must be finite"),
+        ({"kind": "sgd_full", "lr": 0.1, "weight_decay": float("-inf")},
+         "optimizer: weight_decay must be finite"),
+        ({"kind": "adam", "lr": 0.1, "hyper": {"epsilon": float("nan")}},
+         "optimizer.hyper: epsilon must be non-negative"),
+    ],
+)
+def test_step_size_knobs_must_be_finite(optimizer, message):
+    d = minimal_dict()
+    d["optimizer"] = optimizer
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        config_mod.from_dict(d)
+
+
 def test_round_trip_through_to_dict():
     d = minimal_dict()
     d["optimizer"] = {

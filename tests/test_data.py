@@ -1,6 +1,7 @@
 """Loaders, splitting, batching and synthetic generators."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -125,6 +126,14 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="magic"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("which, keep", [("images", 0), ("images", 10), ("labels", 7)])
+    def test_truncated_header_names_the_file(self, tmp_path, which, keep):
+        img, lbl = write_idx(tmp_path, np.zeros((1, 2, 2)), [0])
+        path = img if which == "images" else lbl
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: truncated header")):
+            load_idx(img, lbl)
+
 
 class TestSplit:
     def _ds(self, n=10):
@@ -223,6 +232,10 @@ class TestSynthesize:
             params = params.with_values(params.values - 0.05 * d.values)
         outputs = obj.predict(params.values, ds.inputs)
         assert accuracy(outputs, ds.targets) >= 0.99
+
+    def test_rejects_fewer_than_one_class(self):
+        with pytest.raises(ValueError, match="n_classes must be positive"):
+            synthesize(Task.CLASSIFICATION, 10, 3, seed=0, n_classes=0)
 
     def test_balanced_classes(self):
         ds = synthesize(Task.CLASSIFICATION, 100, 4, seed=3, n_classes=4)

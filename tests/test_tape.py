@@ -1,0 +1,80 @@
+"""Each tape op's JVP and backward rules against central differences."""
+
+import numpy as np
+import pytest
+
+from adamqlr.tape import Tape
+
+N = 12
+H = 1e-5
+SEED = (np.float64(1.0), None)
+LABELS = np.array([2, 0, 1, 1])
+
+
+def _mat(t, x, start, shape):
+    return t.reshape(t.slice1d(x, start, start + int(np.prod(shape))), shape)
+
+
+# Each case maps (tape, input leaf of length N) to one op's output. Two-operand
+# ops read disjoint parts of the leaf, so both operands are live.
+OPS = {
+    "add": lambda t, x: t.add(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
+    "sub": lambda t, x: t.sub(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
+    "mul": lambda t, x: t.mul(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
+    "scale": lambda t, x: t.scale(x, -1.7),
+    "square": lambda t, x: t.square(x),
+    "matmul": lambda t, x: t.matmul(_mat(t, x, 0, (2, 3)), _mat(t, x, 6, (3, 2))),
+    "add_row": lambda t, x: t.add_row(_mat(t, x, 0, (3, 3)), t.slice1d(x, 9, 12)),
+    "relu": lambda t, x: t.relu(x),
+    "tanh": lambda t, x: t.tanh(x),
+    "reshape": lambda t, x: t.reshape(x, (3, 4)),
+    "slice1d": lambda t, x: t.slice1d(x, 2, 9),
+    "sum": lambda t, x: t.sum(x),
+    "softmax_xent": lambda t, x: t.softmax_xent(_mat(t, x, 0, (4, 3)), LABELS),
+}
+
+
+def _record(op, x, w, c):
+    """Tape, leaf and scalar loss ``sum(w * out * (out + c))`` of one case at ``x``.
+
+    The loss is quadratic in the output, so the cotangent that reaches the
+    op carries a tangent and the tangent-carrying sweep checks how every
+    op, linear ones included, transposes it. Its linear part keeps the
+    op's output tangent from being multiplied away where the output is 0.
+    """
+    t = Tape()
+    leaf = t.input(x)
+    out = OPS[op](t, leaf)
+    return t, leaf, t.sum(t.mul(t.mul(out, t.const(w)), t.add(out, t.const(c))))
+
+
+def _central(fn, x, d):
+    return (fn(x + H * d) - fn(x - H * d)) / (2.0 * H)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_op_rules_match_central_differences(op):
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], N) * rng.uniform(0.3, 1.5, N)  # relu inputs stay away from 0
+    v = rng.normal(size=N)
+    t = Tape()
+    w, c = rng.normal(size=(2, *np.shape(OPS[op](t, t.input(x)).val)))
+
+    def value(p):
+        return float(_record(op, p, w, c)[2].val)
+
+    def grad(p):
+        tape, leaf, loss = _record(op, p, w, c)
+        return tape.backward(loss, SEED, leaf, use_tangents=False)[0]
+
+    tape, leaf, loss = _record(op, x, w, c)
+    g = grad(x)
+    fd = np.array([_central(value, x, e) for e in np.eye(N)])
+    np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+    tape.replay_tangent(leaf, v)
+    np.testing.assert_allclose(loss.tan, _central(value, x, v), rtol=1e-6, atol=1e-8)
+
+    gv, hv = tape.backward(loss, SEED, leaf, use_tangents=True)
+    np.testing.assert_array_equal(gv, g)
+    np.testing.assert_allclose(hv, _central(grad, x, v), rtol=1e-6, atol=1e-8)
