@@ -20,7 +20,6 @@ from .models import (
     RosenbrockSpec,
     mlp_init,
     mlp_objective,
-    quadratic_objective,
     rosenbrock_objective,
 )
 from .optim import (

@@ -12,6 +12,9 @@ take a plain reverse sweep. `eval_grad` and `curvature_vp` are the same
 calls on a fresh linearization. Each linearization owns its tape, so
 separate linearizations are safe to evaluate concurrently.
 
+`eval_outputs` serves evaluation: one tape-free forward pass gives both
+the loss and the model outputs it came from.
+
 `fd_grad` deliberately runs through the tape-free value path so the
 finite-difference oracle shares no derivative code with what it checks.
 """
@@ -119,6 +122,25 @@ def eval_loss(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> fl
     return value
 
 
+def eval_outputs(obj: Objective, params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
+    """Mean-reduced loss and the model outputs it came from, from one forward pass.
+
+    The loss is `loss_eval` of `predict`'s outputs, which is how an MLP's
+    value path computes it, so it equals `eval_loss` there bit for bit.
+    Checks, counts and raises like `eval_loss`.
+    """
+    if obj.predict is None or obj.loss_kind is None:
+        raise ValueError(f"objective {obj.name!r} has no model outputs")
+    _check_params(obj, params)
+    _check_batch(obj, batch)
+    counters.eval_loss += 1
+    outputs = obj.predict(params.values, batch.inputs)
+    value = loss_eval(obj.loss_kind, outputs, batch.targets)
+    if not np.isfinite(value):
+        raise EvalOverflowError(f"eval_outputs({obj.name})", value)
+    return value, outputs
+
+
 @dataclass(frozen=True, eq=False)
 class Linearization:
     """One recorded forward pass of an objective at a point.
@@ -202,6 +224,30 @@ def eval_grad(
     """Loss and its gradient from one forward + one reverse sweep."""
     lin = linearize(obj, params, batch)
     return lin.value, lin.grad()
+
+
+def loss_eval(kind: LossKind, outputs: np.ndarray, targets) -> float:
+    """Mean-reduced loss over the batch, stabilized for cross-entropy."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    if kind is LossKind.MSE:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.ndim == 1:
+            targets = targets[:, None]
+        if outputs.shape != targets.shape:
+            raise ValueError(
+                f"MSE shape mismatch: outputs {outputs.shape} vs targets {targets.shape}"
+            )
+        diff = outputs - targets
+        return float((diff * diff).sum() / outputs.shape[0])
+    labels = np.asarray(targets)
+    n, k = outputs.shape
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("cross-entropy expects an (N,) integer label vector")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"class label out of range [0, {k})")
+    zmax = outputs.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(outputs - zmax).sum(axis=1))
+    return float((lse - outputs[np.arange(n), labels]).mean())
 
 
 def _output_loss_hvp(

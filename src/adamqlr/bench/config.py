@@ -53,6 +53,10 @@ class SyntheticLoader:
     n_classes: int = 2
     separation: float = 6.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
+
 
 LoaderConfig = Union[CsvLoader, IdxLoader, SyntheticLoader]
 

@@ -183,15 +183,15 @@ def _fill_eval(
     test: Batch,
     stats,
 ) -> None:
+    """Fill `rec`'s eval fields; each split takes one forward pass for its loss and accuracy."""
     classification = train.task is Task.CLASSIFICATION
     for name, split in (("train", train), ("val", val), ("test", test)):
         if len(split) == 0:
             continue
-        loss = autodiff.eval_loss(obj, params, split)
+        loss, outputs = autodiff.eval_outputs(obj, params, split)
         if name != "train":
             setattr(rec, f"{name}_loss", loss)
         if classification:
-            outputs = obj.predict(params.values, split.inputs)
             setattr(rec, f"{name}_acc", models.accuracy(outputs, split.targets))
         elif name == "train" and stats is not None and stats.target_std is not None:
             if stats.target_std.size == 1:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import LossKind, Objective
+from .autodiff import LossKind, Objective, loss_eval
 from .data import Batch
 from .params import ParamVector
 from .tape import Node, Tape
@@ -177,64 +177,6 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
         value=value,
         batch_free=True,
     )
-
-
-def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) -> Objective:
-    """f(theta) = 1/2 theta^T A theta + b^T theta; verification workhorse.
-
-    With symmetric A the Hessian is exactly A, the quadratic model is
-    exact, and line-search / damping behavior has closed forms.
-    """
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    n = a_matrix.shape[0]
-    if a_matrix.shape != (n, n):
-        raise ValueError("A must be square")
-
-    def trace(tape: Tape, theta: Node, batch):
-        q = tape.matmul(tape.const(a_matrix), theta)
-        f = tape.scale(tape.sum(tape.mul(theta, q)), 0.5)
-        if b is not None:
-            f = tape.add(f, tape.sum(tape.mul(theta, tape.const(b))))
-        return None, f
-
-    def value(values: np.ndarray, batch) -> float:
-        out = 0.5 * values @ a_matrix @ values
-        if b is not None:
-            out += b @ values
-        return float(out)
-
-    return Objective(
-        name="quadratic",
-        n_params=n,
-        loss_kind=None,
-        trace=trace,
-        value=value,
-        batch_free=True,
-    )
-
-
-def loss_eval(kind: LossKind, outputs: np.ndarray, targets) -> float:
-    """Mean-reduced loss over the batch, stabilized for cross-entropy."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if kind is LossKind.MSE:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        if outputs.shape != targets.shape:
-            raise ValueError(
-                f"MSE shape mismatch: outputs {outputs.shape} vs targets {targets.shape}"
-            )
-        diff = outputs - targets
-        return float((diff * diff).sum() / outputs.shape[0])
-    labels = np.asarray(targets)
-    n, k = outputs.shape
-    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError("cross-entropy expects an (N,) integer label vector")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"class label out of range [0, {k})")
-    zmax = outputs.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(outputs - zmax).sum(axis=1))
-    return float((lse - outputs[np.arange(n), labels]).mean())
 
 
 def accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:

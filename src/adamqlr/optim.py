@@ -149,7 +149,7 @@ class QLRConfig:
     hyper: AdamHyper = AdamHyper()
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
+        if not self.lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         if not (0.0 < self.omega_dec <= 1.0 <= self.omega_inc):
             raise ValueError("need 0 < omega_dec <= 1 <= omega_inc")

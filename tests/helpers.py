@@ -3,12 +3,18 @@
 Everything here recomputes expected values through a different code path
 than the functions under test: golden-section line search, dense
 Kronecker-assembled curvature matrices, closed-form least squares, and a
-hand-rolled bootstrap enumeration.
+hand-rolled bootstrap enumeration. `quadratic_objective` is the one
+objective whose curvature and quadratic model are exact by construction.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+
+from adamqlr.autodiff import Objective
+from adamqlr.tape import Node, Tape
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,6 +38,40 @@ def golden_section(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int
             d = a + GOLDEN * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) -> Objective:
+    """f(theta) = 1/2 theta^T A theta + b^T theta; verification workhorse.
+
+    With symmetric A the Hessian is exactly A, the quadratic model is
+    exact, and line-search / damping behavior has closed forms.
+    """
+    a_matrix = np.asarray(a_matrix, dtype=np.float64)
+    n = a_matrix.shape[0]
+    if a_matrix.shape != (n, n):
+        raise ValueError("A must be square")
+
+    def trace(tape: Tape, theta: Node, batch):
+        q = tape.matmul(tape.const(a_matrix), theta)
+        f = tape.scale(tape.sum(tape.mul(theta, q)), 0.5)
+        if b is not None:
+            f = tape.add(f, tape.sum(tape.mul(theta, tape.const(b))))
+        return None, f
+
+    def value(values: np.ndarray, batch) -> float:
+        out = 0.5 * values @ a_matrix @ values
+        if b is not None:
+            out += b @ values
+        return float(out)
+
+    return Objective(
+        name="quadratic",
+        n_params=n,
+        loss_kind=None,
+        trace=trace,
+        value=value,
+        batch_free=True,
+    )
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from adamqlr import (
     mlp_init,
     mlp_objective,
     qlr_step,
-    quadratic_objective,
     rosenbrock_objective,
 )
 from adamqlr.bench import config as config_mod
@@ -59,6 +58,7 @@ from helpers import (
     dense_linear_mse_ggn,
     dense_linear_softmax_fisher,
     golden_section,
+    quadratic_objective,
 )
 
 A_DIAG = np.diag([2.0, 8.0])

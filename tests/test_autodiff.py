@@ -19,7 +19,6 @@ from adamqlr import (
     fd_grad,
     mlp_init,
     mlp_objective,
-    quadratic_objective,
     rosenbrock_objective,
 )
 from adamqlr.autodiff import (
@@ -27,10 +26,11 @@ from adamqlr.autodiff import (
     MatrixCapExceededError,
     UnsupportedCurvatureError,
     counters,
+    eval_outputs,
     linearize,
 )
 
-from helpers import dense_linear_mse_ggn, dense_linear_softmax_fisher
+from helpers import dense_linear_mse_ggn, dense_linear_softmax_fisher, quadratic_objective
 
 ROSEN = rosenbrock_objective(RosenbrockSpec())
 HESSIAN = CurvatureKind.HESSIAN
@@ -78,6 +78,38 @@ class TestEvalLoss:
         batch = Batch(np.array([[1e10, 1e10]]), np.array([[0.0]]))
         with pytest.raises(EvalOverflowError, match="eval_loss"):
             eval_loss(obj, params, batch)
+
+
+class TestEvalOutputs:
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_matches_eval_loss_and_predict(self, loss):
+        obj, params, batch = random_mlp((3, 5, 4), loss, 2)
+        got, outputs = eval_outputs(obj, params, batch)
+        assert got == eval_loss(obj, params, batch)
+        np.testing.assert_array_equal(outputs, obj.predict(params.values, batch.inputs))
+
+    def test_counts_as_one_loss_evaluation(self):
+        obj, params, batch = random_mlp((3, 2), LossKind.MSE, 0)
+        before = counters.eval_loss
+        eval_outputs(obj, params, batch)
+        assert counters.eval_loss == before + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_with_context(self):
+        obj = mlp_objective(MlpSpec((2, 1), LossKind.MSE))
+        params = ParamVector(np.array([1e300, 1e300, 0.0]))
+        batch = Batch(np.array([[1e10, 1e10]]), np.array([[0.0]]))
+        with pytest.raises(EvalOverflowError, match="eval_outputs"):
+            eval_outputs(obj, params, batch)
+
+    def test_checks_params_batch_and_objective(self):
+        obj, params, batch = random_mlp((3, 2), LossKind.MSE, 0)
+        with pytest.raises(ValueError, match="expects 8 parameters"):
+            eval_outputs(obj, params.with_values(np.zeros(7)), batch)
+        with pytest.raises(ValueError, match="empty batch"):
+            eval_outputs(obj, params, Batch(batch.inputs[:0], batch.targets[:0]))
+        with pytest.raises(ValueError, match="no model outputs"):
+            eval_outputs(ROSEN, rosen_point(1, 1), batch)
 
 
 class TestEvalGrad:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adamqlr import data
+from adamqlr import autodiff, data
+from adamqlr.autodiff import EvalOverflowError
 from adamqlr.bench import cli, training
 from adamqlr.bench.cli import (
     EXIT_CONFIG,
@@ -194,6 +195,41 @@ class TestTrain:
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert "n_classes must be positive" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_evaluation_ends_run_diverged(self, tmp_path, capsys, monkeypatch):
+        raised = []
+        eval_outputs = autodiff.eval_outputs
+
+        def watched(*args):
+            try:
+                return eval_outputs(*args)
+            except EvalOverflowError as e:
+                raised.append(e.context)
+                raise
+
+        monkeypatch.setattr(autodiff, "eval_outputs", watched)
+        # One full-batch step lands where the step's own loss is finite but the
+        # evaluation's overflows.
+        d = regression_cfg_dict(optimizer={"kind": "sgd_minimal", "lr": 1e200}, epochs=1)
+        d["dataset"]["batch"]["batch_size"] = 36  # the whole train split
+        out = tmp_path / "run.jsonl"
+        assert main(["train", "--config", write_cfg(tmp_path, d), "--out", str(out)]) == EXIT_DIVERGED
+        assert raised == ["eval_outputs(mlp[3x1])"]
+        assert capsys.readouterr().out.startswith("status=diverged steps=1 ")
+        assert len(read_records(out)) == 1
+
+    @pytest.mark.parametrize(
+        "block, key, message",
+        [
+            ("loader", "noise", "dataset.loader: noise must be finite and non-negative"),
+            ("optimizer", "lambda0", "optimizer: lambda0 must be positive"),
+        ],
+    )
+    def test_nan_knob_is_config_error(self, tmp_path, capsys, block, key, message):
+        d = regression_cfg_dict()
+        (d["dataset"]["loader"] if block == "loader" else d["optimizer"])[key] = float("nan")
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class TestRosenbrock:

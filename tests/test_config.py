@@ -123,12 +123,21 @@ def test_invalid_hyper_becomes_config_error():
          "optimizer: weight_decay must be finite"),
         ({"kind": "adam", "lr": 0.1, "hyper": {"epsilon": float("nan")}},
          "optimizer.hyper: epsilon must be non-negative"),
+        ({"kind": "qlr", "lambda0": float("nan")}, "optimizer: lambda0 must be positive"),
     ],
 )
 def test_step_size_knobs_must_be_finite(optimizer, message):
     d = minimal_dict()
     d["optimizer"] = optimizer
     with pytest.raises(ConfigError, match=f"^{message}"):
+        config_mod.from_dict(d)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), -0.1, float("inf")])
+def test_synthetic_noise_must_be_finite_and_non_negative(noise):
+    d = minimal_dict()
+    d["dataset"]["loader"]["noise"] = noise
+    with pytest.raises(ConfigError, match="^dataset.loader: noise must be finite and non-negative"):
         config_mod.from_dict(d)
 
 
@@ -204,6 +213,7 @@ def test_readme_example_parses():
 
 floats = st.floats(-1e6, 1e6, allow_nan=False)
 positive = st.floats(1e-6, 1e6)
+non_negative = st.floats(0.0, 1e6)
 counts = st.integers(1, 5000)
 seeds = st.integers(0, 2**63 - 1)
 unit = st.floats(0.0, 0.999)
@@ -212,7 +222,8 @@ loaders = st.one_of(
     st.builds(CsvLoader, st.text(), counts, counts),
     st.builds(IdxLoader, st.text(), st.text()),
     st.builds(
-        SyntheticLoader, st.sampled_from(Task), counts, counts, seeds, counts, floats, counts, floats
+        SyntheticLoader,
+        st.sampled_from(Task), counts, counts, seeds, counts, non_negative, counts, floats,
     ),
 )
 datasets = st.builds(

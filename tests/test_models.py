@@ -18,7 +18,8 @@ from adamqlr import (
     mlp_objective,
     rosenbrock_objective,
 )
-from adamqlr.models import accuracy, loss_eval
+from adamqlr.autodiff import loss_eval
+from adamqlr.models import accuracy
 
 
 class TestMlpSpec:

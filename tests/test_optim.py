@@ -25,7 +25,6 @@ from adamqlr import (
     mlp_init,
     mlp_objective,
     qlr_step,
-    quadratic_objective,
     rosenbrock_objective,
     sgd_step,
 )
@@ -46,7 +45,7 @@ from adamqlr.optim import (
     update_damping,
 )
 
-from helpers import golden_section
+from helpers import golden_section, quadratic_objective
 
 A_DIAG = np.diag([2.0, 8.0])
 

@@ -1,10 +1,12 @@
 """End-to-end training loop behavior."""
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
+from adamqlr import eval_loss, models
 from adamqlr.bench import config as config_mod
 from adamqlr.bench import training
 from adamqlr.bench.diagnostics import fisher_alignment
@@ -69,25 +71,87 @@ def test_eval_fields_filled_at_epoch_cadence():
     assert all(r.test_loss is not None for r in with_val)
 
 
+def classification_cfg(**overrides):
+    d = {
+        "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
+        "dataset": {
+            "loader": {"kind": "synthetic", "task": "classification", "n": 120,
+                       "d": 4, "seed": 5, "n_classes": 3},
+            "split": {"train_fraction": 0.7, "val_fraction": 0.15, "test_fraction": 0.15, "seed": 0},
+            "batch": {"batch_size": 32, "shuffle_seed": 0},
+        },
+        "optimizer": {"kind": "adam", "lr": 0.01},
+        "epochs": 30,
+        "seed": 1,
+    }
+    d.update(overrides)
+    return config_mod.from_dict(d)
+
+
 def test_classification_reports_accuracy():
-    cfg = config_mod.from_dict(
-        {
-            "model": {"kind": "mlp", "layer_widths": [4, 16, 3], "loss": "softmax_cross_entropy"},
-            "dataset": {
-                "loader": {"kind": "synthetic", "task": "classification", "n": 120,
-                           "d": 4, "seed": 5, "n_classes": 3},
-                "split": {"train_fraction": 0.7, "val_fraction": 0.15, "test_fraction": 0.15, "seed": 0},
-                "batch": {"batch_size": 32, "shuffle_seed": 0},
-            },
-            "optimizer": {"kind": "adam", "lr": 0.01},
-            "epochs": 30,
-            "seed": 1,
-        }
-    )
-    result = run_training(cfg)
+    result = run_training(classification_cfg())
     last = [r for r in result.records if r.train_acc is not None][-1]
     assert last.train_acc >= 0.9
     assert last.val_acc is not None and last.test_acc is not None
+
+
+def test_classification_eval_is_one_forward_pass_per_split(monkeypatch):
+    # Adam's steps run only the taped forward, so every value or predict call
+    # below is evaluation.
+    rows = []
+
+    def counted(fn):
+        def forward(values, data):
+            rows.append(len(getattr(data, "inputs", data)))
+            return fn(values, data)
+
+        return forward
+
+    make = models.mlp_objective
+
+    def objective(spec):
+        obj = make(spec)
+        return dataclasses.replace(obj, value=counted(obj.value), predict=counted(obj.predict))
+
+    monkeypatch.setattr(training.models, "mlp_objective", objective)
+    cfg = classification_cfg(epochs=1)
+    result = run_training(cfg)
+    assert result.status is RunStatus.COMPLETED
+    splits = training.prepare_data(cfg.dataset)[:3]
+    assert rows == [len(split) for split in splits]
+
+
+def test_classification_eval_matches_loss_and_predict_oracle():
+    # Runs are deterministic, so the params at the end of epoch k are the
+    # final params of the same run cut after k epochs.
+    cfg = classification_cfg(optimizer={"kind": "qlr"}, epochs=3)
+    records = run_training(cfg).records
+    train, val, test, _ = training.prepare_data(cfg.dataset)
+    obj = models.mlp_objective(cfg.model)
+    evaluated = [r for r in records if r.train_acc is not None]
+    assert [r.epoch for r in evaluated] == [0, 1, 2]
+    for rec in evaluated:
+        params = run_training(dataclasses.replace(cfg, epochs=rec.epoch + 1)).final_params
+        want = {}
+        for name, split in (("train", train), ("val", val), ("test", test)):
+            if name != "train":
+                want[f"{name}_loss"] = eval_loss(obj, params, split)
+            outputs = obj.predict(params.values, split.inputs)
+            want[f"{name}_acc"] = models.accuracy(outputs, split.targets)
+        assert {k: getattr(rec, k) for k in want} == want
+
+
+def test_regression_eval_logs_raw_unit_train_rmse(caplog):
+    cfg = regression_cfg(epochs=2)
+    with caplog.at_level("INFO", logger=training.__name__):
+        result = run_training(cfg)
+    train, _, _, stats = training.prepare_data(cfg.dataset)
+    rmse = float(stats.target_std[0]) * np.sqrt(
+        eval_loss(models.mlp_objective(cfg.model), result.final_params, train)
+    )
+    lines = [r.getMessage() for r in caplog.records if "raw-unit" in r.getMessage()]
+    assert len(lines) == 2
+    assert lines[-1] == f"raw-unit train RMSE: {rmse:.6g}"
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])
