@@ -83,16 +83,19 @@ class Objective:
     `n_params` is the length of the flat parameter vector it reads.
     `trace` builds the computation graph on a tape and returns the model
     output node (None for objectives that are directly a scalar, like the
-    banana-valley benchmark) and the scalar loss node. `value` computes
-    the same scalar without recording a tape. `predict` maps (params,
-    inputs) to raw model outputs where that notion exists.
+    banana-valley benchmark), the scalar loss node, and the input layer's
+    pre-activation node when that layer is affine in the parameters with
+    the batch inputs as its constant factor (None otherwise). `value`
+    computes the same scalar without recording a tape; given that layer's
+    value as `pre=`, it runs only the layers above it. `predict` maps
+    (params, inputs) to raw model outputs where that notion exists.
     """
 
     name: str
     n_params: int
     loss_kind: Optional[LossKind]
-    trace: Callable[[Tape, Node, Optional[Batch]], tuple[Optional[Node], Node]]
-    value: Callable[[np.ndarray, Optional[Batch]], float]
+    trace: Callable[[Tape, Node, Optional[Batch]], tuple[Optional[Node], Node, Optional[Node]]]
+    value: Callable[..., float]
     predict: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     batch_free: bool = False
 
@@ -148,17 +151,20 @@ class Linearization:
     Made by :func:`linearize`. ``value`` is the loss at the point. Each
     derivative reuses the recorded tape: ``grad()`` is one reverse sweep,
     ``curvature_vp()`` one tangent replay and one reverse sweep, and
-    neither runs another forward pass. Each call counts once in
-    ``counters``. A product leaves its tangents on the tape, so use one
-    linearization from one thread at a time.
+    neither runs another forward pass. ``trial()`` is the loss a step
+    along the latest product's direction, read partly off its tangents.
+    Each call counts once in ``counters``. A product leaves its tangents
+    on the tape, so use one linearization from one thread at a time.
     """
 
     obj: Objective
     params: ParamVector
+    batch: Optional[Batch]
     tape: Tape
     theta: Node
     outputs: Optional[Node]
     loss: Node
+    pre: Optional[Node]
 
     @property
     def value(self) -> float:
@@ -207,6 +213,27 @@ class Linearization:
         jtu, _ = tape.backward(outputs, (u, None), theta, use_tangents=False)
         return self.params.with_values(jtu)
 
+    def trial(self, alpha: float) -> tuple[ParamVector, float]:
+        """The point ``params - alpha * v`` and the loss there, for ``v`` the
+        direction of the latest curvature product.
+
+        An affine input layer's pre-activation there is ``pre.val - alpha *
+        pre.tan``, so only the layers above it run; other objectives take
+        the value path. Counts and raises like `eval_loss`.
+        """
+        v, params = self.theta.tan, self.params
+        if v is None:
+            raise ValueError("trial needs a curvature product to give its direction")
+        point = params if alpha == 0.0 else params.with_values(params.values - alpha * v)
+        if self.pre is None:
+            return point, eval_loss(self.obj, point, self.batch)
+        counters.eval_loss += 1
+        pre = self.pre.val - alpha * self.pre.tan
+        value = float(self.obj.value(point.values, self.batch, pre=pre))
+        if not np.isfinite(value):
+            raise EvalOverflowError(f"trial({self.obj.name})", value)
+        return point, value
+
 
 def linearize(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> Linearization:
     """Record one forward pass of ``obj`` at ``params`` for its derivatives."""
@@ -214,8 +241,8 @@ def linearize(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> Li
     _check_batch(obj, batch)
     tape = Tape()
     theta = tape.input(params.values)
-    outputs, loss = obj.trace(tape, theta, batch)
-    return Linearization(obj, params, tape, theta, outputs, loss)
+    outputs, loss, pre = obj.trace(tape, theta, batch)
+    return Linearization(obj, params, batch, tape, theta, outputs, loss, pre)
 
 
 def eval_grad(

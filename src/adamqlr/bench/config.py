@@ -137,6 +137,8 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if self.eval_every_epochs < 1:
             raise ConfigError("eval_every_epochs must be >= 1")
+        if not self.max_runtime_s >= 0:  # NaN fails this too, and would never time out
+            raise ConfigError(f"max_runtime_s must be non-negative, got {self.max_runtime_s!r}")
         if isinstance(self.model, MlpSpec) and self.dataset is None:
             raise ConfigError("an MLP model requires a dataset block")
 

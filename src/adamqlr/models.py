@@ -91,18 +91,25 @@ def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(values)
 
 
-def _mlp_forward_raw(spec: MlpSpec, values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def _mlp_forward_raw(
+    spec: MlpSpec, values: np.ndarray, inputs: np.ndarray, pre: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Model outputs; a given input-layer pre-activation `pre` replaces that layer's product."""
     act = spec.hidden_activation
     h = inputs
     n_layers = len(spec.layer_widths) - 1
     for i, (din, dout, w0, b0) in enumerate(_mlp_layers(spec)):
-        h = h @ values[w0:b0].reshape(din, dout) + values[b0 : b0 + dout]
+        if i == 0 and pre is not None:
+            h = pre
+        else:
+            h = h @ values[w0:b0].reshape(din, dout) + values[b0 : b0 + dout]
         if i < n_layers - 1:
             h = np.maximum(h, 0.0) if act is Activation.RELU else np.tanh(h)
     return h
 
 
-def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> Node:
+def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> tuple[Node, Node]:
+    """The output node and the input layer's pre-activation node."""
     act = spec.hidden_activation
     h = tape.const(inputs)
     n_layers = len(spec.layer_widths) - 1
@@ -110,9 +117,11 @@ def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> No
         w = tape.reshape(tape.slice1d(theta, w0, b0), (din, dout))
         b = tape.slice1d(theta, b0, b0 + dout)
         h = tape.add_row(tape.matmul(h, w), b)
+        if i == 0:
+            pre = h
         if i < n_layers - 1:
             h = tape.relu(h) if act is Activation.RELU else tape.tanh(h)
-    return h
+    return h, pre
 
 
 def _loss_node(tape: Tape, kind: LossKind, outputs: Node, targets: np.ndarray) -> Node:
@@ -127,11 +136,11 @@ def _loss_node(tape: Tape, kind: LossKind, outputs: Node, targets: np.ndarray) -
 
 def mlp_objective(spec: MlpSpec) -> Objective:
     def trace(tape: Tape, theta: Node, batch: Batch):
-        outputs = _mlp_trace(spec, tape, theta, batch.inputs)
-        return outputs, _loss_node(tape, spec.loss, outputs, batch.targets)
+        outputs, pre = _mlp_trace(spec, tape, theta, batch.inputs)
+        return outputs, _loss_node(tape, spec.loss, outputs, batch.targets), pre
 
-    def value(values: np.ndarray, batch: Batch) -> float:
-        outputs = _mlp_forward_raw(spec, values, batch.inputs)
+    def value(values: np.ndarray, batch: Batch, pre: Optional[np.ndarray] = None) -> float:
+        outputs = _mlp_forward_raw(spec, values, batch.inputs, pre)
         return loss_eval(spec.loss, outputs, batch.targets)
 
     def predict(values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -163,7 +172,7 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
             tape.square(tape.sub(tape.const(a), x)),
             tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
         )
-        return None, tape.sum(f)
+        return None, tape.sum(f), None
 
     def value(values: np.ndarray, batch) -> float:
         x, y = values

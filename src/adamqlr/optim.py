@@ -10,9 +10,11 @@ step size by minimizing a damped second-order model along that direction:
 where C is Hessian or Gauss-Newton/Fisher curvature. The damping lambda
 adapts Levenberg-Marquardt style from the reduction ratio rho = actual
 loss change / model-predicted change: above 3/4 the model is trusted and
-lambda shrinks, below 1/4 it grows. One forward pass shared by the
-gradient and one curvature-vector product, and one extra loss evaluation
-per step; everything else is vector arithmetic.
+lambda shrinks, below 1/4 it grows. One forward pass is shared by the
+gradient, one curvature-vector product and the post-step loss: an MLP's
+input-layer product at the new point is read off that pass and its
+tangent, so only the layers above it run again. Everything else is vector
+arithmetic.
 """
 
 from __future__ import annotations
@@ -245,10 +247,12 @@ def qlr_step(
 
     Order of operations: one recorded forward pass, the gradient from it,
     direction, one curvature-vector product on the same recorded pass,
-    learning-rate selection with guards, the parameter update, one extra
-    loss evaluation at the new point, and finally the damping update from
-    the reduction ratio (taking effect next step). A non-finite post-step
-    loss rejects the update and grows the damping instead.
+    learning-rate selection with guards, the parameter update and the loss
+    at the new point (`Linearization.trial`, which reuses the recorded
+    input-layer product where the objective has one), and finally the
+    damping update from the reduction ratio (taking effect next step). A
+    non-finite post-step loss rejects the update and grows the damping
+    instead.
     """
     lin = autodiff.linearize(obj, params, batch)
     f_before, g = lin.value, lin.grad()
@@ -275,14 +279,10 @@ def qlr_step(
     except NonConvexDirection:
         guard, alpha = GuardEvent.NON_CONVEX, cfg.rescale_k * cfg.alpha_max
 
-    new_params = params if alpha == 0.0 else params.with_values(
-        params.values - alpha * d.values
-    )
-
     fired = [] if guard is None else [guard]
     rho, lam = math.nan, state.lam
     try:
-        f_after = autodiff.eval_loss(obj, new_params, batch)
+        new_params, f_after = lin.trial(alpha)
     except EvalOverflowError:
         guard, f_after, new_params = GuardEvent.STEP_REJECTED, math.inf, params
         fired.append(guard)

@@ -56,7 +56,7 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
         f = tape.scale(tape.sum(tape.mul(theta, q)), 0.5)
         if b is not None:
             f = tape.add(f, tape.sum(tape.mul(theta, tape.const(b))))
-        return None, f
+        return None, f, None
 
     def value(values: np.ndarray, batch) -> float:
         out = 0.5 * values @ a_matrix @ values

@@ -11,6 +11,7 @@ from adamqlr import (
     LossKind,
     MlpSpec,
     ParamVector,
+    QLRConfig,
     RosenbrockSpec,
     curvature_vp,
     eval_grad,
@@ -318,6 +319,43 @@ class TestLinearization:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "case, kind",
+        [
+            ("tanh", CurvatureKind.GGN_FISHER),
+            ("tanh", HESSIAN),
+            ("relu", CurvatureKind.GGN_FISHER),
+            ("relu", HESSIAN),
+            ("rosenbrock", HESSIAN),
+        ],
+    )
+    def test_trial_loss_matches_value_path_at_the_new_point(self, case, kind):
+        obj, params, batch = linearization_case(case)
+        lin = linearize(obj, params, batch)
+        d = lin.grad()
+        lin.curvature_vp(d, kind)
+        for alpha in (0.0, 1e-3, QLRConfig().alpha_max):
+            counters.reset()
+            point, loss = lin.trial(alpha)
+            assert counters.eval_loss == 1
+            np.testing.assert_array_equal(point.values, params.values - alpha * d.values)
+            want = eval_loss(obj, point, batch)
+            if obj.loss_kind is None:  # no affine data layer: the value path itself
+                assert loss == want
+            else:
+                assert abs(loss - want) <= 1e-12 * abs(want)
+        counters.reset()
+
+    def test_trial_needs_a_direction_and_a_finite_loss(self):
+        obj, params, batch = linearization_case("tanh")
+        lin = linearize(obj, params, batch)
+        with pytest.raises(ValueError, match="curvature product"):
+            lin.trial(1e-3)
+        lin.curvature_vp(lin.grad(), CurvatureKind.GGN_FISHER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalOverflowError, match="trial"):
+                lin.trial(1e300)
 
     def test_each_call_counts_once(self):
         obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)

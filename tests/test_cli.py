@@ -231,6 +231,19 @@ class TestTrain:
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_bad_runtime_limit_is_config_error(self, tmp_path, capsys, limit):
+        # A NaN limit would never compare as exceeded, so the run would have none.
+        d = regression_cfg_dict(max_runtime_s=limit)
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "max_runtime_s must be non-negative" in err
+
+    def test_zero_runtime_limit_stops_after_one_step(self, tmp_path, capsys):
+        d = regression_cfg_dict(max_runtime_s=0)
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("status=timed_out steps=1 ")
+
 
 class TestRosenbrock:
     @pytest.mark.parametrize("preset", ["gd", "gd-full", "adam", "adamqlr-tuned", "adamqlr-untuned"])

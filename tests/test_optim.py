@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adamqlr import (
+    Activation,
     AdamHyper,
     AdamState,
     Batch,
@@ -312,6 +313,24 @@ class TestQlrStep:
         assert new_state.events[GuardEvent.STEP_REJECTED] == 1
         assert math.isinf(diag.f_after)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mlp_rejected_step_grows_damping_keeps_params(self):
+        # Relu passes the colossal trial pre-activation on to the output
+        # layer, whose squared error then overflows.
+        spec = MlpSpec((3, 4, 2), LossKind.MSE, Activation.RELU)
+        obj, params = mlp_objective(spec), mlp_init(spec, 0)
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.normal(size=(6, 3)), rng.normal(size=(6, 2)))
+        cfg = QLRConfig(alpha_max=1.0, rescale_k=1e150)
+        new_params, new_state, diag = qlr_step(
+            obj, params, batch, QLRState.init(cfg, len(params)), cfg
+        )
+        assert diag.guard is GuardEvent.STEP_REJECTED
+        np.testing.assert_array_equal(new_params.values, params.values)
+        assert new_state.lam == cfg.omega_inc * cfg.lambda0
+        assert new_state.events == {GuardEvent.STEP_REJECTED: 1}
+        assert diag.f_after == math.inf
+
     @pytest.mark.parametrize(
         "knobs, events, guard",
         [
@@ -488,8 +507,31 @@ class TestStepWork:
         # Each reverse sweep (one for g, one for J^T u) forms both cotangents
         # of H W2 but only the weight cotangent of X W1: X is a constant.
         sweep = 2 * n * d2 * d1 + d0 * n * d1
+        # The post-step loss runs off the tape and forms no N x d0 x d1
+        # product X (W1 - alpha dW1): it takes X W1 - alpha X dW1 from the
+        # forward pass and the replay, and runs only the layers above it.
         assert sum(madds) == forward + replay + 2 * sweep == 1800
         assert len(traces) == 1
+
+    def test_post_step_loss_skips_the_full_value_path(self):
+        spec = MlpSpec((6, 5, 3), LossKind.SOFTMAX_CROSS_ENTROPY)
+        obj = mlp_objective(spec)
+        mlp_value, calls = obj.value, []
+
+        def value(values, batch, pre=None):
+            calls.append("full" if pre is None else "above input layer")
+            return mlp_value(values, batch, pre=pre)
+
+        obj = dataclasses.replace(obj, value=value)
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.normal(size=(8, 6)), rng.integers(0, 3, size=8))
+        cfg = QLRConfig()
+        params = mlp_init(spec, 0)
+        autodiff.counters.reset()
+        qlr_step(obj, params, batch, QLRState.init(cfg, len(params)), cfg)
+        assert calls == ["above input layer"]
+        assert autodiff.counters.eval_loss == 1
+        autodiff.counters.reset()
 
 
 class TestEmpiricalFisherDiag:
