@@ -42,6 +42,8 @@ def align_time_series(
     The grid spans [max of first timestamps, min of last timestamps], the
     interval where every run has data.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     if not series:
         raise ValueError("no series to align")
     lo = max(float(np.asarray(t)[0]) for t, _ in series)

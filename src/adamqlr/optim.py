@@ -70,8 +70,8 @@ class AdamHyper:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.epsilon >= 0.0:  # NaN fails this too
-            raise ValueError("epsilon must be non-negative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,14 @@ class QLRConfig:
     hyper: AdamHyper = AdamHyper()
 
     def __post_init__(self):
-        if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
-        if not (0.0 < self.omega_dec <= 1.0 <= self.omega_inc):
-            raise ValueError("need 0 < omega_dec <= 1 <= omega_inc")
-        if not self.alpha_max > 0:
-            raise ValueError("alpha_max must be positive")
-        if not self.rescale_k > 0:
-            raise ValueError("rescale_k must be positive")
+        if not (0.0 < self.omega_dec <= 1.0 <= self.omega_inc < math.inf):
+            raise ValueError("need 0 < omega_dec <= 1 <= omega_inc < inf")
+        # An infinite lambda0 would be clamped silently, and the non-convex
+        # fallback steps rescale_k * alpha_max.
+        for name in ("lambda0", "alpha_max", "rescale_k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _clamp_lambda(lam: float) -> float:

@@ -213,7 +213,7 @@ def test_04_learning_rate_formula_exactness():
     cfg = QLRConfig(
         curvature=CurvatureKind.HESSIAN,
         lambda0=1e-3,
-        alpha_max=float("inf"),
+        alpha_max=1e300,  # a cap no step comes near; it must be finite
         direction=Direction.SGD,
     )
     state = QLRState.init(cfg, 2)

@@ -222,12 +222,35 @@ class TestTrain:
         "block, key, message",
         [
             ("loader", "noise", "dataset.loader: noise must be finite and non-negative"),
-            ("optimizer", "lambda0", "optimizer: lambda0 must be positive"),
+            ("optimizer", "lambda0", "optimizer: lambda0 must be finite and positive"),
         ],
     )
     def test_nan_knob_is_config_error(self, tmp_path, capsys, block, key, message):
         d = regression_cfg_dict()
         (d["dataset"]["loader"] if block == "loader" else d["optimizer"])[key] = float("nan")
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "optimizer, message",
+        [
+            ({"kind": "qlr", "lambda0": float("inf")},
+             "optimizer: lambda0 must be finite and positive"),
+            ({"kind": "qlr", "omega_inc": float("inf")},
+             "optimizer: need 0 < omega_dec <= 1 <= omega_inc < inf"),
+            ({"kind": "qlr", "rescale_k": float("inf")},
+             "optimizer: rescale_k must be finite and positive"),
+            ({"kind": "qlr", "alpha_max": float("inf")},
+             "optimizer: alpha_max must be finite and positive"),
+            ({"kind": "qlr", "hyper": {"epsilon": float("inf")}},
+             "optimizer.hyper: epsilon must be finite and non-negative"),
+        ],
+    )
+    def test_infinite_knob_is_config_error(self, tmp_path, capsys, optimizer, message):
+        # Unchecked, each would pin the damping at its ceiling (from the start,
+        # or from the first untrusted step), diverge at step 0, take an infinite
+        # non-convex fallback step, or make every direction 0.
+        d = regression_cfg_dict(optimizer=optimizer)
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
@@ -360,6 +383,16 @@ class TestBootstrap:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_OK
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 8
+
+    @pytest.mark.parametrize("n_points", ["0", "-3"])
+    def test_time_grid_without_points_is_config_error(self, tmp_path, capsys, n_points):
+        self._make_runs(tmp_path)
+        rc = main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"),
+                   "--align", "time", "--n-points", n_points])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: n_points must be at least 1, got {n_points}\n"
+        )
 
     def test_no_matches_is_config_error(self, tmp_path):
         assert main(["bootstrap", "--inputs", str(tmp_path / "zzz*.jsonl")]) == EXIT_CONFIG

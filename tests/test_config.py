@@ -122,8 +122,8 @@ def test_invalid_hyper_becomes_config_error():
         ({"kind": "sgd_full", "lr": 0.1, "weight_decay": float("-inf")},
          "optimizer: weight_decay must be finite"),
         ({"kind": "adam", "lr": 0.1, "hyper": {"epsilon": float("nan")}},
-         "optimizer.hyper: epsilon must be non-negative"),
-        ({"kind": "qlr", "lambda0": float("nan")}, "optimizer: lambda0 must be positive"),
+         "optimizer.hyper: epsilon must be finite and non-negative"),
+        ({"kind": "qlr", "lambda0": float("nan")}, "optimizer: lambda0 must be finite and positive"),
     ],
 )
 def test_step_size_knobs_must_be_finite(optimizer, message):

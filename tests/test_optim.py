@@ -49,6 +49,8 @@ from adamqlr.optim import (
 from helpers import golden_section, quadratic_objective
 
 A_DIAG = np.diag([2.0, 8.0])
+# A learning-rate cap no step here comes near; alpha_max must be finite.
+NO_CAP = 1e300
 
 
 def counting_trace(obj):
@@ -199,7 +201,7 @@ class TestComputeRho:
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN,
             lambda0=LAMBDA_MIN,
-            alpha_max=float("inf"),
+            alpha_max=NO_CAP,
             direction=Direction.SGD,
         )
         _, state, diag = qlr_step(obj, theta, None, QLRState.init(cfg, 2), cfg)
@@ -228,7 +230,7 @@ class TestQlrStep:
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN,
             lambda0=LAMBDA_MIN,
-            alpha_max=float("inf"),
+            alpha_max=NO_CAP,
             direction=Direction.SGD,
         )
         params, state, diag = qlr_step(obj, theta, None, QLRState.init(cfg, 2), cfg)
@@ -248,7 +250,7 @@ class TestQlrStep:
         cfg = QLRConfig(
             curvature=CurvatureKind.HESSIAN,
             lambda0=1e-3,
-            alpha_max=float("inf"),
+            alpha_max=NO_CAP,
             direction=Direction.SGD,
         )
         state = QLRState.init(cfg, 2)
@@ -505,7 +507,8 @@ class TestStepWork:
         forward = n * d0 * d1 + n * d1 * d2  # X W1, H W2
         replay = n * d0 * d1 + 2 * n * d1 * d2  # X dW1, then dH W2 + H dW2
         # Each reverse sweep (one for g, one for J^T u) forms both cotangents
-        # of H W2 but only the weight cotangent of X W1: X is a constant.
+        # of H W2 but only the weight cotangent of X W1: X is a constant. A
+        # weight cotangent Aᵀct is formed as (ctᵀA)ᵀ, with the same multiply-adds.
         sweep = 2 * n * d2 * d1 + d0 * n * d1
         # The post-step loss runs off the tape and forms no N x d0 x d1
         # product X (W1 - alpha dW1): it takes X W1 - alpha X dW1 from the

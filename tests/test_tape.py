@@ -78,3 +78,52 @@ def test_op_rules_match_central_differences(op):
     gv, hv = tape.backward(loss, SEED, leaf, use_tangents=True)
     np.testing.assert_array_equal(gv, g)
     np.testing.assert_allclose(hv, _central(grad, x, v), rtol=1e-6, atol=1e-8)
+
+
+# MLP layers at the benchmark workloads' shapes: (rows, fan-in, fan-out,
+# whether the left factor is live). An input layer's data matrix is a constant.
+WORKLOAD_LAYERS = [
+    (3200, 784, 50, False), (554, 8, 50, False), (3200, 50, 10, True), (554, 50, 1, True),
+]
+
+
+def _weight_cotangents(n, d, k, live_left):
+    """Weight cotangents of ``sum((A W)^2)`` from both sweeps, and ``Aᵀ·ct`` oracles."""
+    rng = np.random.default_rng(n + d + k)
+    a, at = rng.normal(size=(2, n, d))
+    w, wt = rng.normal(size=(2, d, k))
+    t = Tape()
+    if live_left:
+        leaf = t.input(np.concatenate([a.ravel(), w.ravel()]))
+        left, right = _mat(t, leaf, 0, (n, d)), _mat(t, leaf, n * d, (d, k))
+        v = np.concatenate([at.ravel(), wt.ravel()])
+    else:
+        leaf = t.input(w)
+        left, right, v = t.const(a), leaf, wt
+    loss = t.sum(t.square(t.matmul(left, right)))
+    g = t.backward(loss, SEED, leaf, use_tangents=False)[0]
+    t.replay_tangent(leaf, v)
+    gv, hv = t.backward(loss, SEED, leaf, use_tangents=True)
+    got = [x[-d * k:].reshape(d, k) for x in (g, gv, hv)]
+
+    ct = 2.0 * (a @ w)
+    if live_left:
+        ct_tan = 2.0 * (at @ w + a @ wt)
+        want_tan = a.T @ ct_tan + at.T @ ct
+    else:
+        ct_tan = 2.0 * (a @ wt)
+        want_tan = a.T @ ct_tan
+    return got, [a.T @ ct, a.T @ ct, want_tan]
+
+
+@pytest.mark.parametrize("n, d, k, live_left", WORKLOAD_LAYERS)
+def test_weight_cotangent_is_bitwise_at_workload_shapes(n, d, k, live_left):
+    # The rule forms Aᵀ·ct as (ctᵀ·A)ᵀ; at these shapes that changes no bit.
+    for got, want in zip(*_weight_cotangents(n, d, k, live_left)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_weight_cotangent_differs_at_most_by_rounding_elsewhere():
+    # Single-threaded OpenBLAS rounds this shape differently in either orientation.
+    for got, want in zip(*_weight_cotangents(1000, 300, 17, True)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
