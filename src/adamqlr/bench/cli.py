@@ -12,6 +12,7 @@ import ctypes
 import glob as globlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -186,21 +187,23 @@ def _cmd_tune(args) -> int:
 def _cmd_sweep(args) -> int:
     sweep = standard_sweeps()[args.sweep]
     cfgs = enumerate_sweep(config_mod.from_json(args.config), sweep)
-    lines = [f"{args.sweep},status,final_train_loss,final_val_loss"]
-    for value, cfg in zip(sweep.values, cfgs):
-        result = run_training(cfg)
-        final = result.records[-1] if result.records else None
-        val = next(
-            (r.val_loss for r in reversed(result.records) if r.val_loss is not None),
-            None,
-        )
-        lines.append(
-            f"{float(value)!r},{result.status.value},"
-            f"{final.train_loss if final else ''},{'' if val is None else val}"
-        )
-        print(lines[-1])
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+    # Each line reaches the file as its run finishes, so a sweep that stops
+    # early leaves the header and every finished run's line.
+    with open(args.out or os.devnull, "w", buffering=1) as fh:
+        fh.write(f"{args.sweep},status,final_train_loss,final_val_loss\n")
+        for value, cfg in zip(sweep.values, cfgs):
+            result = run_training(cfg)
+            final = result.records[-1] if result.records else None
+            val = next(
+                (r.val_loss for r in reversed(result.records) if r.val_loss is not None),
+                None,
+            )
+            line = (
+                f"{float(value)!r},{result.status.value},"
+                f"{final.train_loss if final else ''},{'' if val is None else val}"
+            )
+            print(line)
+            fh.write(line + "\n")
     return EXIT_OK
 
 

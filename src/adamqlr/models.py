@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import LossKind, Objective, loss_eval
 from .data import Batch
 from .params import ParamVector
-from .tape import Node, Tape
+from .tape import Node, Tape, data_matmul
 
 
 class Activation(enum.Enum):
@@ -102,7 +102,8 @@ def _mlp_forward_raw(
         if i == 0 and pre is not None:
             h = pre
         else:
-            h = h @ values[w0:b0].reshape(din, dout) + values[b0 : b0 + dout]
+            w = values[w0:b0].reshape(din, dout)
+            h = (data_matmul(h, w) if i == 0 else h @ w) + values[b0 : b0 + dout]
         if i < n_layers - 1:
             h = np.maximum(h, 0.0) if act is Activation.RELU else np.tanh(h)
     return h

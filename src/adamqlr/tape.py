@@ -74,6 +74,20 @@ def _mm(x: Array, y: Array) -> Array:
     return p_matmul((x, None), (y, None))[0]
 
 
+def data_matmul(x: Array, w: Array, mm: Callable[[Array, Array], Array] = np.matmul) -> Array:
+    """``x·w`` for a constant data matrix ``x`` and a layer weight (or its tangent) ``w``.
+
+    A layer wider in than out is taken as ``(wᵀ·xᵀ)ᵀ``: single-threaded
+    OpenBLAS packs ``x`` faster as the right factor, with the same bits at
+    the MLPs' shapes. The result is copied back to C order, because later
+    products on an F-ordered one round differently. A narrow input layer
+    (8→50) runs slower that way round and keeps ``x·w``.
+    """
+    if x.shape[-1] <= w.shape[-1]:
+        return mm(x, w)
+    return np.ascontiguousarray(mm(w.T, x.T).T)
+
+
 def p_linear(a: Pair, f: LinearMap) -> Pair:
     """The linear map ``f`` applied to a value and its tangent alike."""
     return f(a[0]), None if a[1] is None else f(a[1])
@@ -211,11 +225,13 @@ class Tape:
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        out = self._node(_mm(a.val, b.val), a, b)
+        # A left factor that is not live is the data matrix of an input layer.
+        left_mm = _mm if a.live else lambda x, y: data_matmul(x, y, _mm)
+        out = self._node(left_mm(a.val, b.val), a, b)
 
         def jvp():
             tan = None if a.tan is None else _mm(a.tan, b.val)
-            return tan if b.tan is None else _tadd(tan, _mm(a.val, b.tan))
+            return tan if b.tan is None else _tadd(tan, left_mm(a.val, b.tan))
 
         def bwd(ct, acc, use_tangents):
             if a.live:

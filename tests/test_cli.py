@@ -340,6 +340,28 @@ class TestSweep:
         assert {row.split(",")[1] for row in rows} == {"completed"}
         assert capsys.readouterr().out.splitlines() == rows
 
+    def test_interrupted_sweep_keeps_finished_lines(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(epochs=2))
+        out, k = tmp_path / "sweep.csv", 3
+        run, calls = cli.run_training, []
+
+        def interrupted_at_k(run_cfg):
+            calls.append(run_cfg)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return run(run_cfg)
+
+        monkeypatch.setattr(cli, "run_training", interrupted_at_k)
+        rc = main(["sweep", "--config", cfg, "--sweep", "omega_sym", "--out", str(out)])
+        assert rc == EXIT_INTERRUPTED == 130
+        header, *rows = out.read_text().splitlines()
+        assert header == "omega_sym,status,final_train_loss,final_val_loss"
+        values = standard_sweeps()["omega_sym"].values[: k - 1]
+        assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values]
+        for row in rows:
+            _, status, train, val = row.split(",")
+            assert status == "completed" and float(train) >= 0.0 and float(val) >= 0.0
+
     def test_batch_clamp_warned_once_per_sweep(self, tmp_path, monkeypatch, caplog):
         training._warn_batch_clamp.cache_clear()
         two = {"lambda0": SweepSpec("lambda0", (1e-3, 1e-2))}

@@ -322,3 +322,23 @@ class TestTask:
         np.testing.assert_array_equal(one.inputs, [[2.0, 3.0]])
         np.testing.assert_array_equal(one.targets, [1])
         assert len(b.take(np.arange(0))) == 0
+
+    @pytest.mark.parametrize("kind", ["labels", "targets"])
+    def test_take_equals_fancy_indexing(self, kind):
+        # take re-checks only the shape: the rows were checked when b was made.
+        rng = np.random.default_rng(0)
+        targets = rng.integers(0, 3, size=5) if kind == "labels" else rng.normal(size=(5, 2))
+        b = Batch(rng.normal(size=(5, 3)), targets)
+        idx = np.array([4, 0, 3, 3])
+        sub = b.take(idx)
+        np.testing.assert_array_equal(sub.inputs, b.inputs[idx])
+        np.testing.assert_array_equal(sub.targets, b.targets[idx])
+        assert (sub.inputs.dtype, sub.targets.dtype) == (b.inputs.dtype, b.targets.dtype)
+        assert sub.task is b.task
+        empty = b.take(np.arange(0))
+        assert len(empty) == 0 and empty.task is b.task
+
+    def test_take_of_a_scalar_index_is_value_error(self):
+        b = Batch(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="2-D"):
+            b.take(1)

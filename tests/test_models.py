@@ -189,6 +189,20 @@ class TestObjectivePaths:
         loss_b, _ = eval_grad(obj, params, batch)
         assert loss_a == pytest.approx(loss_b, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "n, d", [(3200, 784), (1600, 784), (4800, 784), (600, 784), (554, 8), (69, 8)]
+    )
+    def test_input_layer_is_bitwise_and_c_ordered_at_workload_shapes(self, n, d):
+        # One linear layer, so the outputs are the input layer's pre-activation.
+        # It must be X·W + b to the bit and in C order: left F-ordered, the
+        # layers above round differently and training records move.
+        spec = MlpSpec((d, 50), LossKind.MSE)
+        rng = np.random.default_rng(n + d)
+        x, values = rng.normal(size=(n, d)), rng.normal(size=d * 50 + 50)
+        got = mlp_objective(spec).predict(values, x)
+        np.testing.assert_array_equal(got, x @ values[: d * 50].reshape(d, 50) + values[d * 50 :])
+        assert got.flags.c_contiguous
+
     def test_accuracy(self):
         outputs = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1, 1, 1])

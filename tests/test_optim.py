@@ -504,6 +504,8 @@ class TestStepWork:
         qlr_step(obj, params, batch, QLRState.init(cfg, len(params)), cfg)
 
         d0, d1, d2 = widths
+        # X W1 is taken as (W1ᵀ Xᵀ)ᵀ, as every input layer wider in than out
+        # is, with the same multiply-adds.
         forward = n * d0 * d1 + n * d1 * d2  # X W1, H W2
         replay = n * d0 * d1 + 2 * n * d1 * d2  # X dW1, then dH W2 + H dW2
         # Each reverse sweep (one for g, one for J^T u) forms both cotangents
