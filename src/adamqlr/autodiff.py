@@ -1,7 +1,7 @@
 """Loss, gradient and curvature-vector evaluations for scalar objectives.
 
 An :class:`Objective` bundles a traced computation graph with a fast
-plain-numpy value path. :func:`linearize` records the graph once at a
+tape-free loss. :func:`linearize` records the graph once at a
 point, and every derivative there reuses that one forward pass. Gradients
 come from one reverse sweep. Curvature products first replay the
 direction's tangent through the recorded tape. Exact Hessian-vector
@@ -12,10 +12,12 @@ take a plain reverse sweep. `eval_grad` and `curvature_vp` are the same
 calls on a fresh linearization. Each linearization owns its tape, so
 separate linearizations are safe to evaluate concurrently.
 
-`eval_outputs` serves evaluation: one tape-free forward pass gives both
-the loss and the model outputs it came from.
+`eval_loss`, `eval_outputs` and `Linearization.trial` share one tape-free
+evaluation, which counts once in `counters.eval_loss` and raises
+`EvalOverflowError` naming its caller. `eval_outputs` also returns the
+model outputs the loss came from.
 
-`fd_grad` deliberately runs through the tape-free value path so the
+`fd_grad` deliberately runs through the tape-free loss path so the
 finite-difference oracle shares no derivative code with what it checks.
 """
 
@@ -78,26 +80,27 @@ counters = OpCounters()
 
 @dataclass(frozen=True)
 class Objective:
-    """A scalar training objective: model graph + loss, mean-reduced.
+    """A scalar training objective, mean-reduced over a batch.
 
     `n_params` is the length of the flat parameter vector it reads.
     `trace` builds the computation graph on a tape and returns the model
     output node (None for objectives that are directly a scalar, like the
     banana-valley benchmark), the scalar loss node, and the input layer's
     pre-activation node when that layer is affine in the parameters with
-    the batch inputs as its constant factor (None otherwise). `value`
-    computes the same scalar without recording a tape; given that layer's
-    value as `pre=`, it runs only the layers above it. `predict` maps
-    (params, inputs) to raw model outputs where that notion exists.
+    the batch inputs as its constant factor (None otherwise).
+
+    A model over data sets `loss_kind` and `predict(values, inputs, pre)`,
+    its raw outputs (given that layer's pre-activation as `pre`, only the
+    layers above it run); its tape-free loss is `loss_eval` of them. A
+    plain function of the parameters sets `value(values, batch)` instead.
     """
 
     name: str
     n_params: int
-    loss_kind: Optional[LossKind]
     trace: Callable[[Tape, Node, Optional[Batch]], tuple[Optional[Node], Node, Optional[Node]]]
-    value: Callable[..., float]
-    predict: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    batch_free: bool = False
+    value: Optional[Callable[[np.ndarray, Optional[Batch]], float]] = None
+    predict: Optional[Callable[..., np.ndarray]] = None
+    loss_kind: Optional[LossKind] = None
 
 
 def _check_params(obj: Objective, params: ParamVector) -> None:
@@ -108,40 +111,47 @@ def _check_params(obj: Objective, params: ParamVector) -> None:
 
 
 def _check_batch(obj: Objective, batch: Optional[Batch]) -> None:
-    if batch is None and not obj.batch_free:
+    if batch is None and obj.loss_kind is not None:
         raise ValueError(f"objective {obj.name!r} requires a batch")
     if batch is not None and len(batch) == 0:
         raise ValueError(f"objective {obj.name!r} cannot be evaluated on an empty batch")
+
+
+def _evaluate(
+    obj: Objective, values: np.ndarray, batch: Optional[Batch], context: str, pre=None
+) -> tuple[float, Optional[np.ndarray]]:
+    """The loss at `values` without a tape, and the model outputs it came
+    from (None for a plain function). Counts once in `counters.eval_loss`;
+    a non-finite loss raises EvalOverflowError naming `context`."""
+    counters.eval_loss += 1
+    if obj.loss_kind is None:
+        outputs, value = None, float(obj.value(values, batch))
+    else:
+        outputs = obj.predict(values, batch.inputs, pre)
+        value = loss_eval(obj.loss_kind, outputs, batch.targets)
+    if not np.isfinite(value):
+        raise EvalOverflowError(f"{context}({obj.name})", value)
+    return value, outputs
 
 
 def eval_loss(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> float:
     """Mean-reduced loss; raises EvalOverflowError instead of returning inf/nan."""
     _check_params(obj, params)
     _check_batch(obj, batch)
-    counters.eval_loss += 1
-    value = float(obj.value(params.values, batch))
-    if not np.isfinite(value):
-        raise EvalOverflowError(f"eval_loss({obj.name})", value)
-    return value
+    return _evaluate(obj, params.values, batch, "eval_loss")[0]
 
 
 def eval_outputs(obj: Objective, params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean-reduced loss and the model outputs it came from, from one forward pass.
 
-    The loss is `loss_eval` of `predict`'s outputs, which is how an MLP's
-    value path computes it, so it equals `eval_loss` there bit for bit.
-    Checks, counts and raises like `eval_loss`.
+    The same evaluation as `eval_loss`, so its loss equals `eval_loss`'s
+    bit for bit, and it checks, counts and raises the same way.
     """
-    if obj.predict is None or obj.loss_kind is None:
+    if obj.loss_kind is None:
         raise ValueError(f"objective {obj.name!r} has no model outputs")
     _check_params(obj, params)
     _check_batch(obj, batch)
-    counters.eval_loss += 1
-    outputs = obj.predict(params.values, batch.inputs)
-    value = loss_eval(obj.loss_kind, outputs, batch.targets)
-    if not np.isfinite(value):
-        raise EvalOverflowError(f"eval_outputs({obj.name})", value)
-    return value, outputs
+    return _evaluate(obj, params.values, batch, "eval_outputs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,21 +228,15 @@ class Linearization:
         direction of the latest curvature product.
 
         An affine input layer's pre-activation there is ``pre.val - alpha *
-        pre.tan``, so only the layers above it run; other objectives take
-        the value path. Counts and raises like `eval_loss`.
+        pre.tan``, so only the layers above it run. Counts and raises like
+        `eval_loss`.
         """
         v, params = self.theta.tan, self.params
         if v is None:
             raise ValueError("trial needs a curvature product to give its direction")
         point = params if alpha == 0.0 else params.with_values(params.values - alpha * v)
-        if self.pre is None:
-            return point, eval_loss(self.obj, point, self.batch)
-        counters.eval_loss += 1
-        pre = self.pre.val - alpha * self.pre.tan
-        value = float(self.obj.value(point.values, self.batch, pre=pre))
-        if not np.isfinite(value):
-            raise EvalOverflowError(f"trial({self.obj.name})", value)
-        return point, value
+        pre = None if self.pre is None else self.pre.val - alpha * self.pre.tan
+        return point, _evaluate(self.obj, point.values, self.batch, "trial", pre)[0]
 
 
 def linearize(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> Linearization:
@@ -337,7 +341,7 @@ def explicit_matrix(
 def fd_grad(
     obj: Objective, params: ParamVector, batch: Optional[Batch], h: float = 1e-5
 ) -> ParamVector:
-    """Central-difference gradient oracle over the tape-free value path."""
+    """Central-difference gradient oracle over the tape-free loss path."""
     if h <= 0:
         raise ValueError("step size must be positive")
     _check_params(obj, params)

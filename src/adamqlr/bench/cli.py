@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rosenbrock", help="optimize the banana-valley benchmark")
     p.add_argument("--optimizer", choices=PRESET_NAMES, required=True)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--start", default="1,-1", help="comma-separated x,y")
+    p.add_argument("--start", default="%r,%r" % models.ROSENBROCK_START, help="comma-separated x,y")
     p.add_argument("--out", default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)

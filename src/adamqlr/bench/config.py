@@ -141,6 +141,8 @@ class RunConfig:
             raise ConfigError(f"max_runtime_s must be non-negative, got {self.max_runtime_s!r}")
         if isinstance(self.model, MlpSpec) and self.dataset is None:
             raise ConfigError("an MLP model requires a dataset block")
+        if isinstance(self.model, RosenbrockSpec) and self.dataset is not None:
+            raise ConfigError("a rosenbrock model takes no dataset block")
 
 
 # JSON "kind" tag of every member of a tagged union.

@@ -7,11 +7,10 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from .. import autodiff
 from ..autodiff import CurvatureKind
-from ..models import RosenbrockSpec, rosenbrock_objective
-from ..params import NonFiniteError, ParamVector
+from ..models import ROSENBROCK_START, RosenbrockSpec, rosenbrock_objective
+from ..params import ParamVector
 from .config import AdamOpt, ConfigError, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
 
@@ -76,7 +75,7 @@ class RosenbrockResult:
 def run_rosenbrock(
     optimizer: OptimizerConfig,
     steps: int = 200,
-    start: tuple[float, float] = (1.0, -1.0),
+    start: tuple[float, float] = ROSENBROCK_START,
     spec: RosenbrockSpec = RosenbrockSpec(),
 ) -> RosenbrockResult:
     if steps < 1:
@@ -84,14 +83,13 @@ def run_rosenbrock(
     obj = rosenbrock_objective(spec)
     params = ParamVector(start)
     stepper = make_stepper(optimizer, 2)
-    points = [(0, float(params.values[0]), float(params.values[1]), obj.value(params.values, None))]
+    # The start's f is recorded even when it is not finite, so a run that
+    # diverges from there still leaves its one point.
+    points = [(0, *params.values.tolist(), obj.value(params.values, None))]
     try:
         for i in range(1, steps + 1):
             params, _ = stepper.step(obj, params, None)
-            f = obj.value(params.values, None)
-            if not np.isfinite(f):
-                raise NonFiniteError(f"f = {f} at step {i}")
-            points.append((i, float(params.values[0]), float(params.values[1]), f))
+            points.append((i, *params.values.tolist(), autodiff.eval_loss(obj, params, None)))
     except ArithmeticError:
         return RosenbrockResult(points, RunStatus.DIVERGED)
     return RosenbrockResult(points, RunStatus.COMPLETED)

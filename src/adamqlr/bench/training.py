@@ -157,7 +157,9 @@ def prepare_data(dcfg: DatasetConfig):
     return train, val, test, stats
 
 
-def check_model_fits(spec: MlpSpec, train: Batch) -> None:
+def check_model_fits(spec: MlpSpec, train: Batch, *others: Batch) -> None:
+    """Refuse a model whose widths do not fit the data; a classifier must
+    cover the labels of `train` and of every other split given."""
     d_in = train.inputs.shape[1]
     if spec.layer_widths[0] != d_in:
         raise ConfigError(
@@ -165,7 +167,7 @@ def check_model_fits(spec: MlpSpec, train: Batch) -> None:
         )
     d_out = spec.layer_widths[-1]
     if train.task is Task.CLASSIFICATION:
-        n_classes = int(train.targets.max()) + 1
+        n_classes = 1 + max(int(s.targets.max()) for s in (train, *others) if len(s))
         if d_out < n_classes:
             raise ConfigError(f"output width {d_out} < {n_classes} classes")
     elif d_out != train.targets.shape[1]:
@@ -218,17 +220,17 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
     stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
         obj = models.rosenbrock_objective(cfg.model)
-        params = ParamVector(np.array([1.0, -1.0]))
+        params = ParamVector(models.ROSENBROCK_START)
 
         def batches(epoch):
             return (None,)
 
     else:
         train, val, test, stats = prepare_data(cfg.dataset)
-        check_model_fits(cfg.model, train)
+        splits = (train, val, test)
+        check_model_fits(cfg.model, *splits)
         obj = models.mlp_objective(cfg.model)
         params = models.mlp_init(cfg.model, cfg.seed)
-        splits = (train, val, test)
 
         def batches(epoch):
             return data.batch_iter(train, cfg.dataset.batch, epoch)

@@ -1,20 +1,21 @@
 """Concrete objectives: MLPs, the two loss kinds, and benchmark functions.
 
 Every model is expressed twice over the same parameter layout: a plain
-numpy value path (fast, used by loss evaluation and finite-difference
-oracles) and a taped graph (used by every derivative computation). Tests
-pin the two paths against each other.
+numpy forward pass, `predict` (fast, used by loss evaluation and
+finite-difference oracles), and a taped graph (used by every derivative
+computation). Tests pin the two paths against each other.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import LossKind, Objective, loss_eval
+from .autodiff import LossKind, Objective
 from .data import Batch
 from .params import ParamVector
 from .tape import Node, Tape, data_matmul
@@ -51,6 +52,10 @@ class MlpSpec:
         if self.activation is not None:
             return self.activation
         return Activation.TANH if self.loss is LossKind.MSE else Activation.RELU
+
+
+# Where every Rosenbrock run starts.
+ROSENBROCK_START = (1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,6 @@ def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> tu
 def _loss_node(tape: Tape, kind: LossKind, outputs: Node, targets: np.ndarray) -> Node:
     if kind is LossKind.SOFTMAX_CROSS_ENTROPY:
         return tape.softmax_xent(outputs, targets)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     diff = tape.sub(outputs, tape.const(targets))
     return tape.scale(tape.sum(tape.square(diff)), 1.0 / targets.shape[0])
 
@@ -140,21 +142,13 @@ def mlp_objective(spec: MlpSpec) -> Objective:
         outputs, pre = _mlp_trace(spec, tape, theta, batch.inputs)
         return outputs, _loss_node(tape, spec.loss, outputs, batch.targets), pre
 
-    def value(values: np.ndarray, batch: Batch, pre: Optional[np.ndarray] = None) -> float:
-        outputs = _mlp_forward_raw(spec, values, batch.inputs, pre)
-        return loss_eval(spec.loss, outputs, batch.targets)
-
-    def predict(values: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return _mlp_forward_raw(spec, values, inputs)
-
     widths = "x".join(str(w) for w in spec.layer_widths)
     return Objective(
         name=f"mlp[{widths}]",
         n_params=_mlp_n_params(spec),
-        loss_kind=spec.loss,
         trace=trace,
-        value=value,
-        predict=predict,
+        predict=functools.partial(_mlp_forward_raw, spec),
+        loss_kind=spec.loss,
     )
 
 
@@ -179,14 +173,7 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
         x, y = values
         return float((a - x) ** 2 + b * (y - x * x) ** 2)
 
-    return Objective(
-        name="rosenbrock",
-        n_params=2,
-        loss_kind=None,
-        trace=trace,
-        value=value,
-        batch_free=True,
-    )
+    return Objective(name="rosenbrock", n_params=2, trace=trace, value=value)
 
 
 def accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:

@@ -64,14 +64,7 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
             out += b @ values
         return float(out)
 
-    return Objective(
-        name="quadratic",
-        n_params=n,
-        loss_kind=None,
-        trace=trace,
-        value=value,
-        batch_free=True,
-    )
+    return Objective(name="quadratic", n_params=n, trace=trace, value=value)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from adamqlr import (
 )
 from adamqlr.autodiff import (
     EvalOverflowError,
+    Objective,
     MatrixCapExceededError,
     UnsupportedCurvatureError,
     counters,
@@ -79,6 +80,19 @@ class TestEvalLoss:
         batch = Batch(np.array([[1e10, 1e10]]), np.array([[0.0]]))
         with pytest.raises(EvalOverflowError, match="eval_loss"):
             eval_loss(obj, params, batch)
+
+
+class TestObjectiveContract:
+    def test_plain_function_needs_only_name_size_trace_and_value(self):
+        obj = Objective("const", 1, ROSEN.trace, lambda values, batch: 2.0)
+        assert obj.loss_kind is None and obj.predict is None
+        assert eval_loss(obj, ParamVector(np.zeros(1)), None) == 2.0
+
+    def test_model_objective_requires_a_batch(self):
+        obj, params, _ = random_mlp((3, 2), LossKind.MSE, 0)
+        for call in (eval_loss, linearize):
+            with pytest.raises(ValueError, match="requires a batch"):
+                call(obj, params, None)
 
 
 class TestEvalOutputs:
@@ -356,6 +370,14 @@ class TestLinearization:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(EvalOverflowError, match="trial"):
                 lin.trial(1e300)
+
+    def test_plain_function_trial_overflow_names_trial(self):
+        obj, params, batch = linearization_case("rosenbrock")
+        lin = linearize(obj, params, batch)
+        lin.curvature_vp(lin.grad(), HESSIAN)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalOverflowError, match=r"trial\(rosenbrock\)"):
+                lin.trial(1e150)
 
     def test_each_call_counts_once(self):
         obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)

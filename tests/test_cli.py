@@ -187,6 +187,24 @@ class TestTrain:
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert f"{path}: truncated header" in capsys.readouterr().err
 
+    def test_class_seen_only_outside_train_fails_before_any_step(self, tmp_path, capsys):
+        # The one class-3 row lands in val, so a 3-wide model cannot score it.
+        labels = np.arange(40) % 3
+        labels[np.random.default_rng(0).permutation(40)[32]] = 3  # val's first row
+        img, lbl = write_idx(tmp_path, np.arange(160).reshape(40, 2, 2), labels)
+        d = regression_cfg_dict()
+        d["model"] = {"kind": "mlp", "layer_widths": [4, 5, 3], "loss": "softmax_cross_entropy"}
+        d["dataset"] = {
+            "loader": {"kind": "idx", "images_path": str(img), "labels_path": str(lbl)},
+            "split": {"seed": 0},
+            "batch": {"batch_size": 8},
+        }
+        out = tmp_path / "run.jsonl"
+        assert main(["train", "--config", write_cfg(tmp_path, d), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output width 3 < 4 classes" in err and "steps" not in err
+        assert not out.exists()
+
     def test_no_classes_is_config_error(self, tmp_path, capsys, recwarn):
         d = regression_cfg_dict()
         d["model"] = {"kind": "mlp", "layer_widths": [3, 2], "loss": "softmax_cross_entropy"}

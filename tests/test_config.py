@@ -95,6 +95,13 @@ def test_rosenbrock_without_dataset():
     assert cfg.dataset is None
 
 
+def test_rosenbrock_with_dataset_is_config_error():
+    d = minimal_dict()
+    d["model"] = {"kind": "rosenbrock"}
+    with pytest.raises(ConfigError, match="rosenbrock model takes no dataset block"):
+        config_mod.from_dict(d)
+
+
 def test_sgd_full_fields():
     d = minimal_dict()
     d["optimizer"] = {"kind": "sgd_full", "lr": 0.05, "momentum": 0.9, "weight_decay": 1e-4}
@@ -260,7 +267,7 @@ mlps = st.builds(
 )
 run_configs = st.one_of(
     st.tuples(mlps, datasets),
-    st.tuples(st.builds(RosenbrockSpec, floats, positive), st.none() | datasets),
+    st.tuples(st.builds(RosenbrockSpec, floats, positive), st.none()),
 ).flatmap(
     lambda model_data: st.builds(
         RunConfig,

@@ -166,7 +166,7 @@ class TestLossEval:
 
 
 class TestObjectivePaths:
-    """The plain value path and the taped path must agree."""
+    """The tape-free loss path and the taped path must agree."""
 
     @pytest.mark.parametrize(
         "widths,loss",

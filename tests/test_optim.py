@@ -521,13 +521,13 @@ class TestStepWork:
     def test_post_step_loss_skips_the_full_value_path(self):
         spec = MlpSpec((6, 5, 3), LossKind.SOFTMAX_CROSS_ENTROPY)
         obj = mlp_objective(spec)
-        mlp_value, calls = obj.value, []
+        mlp_predict, calls = obj.predict, []
 
-        def value(values, batch, pre=None):
+        def predict(values, inputs, pre=None):
             calls.append("full" if pre is None else "above input layer")
-            return mlp_value(values, batch, pre=pre)
+            return mlp_predict(values, inputs, pre)
 
-        obj = dataclasses.replace(obj, value=value)
+        obj = dataclasses.replace(obj, predict=predict)
         rng = np.random.default_rng(0)
         batch = Batch(rng.normal(size=(8, 6)), rng.integers(0, 3, size=8))
         cfg = QLRConfig()

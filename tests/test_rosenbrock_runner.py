@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adamqlr import autodiff
 from adamqlr.bench.rosenbrock import preset_optimizer, run_rosenbrock, write_trajectory
 from adamqlr.bench.training import RunStatus
 
@@ -26,6 +27,22 @@ def test_stationary_start_never_drifts():
     drift = max(abs(x - 1.0) + abs(y - 1.0) for _, x, y, _ in res.points)
     assert drift < 1e-8
     assert res.final_f == 0.0
+
+
+def test_each_step_is_one_checked_loss_evaluation():
+    # gd's steps take only gradients, so each count is a step's recorded f.
+    autodiff.counters.reset()
+    res = run_rosenbrock(preset_optimizer("gd"), steps=5)
+    assert autodiff.counters.eval_loss == len(res.points) - 1 == 5
+    assert res.points[0][1:] == (1.0, -1.0, 400.0)
+    autodiff.counters.reset()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_start_diverges_with_its_point_recorded():
+    res = run_rosenbrock(preset_optimizer("gd"), steps=5, start=(1e200, 1e200))
+    assert res.status is RunStatus.DIVERGED
+    assert [p[:3] for p in res.points] == [(0, 1e200, 1e200)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

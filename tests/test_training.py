@@ -96,22 +96,19 @@ def test_classification_reports_accuracy():
 
 
 def test_classification_eval_is_one_forward_pass_per_split(monkeypatch):
-    # Adam's steps run only the taped forward, so every value or predict call
-    # below is evaluation.
+    # Adam's steps run only the taped forward, so every predict call below is
+    # evaluation.
     rows = []
-
-    def counted(fn):
-        def forward(values, data):
-            rows.append(len(getattr(data, "inputs", data)))
-            return fn(values, data)
-
-        return forward
-
     make = models.mlp_objective
 
     def objective(spec):
         obj = make(spec)
-        return dataclasses.replace(obj, value=counted(obj.value), predict=counted(obj.predict))
+
+        def predict(values, inputs, pre=None):
+            rows.append(len(inputs))
+            return obj.predict(values, inputs, pre)
+
+        return dataclasses.replace(obj, predict=predict)
 
     monkeypatch.setattr(training.models, "mlp_objective", objective)
     cfg = classification_cfg(epochs=1)
