@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,8 +65,12 @@ class RosenbrockSpec:
     b: float = 100.0
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be positive")
+        # A finite a whose f overflows at the start is left to the run, which
+        # reports it as a divergence.
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a!r}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"b must be finite and positive, got {self.b!r}")
 
 
 def _mlp_layers(spec: MlpSpec):
@@ -120,9 +125,7 @@ def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> tu
     h = tape.const(inputs)
     n_layers = len(spec.layer_widths) - 1
     for i, (din, dout, w0, b0) in enumerate(_mlp_layers(spec)):
-        w = tape.reshape(tape.slice1d(theta, w0, b0), (din, dout))
-        b = tape.slice1d(theta, b0, b0 + dout)
-        h = tape.add_row(tape.matmul(h, w), b)
+        h = tape.affine(h, theta, w0, b0, din, dout)
         if i == 0:
             pre = h
         if i < n_layers - 1:
@@ -133,8 +136,7 @@ def _mlp_trace(spec: MlpSpec, tape: Tape, theta: Node, inputs: np.ndarray) -> tu
 def _loss_node(tape: Tape, kind: LossKind, outputs: Node, targets: np.ndarray) -> Node:
     if kind is LossKind.SOFTMAX_CROSS_ENTROPY:
         return tape.softmax_xent(outputs, targets)
-    diff = tape.sub(outputs, tape.const(targets))
-    return tape.scale(tape.sum(tape.square(diff)), 1.0 / targets.shape[0])
+    return tape.mse(outputs, targets)
 
 
 def mlp_objective(spec: MlpSpec) -> Objective:

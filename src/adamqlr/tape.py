@@ -16,10 +16,13 @@ are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
 Most ops belong to one of three families, each of which states its JVP
-and backward rules once: linear maps, sums ``a + g(b)`` with a linear
-``g``, and elementwise functions. Supported operations cover affine
-layers, ReLU/tanh, elementwise arithmetic and squaring, reductions, and a
-fused numerically-stabilized softmax cross-entropy. A tape holds the
+and backward rules once: linear maps (``scale``, ``slice1d``, ``sum``),
+sums ``a + g(b)`` with a linear ``g`` (``add``, ``sub``), and elementwise
+functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
+their own rules, and so do three fused ops: ``affine``, one MLP layer
+reading its weight and bias off a flat parameter vector; ``mse``; and a
+numerically-stabilized ``softmax_xent``. A fused op is one node, so every
+replay and sweep makes one Python call for it. A tape holds the
 tangent of its latest replay, so a tape serves one caller at a time;
 nothing is shared between tapes, so evaluations on separate tapes are
 safe to run concurrently.
@@ -99,6 +102,10 @@ def _identity(x: Array) -> Array:
 
 def _transpose(x: Array) -> Array:
     return x.T
+
+
+def _sum_rows(x: Array) -> Array:
+    return x.sum(axis=0)
 
 
 class Node:
@@ -225,30 +232,75 @@ class Tape:
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        # A left factor that is not live is the data matrix of an input layer.
-        left_mm = _mm if a.live else lambda x, y: data_matmul(x, y, _mm)
-        out = self._node(left_mm(a.val, b.val), a, b)
+        if a.val.ndim != 2 or (a.live and b.val.ndim != 2):
+            raise ValueError("matmul takes a matrix times a matrix, or a constant one times a vector")
+        out = self._node(_mm(a.val, b.val), a, b)
 
         def jvp():
             tan = None if a.tan is None else _mm(a.tan, b.val)
-            return tan if b.tan is None else _tadd(tan, left_mm(a.val, b.tan))
+            return tan if b.tan is None else _tadd(tan, _mm(a.val, b.tan))
 
         def bwd(ct, acc, use_tangents):
             if a.live:
                 acc(a, p_matmul(ct, p_linear(_pair(b, use_tangents), _transpose)))
             if b.live:
-                # aᵀ·ct as (ctᵀ·a)ᵀ: ~1.5x faster in OpenBLAS, same bits at the MLP's shapes.
+                # aᵀ·ct as (ctᵀ·a)ᵀ, as in affine.
                 ct_a = p_matmul(p_linear(ct, _transpose), _pair(a, use_tangents))
                 acc(b, p_linear(ct_a, _transpose))
 
         out._jvp, out._bwd = jvp, bwd
         return out
 
-    def add_row(self, a: Node, b: Node) -> Node:
-        """Broadcast-add a length-K row vector b onto an N-by-K matrix a."""
-        if a.val.ndim != 2 or b.val.shape != (a.val.shape[1],):
-            raise ValueError("add_row expects (N,K) matrix and (K,) vector")
-        return self._add(a.val + b.val, a, b, g_t=lambda ct: ct.sum(axis=0))
+    def affine(self, h: Node, theta: Node, w0: int, b0: int, din: int, dout: int) -> Node:
+        """One layer ``h·W + b`` reading ``W = theta[w0:b0]`` as a (din, dout)
+        matrix and ``b = theta[b0:b0+dout]`` off a flat parameter vector.
+
+        A left factor that is not live is the data matrix of an input layer
+        and takes :func:`data_matmul`. The backward rule writes the weight
+        and bias cotangents into one vector of theta's length.
+        """
+        n = theta.val.size
+        if theta.val.ndim != 1 or b0 - w0 != din * dout or w0 < 0 or b0 + dout > n:
+            raise ValueError("affine expects W and b inside a flat parameter vector")
+        if h.val.ndim != 2 or h.val.shape[1] != din:
+            raise ValueError(f"affine expects an (N, {din}) left factor")
+        w = theta.val[w0:b0].reshape(din, dout)
+        left_mm = _mm if h.live else lambda x, y: data_matmul(x, y, _mm)
+        out = self._node(left_mm(h.val, w) + theta.val[b0 : b0 + dout], h, theta)
+
+        def w_tan() -> Optional[Array]:
+            return None if theta.tan is None else theta.tan[w0:b0].reshape(din, dout)
+
+        def jvp():
+            tan = None if h.tan is None else _mm(h.tan, w)
+            wt = w_tan()
+            if wt is not None:
+                tan = _tadd(tan, left_mm(h.val, wt))
+            return _tadd(tan, None if theta.tan is None else theta.tan[b0 : b0 + dout])
+
+        def scatter(ct_w: Optional[Array], ct_b: Optional[Array]) -> Optional[Array]:
+            # ct_w is the weight cotangent transposed, (dout, din).
+            if ct_w is None and ct_b is None:
+                return None
+            z = np.zeros(n, dtype=np.float64)
+            if ct_w is not None:
+                z[w0:b0].reshape(din, dout)[...] = ct_w.T
+            if ct_b is not None:
+                z[b0 : b0 + dout] = ct_b
+            return z
+
+        def bwd(ct, acc, use_tangents):
+            if h.live:
+                acc(h, p_matmul(ct, p_linear((w, w_tan() if use_tangents else None), _transpose)))
+            if theta.live:
+                # hᵀ·ct as (ctᵀ·h)ᵀ: ~1.5x faster in OpenBLAS, same bits at the MLPs' shapes
+                # (tests/test_tape.py).
+                ct_w = p_matmul(p_linear(ct, _transpose), _pair(h, use_tangents))
+                ct_b = p_linear(ct, _sum_rows)
+                acc(theta, (scatter(ct_w[0], ct_b[0]), scatter(ct_w[1], ct_b[1])))
+
+        out._jvp, out._bwd = jvp, bwd
+        return out
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -263,10 +315,6 @@ class Tape:
         return self._elementwise(a, val, deriv, lambda t: -2.0 * val * (deriv * t))
 
     # -- shape and reduction -------------------------------------------------
-
-    def reshape(self, a: Node, shape: tuple[int, ...]) -> Node:
-        orig = a.val.shape
-        return self._linear(a, lambda x: x.reshape(shape), lambda ct: ct.reshape(orig))
 
     def slice1d(self, a: Node, start: int, stop: int) -> Node:
         if a.val.ndim != 1:
@@ -332,6 +380,33 @@ class Tape:
                     dprobs = (pz - probs * pz.sum(axis=1, keepdims=True)) / n
                     gt = _tadd(gt, cv * dprobs)
             acc(logits, (gv, gt))
+
+        out._bwd = bwd
+        return out
+
+    def mse(self, outputs: Node, targets: Array) -> Node:
+        """Mean squared error ``sum((outputs - targets)²) / N`` over N rows.
+
+        Fused, with the same arithmetic as the chain of ``sub``, ``square``,
+        ``sum`` and ``scale`` it stands for, so its bits match that chain's.
+        """
+        targets = np.asarray(targets, dtype=np.float64)
+        if outputs.val.ndim == 0 or targets.shape != outputs.val.shape:
+            raise ValueError(
+                f"mse shape mismatch: outputs {outputs.val.shape} vs targets {targets.shape}"
+            )
+        c = 1.0 / targets.shape[0]
+        diff = outputs.val - targets
+        deriv = 2.0 * diff
+        out = self._node(c * (diff * diff).sum(), outputs)
+        out._jvp = lambda: None if outputs.tan is None else c * (deriv * outputs.tan).sum()
+
+        def bwd(ct, acc, use_tangents):
+            cv, ctn = ct
+            gt = None if ctn is None else (c * ctn) * deriv
+            if use_tangents and outputs.tan is not None:
+                gt = _tadd(gt, (c * cv) * (2.0 * outputs.tan))
+            acc(outputs, ((c * cv) * deriv, gt))
 
         out._bwd = bwd
         return out

@@ -272,6 +272,22 @@ class TestTrain:
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("key, value", [("a", float("inf")), ("a", float("nan")),
+                                            ("b", float("nan")), ("b", float("inf"))])
+    def test_non_finite_rosenbrock_coefficient_is_config_error(self, tmp_path, capsys, key, value):
+        # Unchecked, f is NaN or infinite at the start and the run reports a divergence.
+        d = {"model": {"kind": "rosenbrock", key: value},
+             "optimizer": {"kind": "sgd_minimal", "lr": 1e-3}, "epochs": 2}
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: model: {key} must be finite")
+
+    def test_rosenbrock_coefficient_overflowing_at_the_start_diverges(self, tmp_path, capsys):
+        # A finite a of 1e308 is a valid model whose f overflows at (1, -1).
+        d = {"model": {"kind": "rosenbrock", "a": 1e308},
+             "optimizer": {"kind": "sgd_minimal", "lr": 1e-3}, "epochs": 2}
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_DIVERGED
+        assert capsys.readouterr().out.startswith("status=diverged ")
+
     @pytest.mark.parametrize("limit", [float("nan"), -1.0])
     def test_bad_runtime_limit_is_config_error(self, tmp_path, capsys, limit):
         # A NaN limit would never compare as exceeded, so the run would have none.

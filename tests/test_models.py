@@ -94,9 +94,21 @@ class TestMlpInit:
 
 
 class TestRosenbrock:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            RosenbrockSpec(b=-1.0)
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (1.0, -1.0, "b must be finite and positive"),
+            (1.0, 0.0, "b must be finite and positive"),
+            (1.0, float("nan"), "b must be finite and positive"),
+            (1.0, float("inf"), "b must be finite and positive"),
+            (float("nan"), 100.0, "a must be finite"),
+            (float("inf"), 100.0, "a must be finite"),
+            (float("-inf"), 100.0, "a must be finite"),
+        ],
+    )
+    def test_spec_validation(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            RosenbrockSpec(a, b)
 
     def test_values(self):
         obj = rosenbrock_objective()

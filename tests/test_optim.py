@@ -518,6 +518,23 @@ class TestStepWork:
         assert sum(madds) == forward + replay + 2 * sweep == 1800
         assert len(traces) == 1
 
+    @pytest.mark.parametrize(
+        "widths, loss, act",
+        [((8, 50, 1), LossKind.MSE, Activation.TANH),
+         ((784, 50, 10), LossKind.SOFTMAX_CROSS_ENTROPY, Activation.RELU)],
+    )
+    def test_one_tape_node_per_layer_and_per_loss(self, widths, loss, act):
+        spec = MlpSpec(widths, loss, act)
+        rng = np.random.default_rng(0)
+        n = 4
+        targets = (rng.normal(size=(n, 1)) if loss is LossKind.MSE
+                   else rng.integers(0, widths[-1], size=n))
+        batch = Batch(rng.normal(size=(n, widths[0])), targets)
+        lin = autodiff.linearize(mlp_objective(spec), mlp_init(spec, 0), batch)
+        # θ, the data matrix, an affine node per layer, the hidden activation
+        # and the loss: every trace, replay and sweep walks these alone.
+        assert len(lin.tape._nodes) == 6
+
     def test_post_step_loss_skips_the_full_value_path(self):
         spec = MlpSpec((6, 5, 3), LossKind.SOFTMAX_CROSS_ENTROPY)
         obj = mlp_objective(spec)

@@ -11,26 +11,33 @@ SEED = (np.float64(1.0), None)
 LABELS = np.array([2, 0, 1, 1])
 
 
-def _mat(t, x, start, shape):
-    return t.reshape(t.slice1d(x, start, start + int(np.prod(shape))), shape)
+# Constant left factors: (4, 3) for an input layer wider in than out, (4, 2)
+# and (3, 2) for narrower ones, and MSE targets for the whole leaf.
+X43, X42, X32 = (np.random.default_rng(1).normal(size=s) for s in ((4, 3), (4, 2), (3, 2)))
+TARGETS = np.linspace(-1.0, 1.0, N)
 
 
 # Each case maps (tape, input leaf of length N) to one op's output. Two-operand
-# ops read disjoint parts of the leaf, so both operands are live.
+# ops read disjoint parts of the leaf, so both operands are live. An affine
+# node reads its weight and bias off the leaf; it is also how a case gets a
+# live matrix.
 OPS = {
     "add": lambda t, x: t.add(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
     "sub": lambda t, x: t.sub(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
     "mul": lambda t, x: t.mul(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
     "scale": lambda t, x: t.scale(x, -1.7),
     "square": lambda t, x: t.square(x),
-    "matmul": lambda t, x: t.matmul(_mat(t, x, 0, (2, 3)), _mat(t, x, 6, (3, 2))),
-    "add_row": lambda t, x: t.add_row(_mat(t, x, 0, (3, 3)), t.slice1d(x, 9, 12)),
+    "matmul": lambda t, x: t.matmul(
+        t.affine(t.const(X32), x, 0, 6, 2, 3), t.affine(t.const(X32), x, 9, 11, 2, 1)
+    ),
+    "affine_input": lambda t, x: t.affine(t.const(X43), x, 0, 6, 3, 2),
+    "affine_hidden": lambda t, x: t.affine(t.affine(t.const(X32), x, 0, 4, 2, 2), x, 6, 10, 2, 2),
     "relu": lambda t, x: t.relu(x),
     "tanh": lambda t, x: t.tanh(x),
-    "reshape": lambda t, x: t.reshape(x, (3, 4)),
     "slice1d": lambda t, x: t.slice1d(x, 2, 9),
     "sum": lambda t, x: t.sum(x),
-    "softmax_xent": lambda t, x: t.softmax_xent(_mat(t, x, 0, (4, 3)), LABELS),
+    "softmax_xent": lambda t, x: t.softmax_xent(t.affine(t.const(X42), x, 0, 6, 2, 3), LABELS),
+    "mse": lambda t, x: t.mse(x, TARGETS),
 }
 
 
@@ -80,6 +87,45 @@ def test_op_rules_match_central_differences(op):
     np.testing.assert_allclose(hv, _central(grad, x, v), rtol=1e-6, atol=1e-8)
 
 
+def test_mse_has_the_bits_of_the_chain_it_fuses():
+    # Training records are pinned bit for bit, so the fused node keeps the
+    # arithmetic of sub, square, sum and scale exactly. Squaring the loss
+    # sends it a cotangent with a tangent.
+    rng = np.random.default_rng(2)
+    x, v, targets = rng.normal(size=(3, N))
+    got = []
+    for fused in (True, False):
+        t = Tape()
+        leaf = t.input(x)
+        if fused:
+            loss = t.mse(leaf, targets)
+        else:
+            loss = t.scale(t.sum(t.square(t.sub(leaf, t.const(targets)))), 1.0 / N)
+        root = t.mul(loss, loss)
+        g = t.backward(root, SEED, leaf, use_tangents=False)[0]
+        t.replay_tangent(leaf, v)
+        got.append([loss.val, loss.tan, g, *t.backward(root, SEED, leaf, use_tangents=True)])
+    for fused, chain in zip(*got):
+        np.testing.assert_array_equal(fused, chain)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda t, x: t.affine(t.const(X43), x, 0, 5, 3, 2),  # W is not (din, dout)
+        lambda t, x: t.affine(t.const(X42), x, 6, 12, 2, 3),  # b runs past the leaf
+        lambda t, x: t.affine(t.const(X43), x, 0, 6, 2, 3),  # the data matrix is 3 wide
+        lambda t, x: t.mse(x, TARGETS[:6]),
+        # A live matrix times a vector: its cotangent rule needs a matrix.
+        lambda t, x: t.matmul(t.affine(t.const(X32), x, 0, 6, 2, 3), t.slice1d(x, 9, 12)),
+    ],
+)
+def test_misshaped_operands_are_refused(op):
+    t = Tape()
+    with pytest.raises(ValueError):
+        op(t, t.input(np.zeros(N)))
+
+
 # MLP layers at the benchmark workloads' shapes: (rows, fan-in, fan-out,
 # whether the left factor is live). An input layer's data matrix is a constant.
 WORKLOAD_LAYERS = [
@@ -88,26 +134,36 @@ WORKLOAD_LAYERS = [
 
 
 def _weight_cotangents(n, d, k, live_left):
-    """Weight cotangents of ``sum((A W)^2)`` from both sweeps, and ``Aᵀ·ct`` oracles."""
+    """Weight cotangents of ``sum((A W)^2)`` from both sweeps, and ``Aᵀ·ct`` oracles.
+
+    The layer's bias is zero with a zero tangent, so it adds no rounding. A
+    live left factor ``A`` is an input layer of its own, over a random (n, d)
+    data matrix.
+    """
     rng = np.random.default_rng(n + d + k)
-    a, at = rng.normal(size=(2, n, d))
     w, wt = rng.normal(size=(2, d, k))
+    layer, layer_tan = [w.ravel(), np.zeros(k)], [wt.ravel(), np.zeros(k)]
     t = Tape()
     if live_left:
-        leaf = t.input(np.concatenate([a.ravel(), w.ravel()]))
-        left, right = _mat(t, leaf, 0, (n, d)), _mat(t, leaf, n * d, (d, k))
-        v = np.concatenate([at.ravel(), wt.ravel()])
+        x, (w0, w0t) = rng.normal(size=(n, d)), rng.normal(size=(2, d, d))
+        leaf = t.input(np.concatenate([w0.ravel(), np.zeros(d), *layer]))
+        left = t.affine(t.const(x), leaf, 0, d * d, d, d)
+        v = np.concatenate([w0t.ravel(), np.zeros(d), *layer_tan])
     else:
-        leaf = t.input(w)
-        left, right, v = t.const(a), leaf, wt
-    loss = t.sum(t.square(t.matmul(left, right)))
+        leaf = t.input(np.concatenate(layer))
+        left = t.const(rng.normal(size=(n, d)))
+        v = np.concatenate(layer_tan)
+    w_at = leaf.val.size - d * k - k
+    loss = t.sum(t.square(t.affine(left, leaf, w_at, w_at + d * k, d, k)))
     g = t.backward(loss, SEED, leaf, use_tangents=False)[0]
     t.replay_tangent(leaf, v)
     gv, hv = t.backward(loss, SEED, leaf, use_tangents=True)
-    got = [x[-d * k:].reshape(d, k) for x in (g, gv, hv)]
+    got = [x[w_at : w_at + d * k].reshape(d, k) for x in (g, gv, hv)]
 
+    a = left.val
     ct = 2.0 * (a @ w)
     if live_left:
+        at = left.tan
         ct_tan = 2.0 * (at @ w + a @ wt)
         want_tan = a.T @ ct_tan + at.T @ ct
     else:
@@ -147,9 +203,9 @@ def test_data_product_is_bitwise_and_c_ordered_at_workload_shapes(n, d, k):
     x = rng.normal(size=(n, d))
     w, wt = rng.normal(size=(2, d, k))
     t = Tape()
-    leaf = t.input(w)
-    node = t.matmul(t.const(x), leaf)
-    t.replay_tangent(leaf, wt)
+    leaf = t.input(np.concatenate([w.ravel(), np.zeros(k)]))
+    node = t.affine(t.const(x), leaf, 0, d * k, d, k)
+    t.replay_tangent(leaf, np.concatenate([wt.ravel(), np.zeros(k)]))
     for got, want in ((node.val, x @ w), (node.tan, x @ wt)):
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous
