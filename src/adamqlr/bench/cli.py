@@ -28,7 +28,7 @@ from .config import ConfigError
 from .diagnostics import fisher_alignment
 from .records import FIELDS, emit, read_records
 from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock, write_trajectory
-from .search import SearchObjective, random_search, search_space_for
+from .search import SearchObjective, search_space_for, search_trials
 from .stats import align_time_series, bootstrap_trend
 from .sweeps import enumerate_sweep, standard_sweeps
 from .training import RunStatus, run_training, start_training
@@ -172,14 +172,21 @@ def _cmd_tune(args) -> int:
         if args.objective == "val"
         else SearchObjective.FINAL_TRAIN_LOSS
     )
-    best, trials = random_search(space, args.budget, objective, cfg, seed, args.halving)
-    if args.out:
-        payload = {
-            "best": {"config": best.config, "score": best.score, "status": best.status.value},
-            "trials": [{**asdict(t), "status": t.status.value} for t in trials],
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    best, trials = None, []
+    try:
+        for trial, best in search_trials(space, args.budget, objective, cfg, seed, args.halving):
+            trials.append(trial)
+    finally:
+        # A search that stops early, interrupted or on an error, still leaves
+        # every finished trial and the best of them.
+        if args.out:
+            payload = {
+                "best": None if best is None else {
+                    "config": best.config, "score": best.score, "status": best.status.value
+                },
+                "trials": [{**asdict(t), "status": t.status.value} for t in trials],
+            }
+            Path(args.out).write_text(json.dumps(payload, indent=2))
     print(f"best score={best.score!r} optimizer={best.config['optimizer']}")
     return EXIT_OK
 
@@ -221,6 +228,8 @@ def _metric_series(records, metric: str, with_time: bool):
 
 
 def _cmd_bootstrap(args) -> int:
+    if args.n_points < 1:
+        raise ConfigError(f"n_points must be at least 1, got {args.n_points}")
     paths = sorted(globlib.glob(args.inputs))
     if not paths:
         raise ConfigError(f"no files match {args.inputs!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -130,22 +130,32 @@ def score_of(result: RunResult, objective: SearchObjective) -> float:
     return result.records[-1].train_loss
 
 
-def random_search(
+def search_trials(
     space: dict[str, Distribution],
     budget: int,
     objective: SearchObjective,
     base_cfg: RunConfig,
     seed: int,
     halving: bool = False,
-) -> tuple[TrialResult, list[TrialResult]]:
-    """Best trial plus all trials, deterministic in (space, budget, seed)."""
+) -> Iterator[tuple[TrialResult, TrialResult]]:
+    """Each trial as it finishes, with the best trial so far.
+
+    The best so far is the lowest score among the trials run at the
+    budget of the latest rung, ties going to the earliest sample; after
+    the last trial it is the search's result. Deterministic in (space,
+    budget, seed). An invalid budget raises here, before any trial runs.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     samples = [sample_space(space, keyed_rng(seed, i)) for i in range(budget)]
     rungs = [max(1, base_cfg.epochs // 4), max(1, base_cfg.epochs // 2), base_cfg.epochs] if halving else [base_cfg.epochs]
+    return _run_trials(samples, rungs, objective, base_cfg)
 
-    all_trials: list[TrialResult] = []
-    active = list(range(budget))
+
+def _run_trials(
+    samples: list[dict], rungs: list[int], objective: SearchObjective, base_cfg: RunConfig
+) -> Iterator[tuple[TrialResult, TrialResult]]:
+    active = list(range(len(samples)))
     final: dict[int, TrialResult] = {}
     for rung_i, rung_epochs in enumerate(rungs):
         scored: list[tuple[float, int, TrialResult]] = []
@@ -160,15 +170,26 @@ def random_search(
                 failure_step=result.failure_step,
                 rung_epochs=rung_epochs,
             )
-            all_trials.append(trial)
             scored.append((trial.score, idx, trial))
             final[idx] = trial
+            candidates = [t for t in final.values() if t.rung_epochs == rung_epochs]
+            yield trial, min(candidates, key=lambda t: t.score)
         if rung_i < len(rungs) - 1:
             scored.sort(key=lambda t: (t[0], t[1]))
             keep = max(1, len(scored) // 3)
             active = [idx for _, idx, _ in scored[:keep]]
 
-    last_rung = rungs[-1]
-    candidates = [t for t in final.values() if t.rung_epochs == last_rung]
-    best = min(candidates, key=lambda t: t.score)
-    return best, all_trials
+
+def random_search(
+    space: dict[str, Distribution],
+    budget: int,
+    objective: SearchObjective,
+    base_cfg: RunConfig,
+    seed: int,
+    halving: bool = False,
+) -> tuple[TrialResult, list[TrialResult]]:
+    """Best trial plus all trials, deterministic in (space, budget, seed)."""
+    trials = []
+    for trial, best in search_trials(space, budget, objective, base_cfg, seed, halving):
+        trials.append(trial)
+    return best, trials

@@ -24,13 +24,16 @@ reading its weight and bias off a flat parameter vector; ``mse``; and a
 numerically-stabilized ``softmax_xent``. A fused op is one node, so every
 replay and sweep makes one Python call for it. A tape holds the
 tangent of its latest replay, so a tape serves one caller at a time;
-nothing is shared between tapes, so evaluations on separate tapes are
+tapes share nothing but the worker thread of :class:`HalfWorker`, which
+serves concurrent callers in turn, so evaluations on separate tapes are
 safe to run concurrently.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,29 +65,141 @@ def p_mul(a: Pair, b: Pair) -> Pair:
     return a[0] * b[0], tan
 
 
+# Products smaller than this run whole. Their halves could fall to OpenBLAS's
+# small-matrix kernels, which round differently from the blocked one.
+SPLIT_MADDS = 1 << 23
+# Halves meet at a multiple of 32, a whole number of OpenBLAS's dgemm
+# micro-tiles, so every output element takes the same kernel path as in
+# the whole product (tests/test_tape.py checks the bits at workload shapes).
+_CUT = 32
+
+
+def _blas_single_threaded() -> bool:
+    """Whether OpenBLAS runs one thread, read as it reads it at load.
+
+    The first of ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to a
+    positive count decides; with neither, OpenBLAS uses every core.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1
+    return False
+
+
+def _n_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class HalfWorker:
+    """Runs one half of each large matrix product on a second core.
+
+    Single-threaded BLAS leaves a second core idle. A product of at least
+    :data:`SPLIT_MADDS` multiply-adds is cut across its larger output
+    dimension at a multiple of 32; one persistent thread computes one half
+    while the caller computes the other. That thread makes the BLAS call
+    and nothing else. Splitting changes no bit of the result, and it is
+    only a gain with BLAS pinned to one thread on at least two CPUs, so
+    ``split`` (None until the first large product) is decided from those.
+    """
+
+    def __init__(self, split: Optional[bool] = None):
+        self.split = split
+        self._lock = threading.Lock()
+        self._pool = None
+
+    def _executor(self):
+        # Imported at the first split, so a run that never splits does not
+        # pay its 4 ms and 0.6 MB.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(1, thread_name_prefix="adamqlr-matmul")
+            return self._pool
+
+    def close(self) -> None:
+        """Stop the worker thread, if one was started; the next split starts another."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def forget_after_fork(self) -> None:
+        # A forked child has no worker thread, whatever the parent had.
+        self._lock, self._pool = threading.Lock(), None
+
+    def matmul(self, x: Array, y: Array) -> Array:
+        """``x @ y`` for two matrices, bit for bit, split when ``split`` holds."""
+        if self.split is None:
+            self.split = _blas_single_threaded() and _n_cpus() >= 2
+        m, n = x.shape[0], y.shape[1]
+        if not self.split or max(m, n) < 2 * _CUT:
+            return x @ y
+        out = np.empty((m, n), dtype=np.result_type(x, y))
+        if m >= n:
+            c = (m + _CUT) // (2 * _CUT) * _CUT
+            first, second = (x[:c], y, out[:c]), (x[c:], y, out[c:])
+        else:
+            c = (n + _CUT) // (2 * _CUT) * _CUT
+            first, second = (x, y[:, :c], out[:, :c]), (x, y[:, c:], out[:, c:])
+        half = self._executor().submit(np.matmul, *first)
+        try:
+            np.matmul(*second)
+        finally:
+            half.result()
+        return out
+
+
+HALVES = HalfWorker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: HALVES.forget_after_fork())
+
+
+def matmul(x: Array, y: Array) -> Array:
+    """``x @ y``: every product on the tape and in ``predict`` runs here.
+
+    A large one may run as two halves on two cores (:class:`HalfWorker`);
+    the bits are those of ``x @ y`` either way.
+    """
+    if x.ndim == 2 == y.ndim and x.size * y.shape[1] >= SPLIT_MADDS:
+        return HALVES.matmul(x, y)
+    return x @ y
+
+
 def p_matmul(a: Pair, b: Pair) -> Pair:
+    """The product of two pairs: value ``a·b`` and tangent ``ȧ·b + a·ḃ``.
+
+    Every matrix product on the tape comes through here, the one place to
+    wrap in order to count them; each runs through :func:`matmul`.
+    """
     tan = None
     if a[1] is not None:
-        tan = a[1] @ b[0]
+        tan = matmul(a[1], b[0])
     if b[1] is not None:
-        tan = _tadd(tan, a[0] @ b[1])
-    return a[0] @ b[0], tan
+        tan = _tadd(tan, matmul(a[0], b[1]))
+    return matmul(a[0], b[0]), tan
 
 
 def _mm(x: Array, y: Array) -> Array:
-    # Every matrix product on the tape goes through p_matmul, the one place
-    # to wrap in order to count them.
     return p_matmul((x, None), (y, None))[0]
 
 
-def data_matmul(x: Array, w: Array, mm: Callable[[Array, Array], Array] = np.matmul) -> Array:
+def data_matmul(x: Array, w: Array, mm: Callable[[Array, Array], Array] = matmul) -> Array:
     """``x·w`` for a constant data matrix ``x`` and a layer weight (or its tangent) ``w``.
 
-    A layer wider in than out is taken as ``(wᵀ·xᵀ)ᵀ``: single-threaded
-    OpenBLAS packs ``x`` faster as the right factor, with the same bits at
-    the MLPs' shapes. The result is copied back to C order, because later
-    products on an F-ordered one round differently. A narrow input layer
-    (8→50) runs slower that way round and keeps ``x·w``.
+    ``mm`` forms the product: :func:`matmul` by default, as ``predict``
+    uses; the tape passes its counted one. A layer wider in than out is
+    taken as ``(wᵀ·xᵀ)ᵀ``: single-threaded OpenBLAS packs ``x`` faster as
+    the right factor, with the same bits at the MLPs' shapes. The result
+    is copied back to C order, because later products on an F-ordered one
+    round differently. A narrow input layer (8→50) runs slower that way
+    round and keeps ``x·w``.
     """
     if x.shape[-1] <= w.shape[-1]:
         return mm(x, w)

@@ -2,14 +2,20 @@
 
 import ctypes
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adamqlr import autodiff, data
+from adamqlr import autodiff, data, tape
 from adamqlr.autodiff import EvalOverflowError
-from adamqlr.bench import cli, training
+from adamqlr.bench import cli, search, training
 from adamqlr.bench.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -19,6 +25,7 @@ from adamqlr.bench.cli import (
     configure_malloc,
     main,
 )
+from adamqlr.bench.config import ConfigError
 from adamqlr.bench.records import read_records
 from adamqlr.bench.sweeps import SweepSpec, standard_sweeps
 from adamqlr.data import Batch
@@ -58,6 +65,22 @@ def diverging_adam_cfg_dict():
         },
         "optimizer": {"kind": "adam", "lr": 1e300},
         "epochs": 1,
+    }
+
+
+def wide_cfg_dict():
+    """A 784-input classifier whose input-layer products reach `tape.SPLIT_MADDS`."""
+    return {
+        "model": {"kind": "mlp", "layer_widths": [784, 50, 10], "loss": "softmax_cross_entropy"},
+        "dataset": {
+            "loader": {"kind": "synthetic", "task": "classification", "n": 400,
+                       "d": 784, "seed": 10, "n_classes": 10},
+            "split": {"train_fraction": 0.8, "val_fraction": 0.1, "test_fraction": 0.1, "seed": 0},
+            "batch": {"batch_size": 256, "shuffle_seed": 0},
+        },
+        "optimizer": {"kind": "qlr"},
+        "epochs": 2,
+        "seed": 0,
     }
 
 
@@ -361,6 +384,44 @@ class TestTune:
         assert sampled["kind"] == "qlr"
         assert 1e-8 <= sampled["lambda0"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "error, code", [(KeyboardInterrupt, EXIT_INTERRUPTED), (ConfigError, EXIT_CONFIG)]
+    )
+    def test_stopped_search_keeps_finished_trials(self, tmp_path, monkeypatch, error, code):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(epochs=2))
+        out, k = tmp_path / "tune.json", 3
+        run, calls = search.run_training, []
+
+        def stopped_at_k(run_cfg):
+            calls.append(run_cfg)
+            if len(calls) == k:
+                raise error("stop")
+            return run(run_cfg)
+
+        monkeypatch.setattr(search, "run_training", stopped_at_k)
+        argv = ["tune", "--config", cfg, "--budget", "5", "--out", str(out)]
+        assert main(argv) == code
+        payload = json.loads(out.read_text())
+        assert len(payload["trials"]) == k - 1
+        scores = [t["score"] for t in payload["trials"]]
+        assert payload["best"]["score"] == min(scores)
+        assert payload["best"]["config"] == payload["trials"][scores.index(min(scores))]["config"]
+        # The finished trials are those of the uninterrupted search.
+        monkeypatch.setattr(search, "run_training", run)
+        assert main([*argv[:-1], str(tmp_path / "full.json")]) == EXIT_OK
+        full = json.loads((tmp_path / "full.json").read_text())
+        assert full["trials"][: k - 1] == payload["trials"]
+
+    def test_search_stopped_in_its_first_trial_leaves_no_best(self, tmp_path, monkeypatch):
+        def interrupted(run_cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "run_training", interrupted)
+        out = tmp_path / "tune.json"
+        cfg = write_cfg(tmp_path, regression_cfg_dict())
+        assert main(["tune", "--config", cfg, "--budget", "3", "--out", str(out)]) == EXIT_INTERRUPTED
+        assert json.loads(out.read_text()) == {"best": None, "trials": []}
+
 
 class TestSweep:
     def test_one_row_per_grid_value(self, tmp_path, capsys):
@@ -440,11 +501,12 @@ class TestBootstrap:
         assert rc == EXIT_OK
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 8
 
+    @pytest.mark.parametrize("align", ["step", "time"])
     @pytest.mark.parametrize("n_points", ["0", "-3"])
-    def test_time_grid_without_points_is_config_error(self, tmp_path, capsys, n_points):
+    def test_n_points_below_one_is_config_error(self, tmp_path, capsys, n_points, align):
         self._make_runs(tmp_path)
         rc = main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"),
-                   "--align", "time", "--n-points", n_points])
+                   "--align", align, "--n-points", n_points])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: n_points must be at least 1, got {n_points}\n"
@@ -541,3 +603,41 @@ class TestConfigureMalloc:
         monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
         configure_malloc()
         assert results == [1, 1]  # mallopt returns 0 for a value it rejects
+
+
+class TestMatmulWorker:
+    """The thread that runs half of each split product (`tape.HalfWorker`)."""
+
+    @staticmethod
+    def _workers():
+        return {t for t in threading.enumerate() if t.name.startswith("adamqlr-matmul")}
+
+    @pytest.mark.parametrize("halves, added", [(True, 1), (False, 0)], indirect=["halves"])
+    def test_train_leaves_at_most_one_idle_worker(self, halves, added, tmp_path):
+        before = self._workers()
+        assert main(["train", "--config", write_cfg(tmp_path, wide_cfg_dict())]) == EXIT_OK
+        assert len(self._workers() - before) == added
+
+    def test_pinned_subprocess_train_exits_promptly(self, tmp_path):
+        script = (
+            "import sys, threading, time\n"
+            "from adamqlr.bench.cli import main\n"
+            "rc = main(['train', '--config', sys.argv[1]])\n"
+            "print(sorted(t.name for t in threading.enumerate()))\n"
+            "print(time.monotonic())\n"
+            "sys.exit(rc)\n"
+        )
+        src = str(Path(cli.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, write_cfg(tmp_path, wide_cfg_dict())],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        exited = time.monotonic()
+        assert proc.returncode == EXIT_OK, proc.stderr
+        *_, names, returned = proc.stdout.splitlines()
+        if tape._n_cpus() >= 2:
+            assert "adamqlr-matmul_0" in names
+        # Interpreter exit joins the idle worker at once.
+        assert exited - float(returned) < 10.0

@@ -481,6 +481,20 @@ class TestSgdStep:
         np.testing.assert_allclose(buf, 1.9 * g.values)
 
 
+def count_madds(monkeypatch) -> list:
+    """Multiply-adds of every tape product from now on, one entry per `p_matmul`."""
+    p_matmul, madds = tape.p_matmul, []
+
+    def counted(a, b):
+        # Products of tangents count as one product each, like the primal one.
+        madds.append(math.prod(a[0].shape) * b[0].shape[-1]
+                     * (1 + (a[1] is not None) + (b[1] is not None)))
+        return p_matmul(a, b)
+
+    monkeypatch.setattr(tape, "p_matmul", counted)
+    return madds
+
+
 class TestStepWork:
     """Deterministic work of one GGN step: matrix multiply-adds on the tape."""
 
@@ -490,15 +504,7 @@ class TestStepWork:
         obj, traces = counting_trace(mlp_objective(spec))
         rng = np.random.default_rng(0)
         batch = Batch(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
-        p_matmul, madds = tape.p_matmul, []
-
-        def counted(a, b):
-            # Products of tangents count as one product each, like the primal one.
-            madds.append(math.prod(a[0].shape) * b[0].shape[-1]
-                         * (1 + (a[1] is not None) + (b[1] is not None)))
-            return p_matmul(a, b)
-
-        monkeypatch.setattr(tape, "p_matmul", counted)
+        madds = count_madds(monkeypatch)
         cfg = QLRConfig(curvature=CurvatureKind.GGN_FISHER)
         params = mlp_init(spec, 0)
         qlr_step(obj, params, batch, QLRState.init(cfg, len(params)), cfg)
@@ -517,6 +523,35 @@ class TestStepWork:
         # forward pass and the replay, and runs only the layers above it.
         assert sum(madds) == forward + replay + 2 * sweep == 1800
         assert len(traces) == 1
+
+    @pytest.mark.parametrize("halves", [True, False], ids=["split", "whole"], indirect=True)
+    @pytest.mark.parametrize(
+        "widths, rows, madds",
+        [((784, 50, 10), (3200, 1600), (512_960_000, 256_480_000)),
+         ((8, 50, 1), (554,), (1_080_300,))],
+        ids=["fmnist784", "energy"],
+    )
+    def test_workload_steps_do_the_same_work_split_or_whole(
+        self, halves, monkeypatch, widths, rows, madds
+    ):
+        # One GGN step per batch size a workload runs: fmnist's 3200- and
+        # 1600-row batches (384.72M multiply-adds per step on average) and
+        # energy's 554-row one. Splitting a product moves where its halves
+        # run, not how much work they are.
+        loss = LossKind.SOFTMAX_CROSS_ENTROPY if widths[-1] > 1 else LossKind.MSE
+        spec = MlpSpec(widths, loss)
+        cfg = QLRConfig(curvature=CurvatureKind.GGN_FISHER)
+        params, rng = mlp_init(spec, 0), np.random.default_rng(0)
+        per_step = []
+        for n in rows:
+            targets = (rng.integers(0, widths[-1], size=n) if widths[-1] > 1
+                       else rng.normal(size=(n, 1)))
+            batch = Batch(rng.normal(size=(n, widths[0])), targets)
+            with monkeypatch.context() as m:
+                counted = count_madds(m)
+                qlr_step(mlp_objective(spec), params, batch, QLRState.init(cfg, len(params)), cfg)
+            per_step.append(sum(counted))
+        assert tuple(per_step) == madds
 
     @pytest.mark.parametrize(
         "widths, loss, act",

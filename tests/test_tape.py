@@ -1,8 +1,13 @@
-"""Each tape op's JVP and backward rules against central differences."""
+"""Each tape op's JVP and backward rules against central differences, and the
+bits of the matrix products the tape forms, whole or split in halves."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from adamqlr import tape
 from adamqlr.tape import Tape
 
 N = 12
@@ -195,6 +200,10 @@ INPUT_LAYERS = [
 
 @pytest.mark.parametrize("n, d, k", INPUT_LAYERS)
 def test_data_product_is_bitwise_and_c_ordered_at_workload_shapes(n, d, k):
+    _check_data_product(n, d, k)
+
+
+def _check_data_product(n, d, k):
     # The rule takes X·W as (Wᵀ·Xᵀ)ᵀ when d > k. It must come back in C order:
     # left F-ordered, the products and sums downstream round differently, and
     # training records move (fmnist rho by up to 2e-13 relative, energy's
@@ -209,3 +218,117 @@ def test_data_product_is_bitwise_and_c_ordered_at_workload_shapes(n, d, k):
     for got, want in ((node.val, x @ w), (node.tan, x @ wt)):
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous
+
+
+def _matmul_workers():
+    return {t for t in threading.enumerate() if t.name.startswith("adamqlr-matmul")}
+
+
+# fmnist's batch and split row counts: at each, the 784-50 input layer's
+# data product, its tangent and its weight cotangent reach SPLIT_MADDS.
+SPLIT_ROWS = (3200, 1600, 4800, 600)
+
+
+@pytest.mark.parametrize("n", SPLIT_ROWS)
+def test_split_products_are_bitwise_at_workload_shapes(halves, n):
+    before = _matmul_workers()
+    rng = np.random.default_rng(n)
+    x, ct = rng.normal(size=(n, 784)), rng.normal(size=(n, 50))
+    w, wt = rng.normal(size=(2, 784, 50))
+    # The data product and its tangent as (Wᵀ·Xᵀ), the weight cotangent as
+    # ctᵀ·X (both cut across columns), and X·W cut across rows.
+    for a, b in ((w.T, x.T), (wt.T, x.T), (ct.T, x), (x, w)):
+        assert a.size * b.shape[1] >= tape.SPLIT_MADDS
+        got = tape.matmul(a, b)
+        np.testing.assert_array_equal(got, a @ b)
+        assert got.flags.c_contiguous
+    # The same products as the tape forms them, C order included.
+    for got, want in zip(*_weight_cotangents(n, 784, 50, False)):
+        np.testing.assert_array_equal(got, want)
+    _check_data_product(n, 784, 50)
+    assert len(_matmul_workers() - before) == 1
+
+
+def test_products_below_the_threshold_run_whole(halves):
+    # energy's input layer and fmnist's output layer stay on `x @ y`.
+    before = _matmul_workers()
+    rng = np.random.default_rng(0)
+    for a, b in ((rng.normal(size=(554, 8)), rng.normal(size=(8, 50))),
+                 (rng.normal(size=(3200, 50)), rng.normal(size=(50, 10)))):
+        assert a.size * b.shape[1] < tape.SPLIT_MADDS
+        np.testing.assert_array_equal(tape.matmul(a, b), a @ b)
+    assert _matmul_workers() == before
+
+
+@pytest.mark.parametrize(
+    "env, single",
+    [({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True), ({"OMP_NUM_THREADS": "1"}, True),
+     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+     ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, False)],
+)
+def test_blas_threads_read_as_openblas_reads_them(monkeypatch, env, single):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert tape._blas_single_threaded() is single
+
+
+def test_split_is_decided_on_the_first_large_product(monkeypatch):
+    monkeypatch.setattr(tape, "_blas_single_threaded", lambda: True)
+    monkeypatch.setattr(tape, "_n_cpus", lambda: 1)
+    before, worker = _matmul_workers(), tape.HalfWorker()
+    monkeypatch.setattr(tape, "HALVES", worker)
+    tape.matmul(np.ones((554, 8)), np.ones((8, 50)))
+    assert worker.split is None
+    tape.matmul(np.ones((300, 784)), np.ones((784, 50)))
+    # One CPU: a split would only add a thread switch.
+    assert worker.split is False and _matmul_workers() == before
+
+
+def test_worker_error_reaches_the_caller(halves, monkeypatch):
+    before, matmul = _matmul_workers(), np.matmul
+
+    def fails_on_the_worker(*args, **kwargs):
+        if threading.current_thread().name.startswith("adamqlr-matmul"):
+            raise MemoryError("worker half")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", fails_on_the_worker)
+    x = np.ones((600, 784))
+    with pytest.raises(MemoryError, match="worker half"):
+        tape.matmul(x, np.ones((784, 50)))
+    # The worker survives its error and serves the next product.
+    monkeypatch.setattr(np, "matmul", matmul)
+    np.testing.assert_array_equal(tape.matmul(x, np.ones((784, 50))), np.full((600, 50), 784.0))
+    assert len(_matmul_workers() - before) == 1
+
+
+def test_concurrent_callers_share_one_worker(halves):
+    # More calling threads than cores, switching as often as the interpreter
+    # allows: every product keeps its bits, and the worker is started once.
+    before, results, errors = _matmul_workers(), [], []
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(600, 784)), rng.normal(size=(784, 50))
+    want = x @ w
+
+    def call():
+        try:
+            results.extend(np.array_equal(tape.matmul(x, w), want) for _ in range(3))
+        except Exception as e:  # reported below, not lost with the thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [True] * 12
+    assert len(_matmul_workers() - before) == 1

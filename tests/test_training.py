@@ -14,6 +14,7 @@ from adamqlr.bench.training import RunStatus, run_training
 from adamqlr.optim import LAMBDA_MIN
 
 from helpers import least_squares_mse
+from test_cli import wide_cfg_dict
 
 
 def regression_cfg(**overrides):
@@ -47,6 +48,24 @@ def test_same_seed_identical_records_excluding_wall_time():
     a, b = run_training(cfg), run_training(cfg)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
+        da, db = ra.to_dict(), rb.to_dict()
+        da.pop("wall_time_s")
+        db.pop("wall_time_s")
+        assert da == db
+
+
+def test_split_products_leave_records_unchanged(halves):
+    # A 784-input classifier: its input-layer products, in the steps and in
+    # evaluation, reach `tape.SPLIT_MADDS`.
+    cfg = config_mod.from_dict({**wide_cfg_dict(), "epochs": 3})
+    split = run_training(cfg)
+    assert halves._pool is not None  # the worker ran halves
+    halves.split = False
+    whole = run_training(cfg)
+    assert split.status is whole.status is RunStatus.COMPLETED
+    np.testing.assert_array_equal(split.final_params.values, whole.final_params.values)
+    assert len(split.records) == len(whole.records) == 6
+    for ra, rb in zip(split.records, whole.records):
         da, db = ra.to_dict(), rb.to_dict()
         da.pop("wall_time_s")
         db.pop("wall_time_s")
