@@ -6,9 +6,10 @@ point, and every derivative there reuses that one forward pass. Gradients
 come from one reverse sweep. Curvature products first replay the
 direction's tangent through the recorded tape. Exact Hessian-vector
 products then take a reverse sweep that carries tangents along (no
-materialized matrix); Gauss-Newton/Fisher products sandwich the
-model-output tangent with the closed-form output-space loss Hessian and
-take a plain reverse sweep. `eval_grad` and `curvature_vp` are the same
+materialized matrix); Gauss-Newton/Fisher products multiply the
+model-output tangent by the loss node's output-space Hessian (`Node.ggn`)
+and take a plain reverse sweep. Each loss is stated once, by its fused
+node in `tape`. `eval_grad` and `curvature_vp` are the same
 calls on a fresh linearization. Each linearization owns its tape, so
 separate linearizations are safe to evaluate concurrently.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import Batch
 from .params import ParamVector
-from .tape import Node, Tape
+from .tape import Node, Tape, mean_xent, mse_targets
 
 
 class EvalOverflowError(ArithmeticError):
@@ -197,30 +198,28 @@ class Linearization:
         """Product with the chosen curvature matrix.
 
         HESSIAN is the exact Hessian of the loss. GGN_FISHER is the
-        Gauss-Newton sandwich J^T H_out J: for softmax cross-entropy this is
-        the model Fisher matrix; for MSE it is the Gauss-Newton matrix
-        (2/N * J^T J under this module's loss convention).
+        Gauss-Newton sandwich J^T H_out J, H_out from the loss node's `ggn`
+        (a fused loss node has one): for softmax cross-entropy this is the
+        model Fisher matrix; for MSE it is the Gauss-Newton matrix (2/N *
+        J^T J under this module's loss convention).
         """
         if len(v) != len(self.params):
             raise ValueError("direction length must match parameter length")
         counters.curvature_vp += 1
-        obj, tape, theta = self.obj, self.tape, self.theta
-        if kind is not CurvatureKind.HESSIAN and obj.loss_kind is None:
+        tape, theta, loss = self.tape, self.theta, self.loss
+        if kind is not CurvatureKind.HESSIAN and loss.ggn is None:
             raise UnsupportedCurvatureError(
-                f"objective {obj.name!r} has no model/loss split; use HESSIAN curvature"
+                f"objective {self.obj.name!r} has no model/loss split; use HESSIAN curvature"
             )
         self._check_finite("curvature_vp")
         tape.replay_tangent(theta, v.values)
         if kind is CurvatureKind.HESSIAN:
             # Exact Hessian-vector product via a tangent-carrying reverse sweep.
-            _, hv = tape.backward(self.loss, (np.float64(1.0), None), theta, use_tangents=True)
+            _, hv = tape.backward(loss, (np.float64(1.0), None), theta, use_tangents=True)
             return self.params.with_values(np.zeros_like(self.params.values) if hv is None else hv)
         outputs = self.outputs
-        out_tan = outputs.tan
-        if out_tan is None:
-            out_tan = np.zeros_like(outputs.val)
-        u = _output_loss_hvp(obj.loss_kind, outputs.val, out_tan, outputs.val.shape[0])
-        jtu, _ = tape.backward(outputs, (u, None), theta, use_tangents=False)
+        out_tan = np.zeros_like(outputs.val) if outputs.tan is None else outputs.tan
+        jtu, _ = tape.backward(outputs, (loss.ggn(out_tan), None), theta, use_tangents=False)
         return self.params.with_values(jtu)
 
     def trial(self, alpha: float) -> tuple[ParamVector, float]:
@@ -258,44 +257,14 @@ def eval_grad(
 
 
 def loss_eval(kind: LossKind, outputs: np.ndarray, targets) -> float:
-    """Mean-reduced loss over the batch, stabilized for cross-entropy."""
+    """Mean-reduced loss over the batch, checked as the tape's loss node checks it."""
     outputs = np.asarray(outputs, dtype=np.float64)
-    if kind is LossKind.MSE:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        if outputs.shape != targets.shape:
-            raise ValueError(
-                f"MSE shape mismatch: outputs {outputs.shape} vs targets {targets.shape}"
-            )
-        diff = outputs - targets
-        return float((diff * diff).sum() / outputs.shape[0])
-    labels = np.asarray(targets)
-    n, k = outputs.shape
-    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError("cross-entropy expects an (N,) integer label vector")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"class label out of range [0, {k})")
-    zmax = outputs.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(outputs - zmax).sum(axis=1))
-    return float((lse - outputs[np.arange(n), labels]).mean())
-
-
-def _output_loss_hvp(
-    kind: LossKind, outputs: np.ndarray, out_tan: np.ndarray, n: int
-) -> np.ndarray:
-    """Closed-form H_out @ (J v) for the mean-reduced loss kinds."""
-    if kind is LossKind.MSE:
-        return (2.0 / n) * out_tan
-    probs = _softmax(outputs)
-    pz = probs * out_tan
-    return (pz - probs * pz.sum(axis=1, keepdims=True)) / n
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    if kind is LossKind.SOFTMAX_CROSS_ENTROPY:
+        return float(mean_xent(outputs, targets)[0])
+    diff = outputs - mse_targets(outputs, targets)
+    # sum / N, where the mse node takes (1/N)·sum: the two round differently,
+    # and records hold both.
+    return float((diff * diff).sum() / outputs.shape[0])
 
 
 def curvature_vp(

@@ -167,14 +167,13 @@ def _cmd_tune(args) -> int:
     space = search_space_for(
         cfg.optimizer.kind, include_batch_size=cfg.dataset is not None
     )
-    objective = (
-        SearchObjective.FINAL_VAL_LOSS
-        if args.objective == "val"
-        else SearchObjective.FINAL_TRAIN_LOSS
+    # An invalid budget raises here, before --out is written.
+    results = search_trials(
+        space, args.budget, SearchObjective(args.objective), cfg, seed, args.halving
     )
     best, trials = None, []
     try:
-        for trial, best in search_trials(space, args.budget, objective, cfg, seed, args.halving):
+        for trial, best in results:
             trials.append(trial)
     finally:
         # A search that stops early, interrupted or on an error, still leaves

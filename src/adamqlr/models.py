@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import LossKind, Objective
 from .data import Batch
 from .params import ParamVector
-from .tape import Node, Tape, data_matmul
+from .tape import Node, Tape, data_matmul, matmul
 
 
 class Activation(enum.Enum):
@@ -113,7 +113,7 @@ def _mlp_forward_raw(
             h = pre
         else:
             w = values[w0:b0].reshape(din, dout)
-            h = (data_matmul(h, w) if i == 0 else h @ w) + values[b0 : b0 + dout]
+            h = (data_matmul(h, w) if i == 0 else matmul(h, w)) + values[b0 : b0 + dout]
         if i < n_layers - 1:
             h = np.maximum(h, 0.0) if act is Activation.RELU else np.tanh(h)
     return h

@@ -22,7 +22,9 @@ functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
 their own rules, and so do three fused ops: ``affine``, one MLP layer
 reading its weight and bias off a flat parameter vector; ``mse``; and a
 numerically-stabilized ``softmax_xent``. A fused op is one node, so every
-replay and sweep makes one Python call for it. A tape holds the
+replay and sweep makes one Python call for it. Each fused loss is the one
+statement of its loss: checks and value (shared with ``loss_eval``),
+gradient, dual sweep and GGN factor ``Node.ggn``. A tape holds the
 tangent of its latest replay, so a tape serves one caller at a time;
 tapes share nothing but the worker thread of :class:`HalfWorker`, which
 serves concurrent callers in turn, so evaluations on separate tapes are
@@ -223,21 +225,58 @@ def _sum_rows(x: Array) -> Array:
     return x.sum(axis=0)
 
 
+def mean_xent(z: Array, labels) -> tuple[np.float64, Array, Array, Array]:
+    """Mean softmax cross-entropy of (N, K) logits ``z`` against checked
+    integer labels, stabilized by max-subtraction; with the shifted
+    exponentials ``e``, their row sums ``s`` and the log-sum-exp ``lse``."""
+    if z.ndim != 2:
+        raise ValueError("softmax cross-entropy expects (N, K) logits")
+    n, k = z.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be an (N,) integer vector")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"class label out of range [0, {k}): found {labels.min()}..{labels.max()}")
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    s = e.sum(axis=1)
+    lse = zmax[:, 0] + np.log(s)
+    return np.float64((lse - z[np.arange(n), labels]).mean()), e, s, lse
+
+
+def _softmax_hvp(p: Array, t: Array, n: int) -> Array:
+    """``(diag(p) - ppᵀ)t / n`` row by row: the Hessian of mean cross-entropy
+    in the logits, at softmax rows ``p``, times a logit tangent ``t``."""
+    pt = p * t
+    return (pt - p * pt.sum(axis=1, keepdims=True)) / n
+
+
+def mse_targets(outputs: Array, targets) -> Array:
+    """``targets`` as float64, checked to have the shape of the (N, ...) ``outputs``."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if outputs.ndim == 0 or targets.shape != outputs.shape:
+        raise ValueError(f"mse shape mismatch: outputs {outputs.shape} vs targets {targets.shape}")
+    return targets
+
+
 class Node:
     """One recorded value in a traced computation, and its current tangent.
 
     `tan` is set by the tape's latest tangent replay (None before any).
-    `live` is false when the value depends on no input leaf. A node holds
-    no reference to its tape and its rules none to itself, so a tape is
-    freed by refcount as soon as its step lets go of it.
+    `live` is false when the value depends on no input leaf. `ggn`, set on
+    fused loss nodes only, maps a tangent of the loss's input to its
+    product with the loss's Hessian there. A node holds no reference to its
+    tape and its rules none to itself, so a tape is freed by refcount as
+    soon as its step lets go of it.
     """
 
-    __slots__ = ("val", "tan", "live", "_idx", "_bwd", "_jvp")
+    __slots__ = ("val", "tan", "live", "ggn", "_idx", "_bwd", "_jvp")
 
     def __init__(self, tape: "Tape", val: Array, live: bool = True):
         self.val = val
         self.tan: Optional[Array] = None
         self.live = live
+        self.ggn: Optional[LinearMap] = None
         self._idx = len(tape._nodes)
         self._bwd: Optional[Callable] = None
         self._jvp: Optional[Callable[[], Optional[Array]]] = None
@@ -450,30 +489,15 @@ class Tape:
     # -- fused loss ----------------------------------------------------------
 
     def softmax_xent(self, logits: Node, labels: Array) -> Node:
-        """Mean softmax cross-entropy against integer class labels.
+        """Mean softmax cross-entropy against integer class labels (:func:`mean_xent`).
 
-        Stabilized by max-subtraction. Fused so the log-sum-exp never sees
-        raw exponentials of large logits, and so the backward rule can
-        propagate the softmax tangent exactly.
+        Fused so the backward rule can propagate the softmax tangent
+        exactly. The gradient takes the softmax as ``exp(z - lse)``, the GGN
+        factor as ``e / s``: the two round differently, and records hold both.
         """
         z = logits.val
-        if z.ndim != 2:
-            raise ValueError("softmax_xent expects (N, K) logits")
-        n, k = z.shape
-        labels = np.asarray(labels)
-        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be an (N,) integer vector")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(
-                f"class label out of range [0, {k}): found {labels.min()}..{labels.max()}"
-            )
-
-        zmax = z.max(axis=1, keepdims=True)
-        shifted = z - zmax
-        lse = zmax[:, 0] + np.log(np.exp(shifted).sum(axis=1))
-        picked = z[np.arange(n), labels]
-        val = np.float64((lse - picked).mean())
-
+        val, e, s, lse = mean_xent(z, labels)
+        n = z.shape[0]
         probs = np.exp(z - lse[:, None])
         grad = probs.copy()
         grad[np.arange(n), labels] -= 1.0
@@ -491,12 +515,11 @@ class Tape:
                 if ctn is not None:
                     gt = ctn * grad
                 if zt is not None:
-                    pz = probs * zt
-                    dprobs = (pz - probs * pz.sum(axis=1, keepdims=True)) / n
-                    gt = _tadd(gt, cv * dprobs)
+                    gt = _tadd(gt, cv * _softmax_hvp(probs, zt, n))
             acc(logits, (gv, gt))
 
         out._bwd = bwd
+        out.ggn = lambda t: _softmax_hvp(e / s[:, None], t, n)
         return out
 
     def mse(self, outputs: Node, targets: Array) -> Node:
@@ -505,12 +528,9 @@ class Tape:
         Fused, with the same arithmetic as the chain of ``sub``, ``square``,
         ``sum`` and ``scale`` it stands for, so its bits match that chain's.
         """
-        targets = np.asarray(targets, dtype=np.float64)
-        if outputs.val.ndim == 0 or targets.shape != outputs.val.shape:
-            raise ValueError(
-                f"mse shape mismatch: outputs {outputs.val.shape} vs targets {targets.shape}"
-            )
-        c = 1.0 / targets.shape[0]
+        targets = mse_targets(outputs.val, targets)
+        n = targets.shape[0]
+        c = 1.0 / n
         diff = outputs.val - targets
         deriv = 2.0 * diff
         out = self._node(c * (diff * diff).sum(), outputs)
@@ -524,6 +544,7 @@ class Tape:
             acc(outputs, ((c * cv) * deriv, gt))
 
         out._bwd = bwd
+        out.ggn = lambda t: (2.0 / n) * t
         return out
 
     # -- tangent replay --------------------------------------------------------

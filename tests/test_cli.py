@@ -422,6 +422,14 @@ class TestTune:
         assert main(["tune", "--config", cfg, "--budget", "3", "--out", str(out)]) == EXIT_INTERRUPTED
         assert json.loads(out.read_text()) == {"best": None, "trials": []}
 
+    def test_invalid_budget_leaves_out_file_untouched(self, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        out.write_bytes(b'{"earlier": "search"}\n')
+        cfg = write_cfg(tmp_path, regression_cfg_dict())
+        assert main(["tune", "--config", cfg, "--budget", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert "budget must be >= 1" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"earlier": "search"}\n'
+
 
 class TestSweep:
     def test_one_row_per_grid_value(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module, script and test file imports only names it uses."""
+"""Source hygiene: every module, script and test file imports only names it
+uses, and every module uses each private name it defines at its top level."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,32 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_privates(source: str) -> list[str]:
+    """Top-level ``_private`` functions, classes and constants that the module
+    never reads as a Name, an Attribute base included."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 @pytest.mark.parametrize(
     "path",
     MODULES + SCRIPTS + TESTS,
@@ -50,3 +77,24 @@ def test_detector_sees_annotations_and_attribute_bases():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["line 3: Sequence"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_privates(path.read_text()) == []
+
+
+def test_private_detector_sees_each_kind_of_definition():
+    source = (
+        "import numpy as np\n"
+        "_CUT = 32\n"
+        "_UNUSED: int = 1\n"
+        "__all__ = ['f']\n"
+        "class _Worker: pass\n"
+        "def _softmax(z): return np.exp(z)\n"
+        "def _used(x) -> _Worker: return x\n"
+        "def f(x):\n"
+        "    _local = 1\n"
+        "    return np.split(_used(x), _CUT)\n"
+    )
+    assert unreferenced_privates(source) == ["line 3: _UNUSED", "line 6: _softmax"]

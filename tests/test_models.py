@@ -20,6 +20,7 @@ from adamqlr import (
 )
 from adamqlr.autodiff import loss_eval
 from adamqlr.models import accuracy
+from adamqlr.tape import Tape
 
 
 class TestMlpSpec:
@@ -148,9 +149,23 @@ class TestLossEval:
         got = loss_eval(LossKind.MSE, np.array([[3.0], [-1.0]]), np.array([[0.0], [1.0]]))
         assert got == 6.5
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            loss_eval(LossKind.SOFTMAX_CROSS_ENTROPY, np.zeros((2, 3)), np.array([0, 3]))
+    @pytest.mark.parametrize(
+        "kind, outputs, targets, match",
+        [
+            (LossKind.SOFTMAX_CROSS_ENTROPY, np.zeros((2, 3)), np.array([0, 3]), "out of range"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, np.zeros((2, 3)), np.array([0.0, 1.0]), "integer"),
+            (LossKind.MSE, np.zeros((2, 1)), np.zeros(2), "shape mismatch"),
+        ],
+        ids=["label-out-of-range", "non-integer-labels", "1d-mse-targets"],
+    )
+    def test_bad_targets_raise_as_the_loss_node_does(self, kind, outputs, targets, match):
+        with pytest.raises(ValueError, match=match) as from_eval:
+            loss_eval(kind, outputs, targets)
+        t = Tape()
+        loss_node = t.softmax_xent if kind is LossKind.SOFTMAX_CROSS_ENTROPY else t.mse
+        with pytest.raises(ValueError) as from_node:
+            loss_node(t.input(outputs), targets)
+        assert str(from_node.value) == str(from_eval.value)
 
     def test_cross_entropy_large_logits_stable(self):
         got = loss_eval(
@@ -214,6 +229,26 @@ class TestObjectivePaths:
         got = mlp_objective(spec).predict(values, x)
         np.testing.assert_array_equal(got, x @ values[: d * 50].reshape(d, 50) + values[d * 50 :])
         assert got.flags.c_contiguous
+
+    def test_predict_splits_a_large_hidden_product(self, halves, monkeypatch):
+        # 1100 x 64 x 128 multiply-adds in the hidden layer pass tape.SPLIT_MADDS;
+        # the input layer's 1100 x 4 x 64 do not.
+        spec = MlpSpec((4, 64, 128), LossKind.MSE)
+        rng = np.random.default_rng(5)
+        batch = Batch(rng.normal(size=(1100, 4)), rng.normal(size=(1100, 128)))
+        obj, params = mlp_objective(spec), mlp_init(spec, 0)
+        split, whole = [], halves.matmul
+
+        def counted(x, y):
+            split.append(x.shape)
+            return whole(x, y)
+
+        monkeypatch.setattr(halves, "matmul", counted)
+        got = obj.predict(params.values, batch.inputs)
+        assert split == [(1100, 64)]
+        t = Tape()
+        outputs, _, _ = obj.trace(t, t.input(params.values), batch)
+        np.testing.assert_array_equal(got, outputs.val)
 
     def test_accuracy(self):
         outputs = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0], [0.0, 1.0]])

@@ -10,6 +10,8 @@ import pytest
 from adamqlr import tape
 from adamqlr.tape import Tape
 
+from helpers import softmax_rows
+
 N = 12
 H = 1e-5
 SEED = (np.float64(1.0), None)
@@ -112,6 +114,22 @@ def test_mse_has_the_bits_of_the_chain_it_fuses():
         got.append([loss.val, loss.tan, g, *t.backward(root, SEED, leaf, use_tangents=True)])
     for fused, chain in zip(*got):
         np.testing.assert_array_equal(fused, chain)
+
+
+def test_ggn_factors_have_the_bits_of_the_closed_forms():
+    # Records were made with the cross-entropy factor's softmax taken as the
+    # max-shifted exponentials over their row sums; the node's exp(z - lse)
+    # rounds differently at these logits.
+    rng = np.random.default_rng(4)
+    n, k = 64, 10
+    z, t_z = rng.normal(scale=3.0, size=(2, n, k))
+    y, targets, t_y = rng.normal(size=(3, n, 2))
+    t = Tape()
+    p = softmax_rows(z)
+    pz = p * t_z
+    want = (pz - p * pz.sum(1, keepdims=True)) / n
+    np.testing.assert_array_equal(t.softmax_xent(t.input(z), rng.integers(0, k, n)).ggn(t_z), want)
+    np.testing.assert_array_equal(t.mse(t.input(y), targets).ggn(t_y), (2.0 / n) * t_y)
 
 
 @pytest.mark.parametrize(
