@@ -27,7 +27,7 @@ from . import config as config_mod
 from .config import ConfigError
 from .diagnostics import fisher_alignment
 from .records import FIELDS, emit, read_records
-from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock, write_trajectory
+from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
 from .search import SearchObjective, search_space_for, search_trials
 from .stats import align_time_series, bootstrap_trend
 from .sweeps import enumerate_sweep, standard_sweeps
@@ -151,9 +151,7 @@ def _cmd_rosenbrock(args) -> int:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigError(f"--start must be finite, got {args.start!r}")
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
-    result = run_rosenbrock(opt, steps=args.steps, start=(x, y))
-    if args.out:
-        write_trajectory(result, args.out)
+    result = run_rosenbrock(opt, steps=args.steps, start=(x, y), out=args.out or None)
     print(
         f"status={result.status.value} steps={len(result.points) - 1} "
         f"final_f={result.final_f!r} final_xy=({result.points[-1][1]!r},{result.points[-1][2]!r})"

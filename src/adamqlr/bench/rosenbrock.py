@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import inspect
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .. import autodiff
 from ..autodiff import CurvatureKind
@@ -77,27 +78,47 @@ def run_rosenbrock(
     steps: int = 200,
     start: tuple[float, float] = ROSENBROCK_START,
     spec: RosenbrockSpec = RosenbrockSpec(),
+    out=None,
 ) -> RosenbrockResult:
+    """Take ``steps`` steps of ``optimizer`` from ``start``.
+
+    With ``out``, a path, the trajectory is written there as CSV point by
+    point: the header and the start before the first step, then each step
+    as it is taken. A path that cannot be opened fails before any step, and
+    a run stopped by a divergence or an interrupt leaves every point it took.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     obj = rosenbrock_objective(spec)
     params = ParamVector(start)
     stepper = make_stepper(optimizer, 2)
-    # The start's f is recorded even when it is not finite, so a run that
-    # diverges from there still leaves its one point.
-    points = [(0, *params.values.tolist(), obj.value(params.values, None))]
-    try:
-        for i in range(1, steps + 1):
-            params, _ = stepper.step(obj, params, None)
-            points.append((i, *params.values.tolist(), autodiff.eval_loss(obj, params, None)))
-    except ArithmeticError:
-        return RosenbrockResult(points, RunStatus.DIVERGED)
+    points: list[tuple[int, float, float, float]] = []
+    record = points.append
+    with contextlib.ExitStack() as stack:
+        if out is not None:
+            fh = stack.enter_context(open(out, "w", newline="", buffering=1))
+            record = _csv_recorder(fh, points)
+        # The start's f is recorded even when it is not finite, so a run that
+        # diverges from there still leaves its one point.
+        record((0, *params.values.tolist(), obj.value(params.values, None)))
+        try:
+            for i in range(1, steps + 1):
+                params, _ = stepper.step(obj, params, None)
+                record((i, *params.values.tolist(), autodiff.eval_loss(obj, params, None)))
+        except ArithmeticError:
+            return RosenbrockResult(points, RunStatus.DIVERGED)
     return RosenbrockResult(points, RunStatus.COMPLETED)
 
 
-def write_trajectory(result: RosenbrockResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("step", "x", "y", "f"))
-        for step, x, y, f in result.points:
-            writer.writerow((step, repr(x), repr(y), repr(f)))
+def _csv_recorder(fh, points: list) -> Callable[[tuple], None]:
+    """Writes the CSV header to ``fh`` and returns a recorder that appends
+    each point to ``points`` and writes it as one line."""
+    writer = csv.writer(fh)
+    writer.writerow(("step", "x", "y", "f"))
+
+    def record(point: tuple[int, float, float, float]) -> None:
+        points.append(point)
+        step, x, y, f = point
+        writer.writerow((step, repr(x), repr(y), repr(f)))
+
+    return record

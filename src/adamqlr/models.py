@@ -159,17 +159,20 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
 
     Batch-independent; curvature products use the exact Hessian (there is
     no model/loss split, so Gauss-Newton/Fisher curvature is undefined).
+    The trace reads x and y as scalar nodes, so every node does scalar
+    arithmetic: the same IEEE operations, in the same order, as on
+    1-element slices, so the same bits.
     """
     a, b = spec.a, spec.b
 
     def trace(tape: Tape, theta: Node, batch):
-        x = tape.slice1d(theta, 0, 1)
-        y = tape.slice1d(theta, 1, 2)
+        x = tape.index(theta, 0)
+        y = tape.index(theta, 1)
         f = tape.add(
             tape.square(tape.sub(tape.const(a), x)),
             tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
         )
-        return None, tape.sum(f), None
+        return None, f, None
 
     def value(values: np.ndarray, batch) -> float:
         x, y = values

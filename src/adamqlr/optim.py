@@ -92,7 +92,7 @@ def adam_direction(
 ) -> tuple[AdamState, ParamVector]:
     """Advance the moment buffers and return the bias-corrected direction."""
     gv = g.values
-    if not np.all(np.isfinite(gv)):
+    if not np.isfinite(gv).all():
         raise NonFiniteError("non-finite gradient passed to adam_direction")
     if state.m.shape != gv.shape:
         raise ValueError("Adam state length does not match gradient length")
@@ -123,7 +123,7 @@ def sgd_step(
 
     buf' = momentum * buf + g + weight_decay * theta;  theta' = theta - lr * buf'.
     """
-    if not np.all(np.isfinite(g.values)):
+    if not np.isfinite(g.values).all():
         raise NonFiniteError("non-finite gradient passed to sgd_step")
     if momentum_buf is None:
         momentum_buf = np.zeros_like(params.values)

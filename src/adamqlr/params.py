@@ -28,7 +28,7 @@ class ParamVector:
         if values.ndim != 1:
             raise ValueError("parameter vector must be 1-D")
         object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFiniteError("parameter vector contains non-finite values")
 
     def __len__(self) -> int:

@@ -16,7 +16,8 @@ are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
 Most ops belong to one of three families, each of which states its JVP
-and backward rules once: linear maps (``scale``, ``slice1d``, ``sum``),
+and backward rules once: linear maps (``scale``; ``index``, which reads a
+scalar node off a flat vector for an int and a vector for a slice; ``sum``),
 sums ``a + g(b)`` with a linear ``g`` (``add``, ``sub``), and elementwise
 functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
 their own rules, and so do three fused ops: ``affine``, one MLP layer
@@ -299,8 +300,9 @@ class Tape:
     def __init__(self):
         self._nodes: list[Node] = []
 
-    def _node(self, val: Array, *inputs: Node) -> Node:
-        return Node(self, val, any(x.live for x in inputs))
+    def _node(self, val: Array, a: Node, b: Optional[Node] = None) -> Node:
+        # Every op has at most two inputs.
+        return Node(self, val, a.live or (b is not None and b.live))
 
     # -- leaves ----------------------------------------------------------
 
@@ -470,17 +472,25 @@ class Tape:
 
     # -- shape and reduction -------------------------------------------------
 
-    def slice1d(self, a: Node, start: int, stop: int) -> Node:
+    def index(self, a: Node, key: int | slice) -> Node:
+        """``a[key]`` of a flat vector: a scalar node for an int ``key``, a
+        vector for a slice ``start:stop``. Either must lie inside ``a``."""
         if a.val.ndim != 1:
-            raise ValueError("slice1d expects a flat vector")
+            raise ValueError("index expects a flat vector")
         n = a.val.shape[0]
+        if isinstance(key, slice):
+            inside = key.step is None and 0 <= key.start <= key.stop <= n
+        else:
+            inside = 0 <= key < n
+        if not inside:
+            raise ValueError(f"index {key!r} outside a vector of length {n}")
 
         def scatter(ct):
             z = np.zeros(n, dtype=np.float64)
-            z[start:stop] = ct
+            z[key] = ct
             return z
 
-        return self._linear(a, lambda x: x[start:stop], scatter)
+        return self._linear(a, lambda x: x[key], scatter)
 
     def sum(self, a: Node) -> Node:
         shape = a.val.shape

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different code path
 than the functions under test: golden-section line search, dense
 Kronecker-assembled curvature matrices, closed-form least squares, and a
 hand-rolled bootstrap enumeration. `quadratic_objective` is the one
-objective whose curvature and quadratic model are exact by construction.
+objective whose curvature and quadratic model are exact by construction;
+`rosenbrock_slice_objective` traces Rosenbrock on vector slices.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from adamqlr.autodiff import Objective
+from adamqlr.models import RosenbrockSpec
 from adamqlr.tape import Node, Tape
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -65,6 +67,31 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
         return float(out)
 
     return Objective(name="quadratic", n_params=n, trace=trace, value=value)
+
+
+def rosenbrock_slice_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
+    """f(x, y) = (a - x)^2 + b (y - x^2)^2 traced on 1-element slices of theta.
+
+    The oracle for the scalar-node trace of `models.rosenbrock_objective`:
+    every node here holds a 1-element vector, summed to the scalar loss at
+    the end, so the two traces must give the same bits.
+    """
+    a, b = spec.a, spec.b
+
+    def trace(tape: Tape, theta: Node, batch):
+        x = tape.index(theta, slice(0, 1))
+        y = tape.index(theta, slice(1, 2))
+        f = tape.add(
+            tape.square(tape.sub(tape.const(a), x)),
+            tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
+        )
+        return None, tape.sum(f), None
+
+    def value(values: np.ndarray, batch) -> float:
+        x, y = values
+        return float((a - x) ** 2 + b * (y - x * x) ** 2)
+
+    return Objective(name="rosenbrock-slices", n_params=2, trace=trace, value=value)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

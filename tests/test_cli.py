@@ -15,7 +15,7 @@ import pytest
 
 from adamqlr import autodiff, data, tape
 from adamqlr.autodiff import EvalOverflowError
-from adamqlr.bench import cli, search, training
+from adamqlr.bench import cli, rosenbrock, search, training
 from adamqlr.bench.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -27,6 +27,7 @@ from adamqlr.bench.cli import (
 )
 from adamqlr.bench.config import ConfigError
 from adamqlr.bench.records import read_records
+from adamqlr.bench.rosenbrock import preset_optimizer, run_rosenbrock
 from adamqlr.bench.sweeps import SweepSpec, standard_sweeps
 from adamqlr.data import Batch
 
@@ -335,6 +336,52 @@ class TestRosenbrock:
         assert lines[0] == "step,x,y,f"
         assert len(lines) == 27  # header + start + 25 steps
         assert "final_f=" in capsys.readouterr().out
+
+    @staticmethod
+    def spy_on_steps(monkeypatch, interrupt_at=None):
+        """Record every Rosenbrock step taken; raise Ctrl-C at step ``interrupt_at``."""
+        make_stepper, steps = rosenbrock.make_stepper, []
+
+        class Spy:
+            def __init__(self, opt, n_params):
+                self.inner = make_stepper(opt, n_params)
+
+            def step(self, *args):
+                steps.append(args)
+                if len(steps) == interrupt_at:
+                    raise KeyboardInterrupt
+                return self.inner.step(*args)
+
+        monkeypatch.setattr(rosenbrock, "make_stepper", Spy)
+        return steps
+
+    def test_interrupt_leaves_every_point_taken(self, tmp_path, monkeypatch, capsys):
+        # Interrupted at step k: the start and steps 1..k-1 are on file.
+        k = 7
+        self.spy_on_steps(monkeypatch, interrupt_at=k)
+        out = tmp_path / "traj.csv"
+        argv = ["rosenbrock", "--optimizer", "adamqlr-untuned", "--out", str(out)]
+        assert main(argv) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+        header, *rows = out.read_text().splitlines()
+        assert header == "step,x,y,f"
+        want = run_rosenbrock(preset_optimizer("adamqlr-untuned"), steps=k - 1).points
+        assert [tuple(map(float, row.split(","))) for row in rows] == want
+
+    def test_unwritable_out_exits_before_any_step(self, tmp_path, monkeypatch, capsys):
+        steps = self.spy_on_steps(monkeypatch)
+        out = tmp_path / "missing" / "traj.csv"
+        assert main(["rosenbrock", "--optimizer", "gd", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert steps == [] and not out.parent.exists()
+
+    def test_diverged_run_leaves_every_finite_point(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ["rosenbrock", "--optimizer", "gd", "--lr", "10", "--out", str(out)]
+        assert main(argv) == EXIT_DIVERGED
+        rows = out.read_text().splitlines()[1:]
+        assert "status=diverged steps=3 " in capsys.readouterr().out
+        assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("start", ["oops", "nan,0", "0,inf"])
     def test_bad_start_is_config_error(self, start):

@@ -1,10 +1,14 @@
 """Source hygiene: every module, script and test file imports only names it
-uses, and every module uses each private name it defines at its top level."""
+uses, every module uses each private name it defines at its top level, and
+every tape op has its derivative check."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from adamqlr.tape import Tape
 
 ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "adamqlr"
@@ -98,3 +102,30 @@ def test_private_detector_sees_each_kind_of_definition():
         "    return np.split(_used(x), _CUT)\n"
     )
     assert unreferenced_privates(source) == ["line 3: _UNUSED", "line 6: _softmax"]
+
+
+# Tape methods that record no op node: the leaves, and the sweeps over the tape.
+NOT_OPS = {"const", "input", "replay_tangent", "backward"}
+
+
+def op_cases(source: str) -> set[str]:
+    """The keys of the top-level ``OPS`` dict in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "OPS" for t in node.targets
+        ):
+            return {k.value for k in node.value.keys}
+    return set()
+
+
+def test_every_tape_op_has_a_derivative_check():
+    # A case named after the op, or the op and a suffix (`affine_input`),
+    # runs its rules against central differences in test_tape.py.
+    cases = op_cases((ROOT / "tests" / "test_tape.py").read_text())
+    ops = {
+        name
+        for name, fn in inspect.getmembers(Tape, inspect.isfunction)
+        if not name.startswith("_") and name not in NOT_OPS
+    }
+    covered = {op for op in ops for c in cases if c == op or c.startswith(op + "_")}
+    assert ops and sorted(ops - covered) == []

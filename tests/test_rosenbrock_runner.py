@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from adamqlr import autodiff
-from adamqlr.bench.rosenbrock import preset_optimizer, run_rosenbrock, write_trajectory
+from adamqlr.bench import rosenbrock
+from adamqlr.bench.rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
 from adamqlr.bench.training import RunStatus
+
+from helpers import rosenbrock_slice_objective
 
 
 def test_tiny_lr_gd_strictly_decreases():
@@ -59,9 +62,8 @@ def test_unknown_preset_rejected():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5))
     path = tmp_path / "t.csv"
-    write_trajectory(res, path)
+    res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5), out=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,x,y,f"
     assert len(lines) == 1 + len(res.points)
@@ -69,3 +71,23 @@ def test_trajectory_csv_round_trip(tmp_path):
         cells = line.split(",")
         assert int(cells[0]) == step
         assert [float(c) for c in cells[1:]] == [x, y, f]
+
+
+# (preset, overrides, start): every preset from (1, -1), a diverging run and
+# another start.
+TRAJECTORIES = [(name, {}, (1.0, -1.0)) for name in PRESET_NAMES] + [
+    ("gd", {"lr": 10.0}, (1.0, -1.0)),
+    ("gd", {}, (0.5, 0.5)),
+    ("adamqlr-untuned", {}, (0.5, 0.5)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, overrides, start", TRAJECTORIES)
+def test_scalar_trace_visits_the_points_of_the_slice_trace(monkeypatch, name, overrides, start):
+    opt = preset_optimizer(name, **overrides)
+    got = run_rosenbrock(opt, steps=200, start=start)
+    monkeypatch.setattr(rosenbrock, "rosenbrock_objective", rosenbrock_slice_objective)
+    want = run_rosenbrock(opt, steps=200, start=start)
+    assert got.status is want.status
+    assert [tuple(map(repr, p)) for p in got.points] == [tuple(map(repr, p)) for p in want.points]

@@ -29,9 +29,9 @@ TARGETS = np.linspace(-1.0, 1.0, N)
 # node reads its weight and bias off the leaf; it is also how a case gets a
 # live matrix.
 OPS = {
-    "add": lambda t, x: t.add(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
-    "sub": lambda t, x: t.sub(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
-    "mul": lambda t, x: t.mul(t.slice1d(x, 0, 6), t.slice1d(x, 6, 12)),
+    "add": lambda t, x: t.add(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
+    "sub": lambda t, x: t.sub(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
+    "mul": lambda t, x: t.mul(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
     "scale": lambda t, x: t.scale(x, -1.7),
     "square": lambda t, x: t.square(x),
     "matmul": lambda t, x: t.matmul(
@@ -41,7 +41,8 @@ OPS = {
     "affine_hidden": lambda t, x: t.affine(t.affine(t.const(X32), x, 0, 4, 2, 2), x, 6, 10, 2, 2),
     "relu": lambda t, x: t.relu(x),
     "tanh": lambda t, x: t.tanh(x),
-    "slice1d": lambda t, x: t.slice1d(x, 2, 9),
+    "index_range": lambda t, x: t.index(x, slice(2, 9)),
+    "index_scalar": lambda t, x: t.index(x, 4),
     "sum": lambda t, x: t.sum(x),
     "softmax_xent": lambda t, x: t.softmax_xent(t.affine(t.const(X42), x, 0, 6, 2, 3), LABELS),
     "mse": lambda t, x: t.mse(x, TARGETS),
@@ -132,6 +133,14 @@ def test_ggn_factors_have_the_bits_of_the_closed_forms():
     np.testing.assert_array_equal(t.mse(t.input(y), targets).ggn(t_y), (2.0 / n) * t_y)
 
 
+def test_an_int_index_gives_a_scalar_node_and_a_range_a_vector():
+    t = Tape()
+    x = t.input(np.arange(N, dtype=np.float64))
+    scalar, vector = t.index(x, 4), t.index(x, slice(4, 5))
+    assert np.ndim(scalar.val) == 0 and scalar.val == 4.0
+    assert vector.val.shape == (1,) and vector.val[0] == 4.0
+
+
 @pytest.mark.parametrize(
     "op",
     [
@@ -140,7 +149,13 @@ def test_ggn_factors_have_the_bits_of_the_closed_forms():
         lambda t, x: t.affine(t.const(X43), x, 0, 6, 2, 3),  # the data matrix is 3 wide
         lambda t, x: t.mse(x, TARGETS[:6]),
         # A live matrix times a vector: its cotangent rule needs a matrix.
-        lambda t, x: t.matmul(t.affine(t.const(X32), x, 0, 6, 2, 3), t.slice1d(x, 9, 12)),
+        lambda t, x: t.matmul(t.affine(t.const(X32), x, 0, 6, 2, 3), t.index(x, slice(9, 12))),
+        lambda t, x: t.index(x, N),
+        lambda t, x: t.index(x, -1),
+        lambda t, x: t.index(x, slice(6, N + 1)),
+        lambda t, x: t.index(x, slice(0, N, 2)),
+        lambda t, x: t.index(t.index(x, 0), 0),  # a scalar is not a vector
+        lambda t, x: t.index(t.affine(t.const(X32), x, 0, 6, 2, 3), 0),
     ],
 )
 def test_misshaped_operands_are_refused(op):
