@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob as globlib
+import itertools
 import json
 import math
 import os
@@ -28,9 +29,9 @@ from .config import ConfigError
 from .diagnostics import fisher_alignment
 from .records import FIELDS, emit, read_records
 from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
-from .search import SearchObjective, search_space_for, search_trials
+from .search import SearchObjective, last_val_loss, search_space_for, search_trials
 from .stats import align_time_series, bootstrap_trend
-from .sweeps import enumerate_sweep, standard_sweeps
+from .sweeps import SWEEP_GRIDS, sweep_configs
 from .training import RunStatus, run_training, start_training
 
 EXIT_OK = 0
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="final losses over one sensitivity grid around a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--sweep", choices=sorted(standard_sweeps()), required=True)
+    p.add_argument("--sweep", choices=sorted(SWEEP_GRIDS), required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bootstrap", help="bootstrapped median trend over run files")
@@ -153,7 +154,7 @@ def _cmd_rosenbrock(args) -> int:
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
     result = run_rosenbrock(opt, steps=args.steps, start=(x, y), out=args.out or None)
     print(
-        f"status={result.status.value} steps={len(result.points) - 1} "
+        f"status={result.status.value} steps={result.points[-1][0]} "
         f"final_f={result.final_f!r} final_xy=({result.points[-1][1]!r},{result.points[-1][2]!r})"
     )
     return EXIT_DIVERGED if result.status is RunStatus.DIVERGED else EXIT_OK
@@ -189,19 +190,15 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sweep = standard_sweeps()[args.sweep]
-    cfgs = enumerate_sweep(config_mod.from_json(args.config), sweep)
+    cfgs = sweep_configs(config_mod.from_json(args.config), args.sweep)
     # Each line reaches the file as its run finishes, so a sweep that stops
     # early leaves the header and every finished run's line.
     with open(args.out or os.devnull, "w", buffering=1) as fh:
         fh.write(f"{args.sweep},status,final_train_loss,final_val_loss\n")
-        for value, cfg in zip(sweep.values, cfgs):
+        for value, cfg in zip(SWEEP_GRIDS[args.sweep], cfgs):
             result = run_training(cfg)
             final = result.records[-1] if result.records else None
-            val = next(
-                (r.val_loss for r in reversed(result.records) if r.val_loss is not None),
-                None,
-            )
+            val = last_val_loss(result.records)
             line = (
                 f"{float(value)!r},{result.status.value},"
                 f"{final.train_loss if final else ''},{'' if val is None else val}"
@@ -211,7 +208,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _metric_series(records, metric: str, with_time: bool):
+def _metric_series(records, metric: str):
     pairs = [
         (rec.wall_time_s, getattr(rec, "lam" if metric == "lambda" else metric))
         for rec in records
@@ -219,9 +216,7 @@ def _metric_series(records, metric: str, with_time: bool):
     pairs = [(t, v) for t, v in pairs if v is not None]
     if not pairs:
         raise ConfigError(f"no values for metric {metric!r} in input records")
-    times = np.array([t for t, _ in pairs])
-    values = np.array([v for _, v in pairs])
-    return (times, values) if with_time else values
+    return np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
 
 
 def _cmd_bootstrap(args) -> int:
@@ -231,20 +226,15 @@ def _cmd_bootstrap(args) -> int:
     if not paths:
         raise ConfigError(f"no files match {args.inputs!r}")
     runs = [read_records(p) for p in paths]
+    series = [_metric_series(r, args.metric) for r in runs]
     if args.align == "time":
-        series = [_metric_series(r, args.metric, with_time=True) for r in runs]
         grid, aligned = align_time_series(series, args.n_points)
-        mean, std = bootstrap_trend(aligned, args.n_boot, args.seed)
-        index_name, index = "time_s", grid
+        index_name, index = "time_s", grid.tolist()
     else:
-        aligned = [_metric_series(r, args.metric, with_time=False) for r in runs]
-        mean, std = bootstrap_trend(aligned, args.n_boot, args.seed)
-        index_name, index = "index", np.arange(len(mean))
+        index_name, index, aligned = "index", itertools.count(), [v for _, v in series]
+    mean, std = bootstrap_trend(aligned, args.n_boot, args.seed)
     lines = [f"{index_name},mean,std"]
-    lines += [
-        f"{int(i) if args.align == 'step' else float(i)!r},{float(m)!r},{float(s)!r}"
-        for i, m, s in zip(index, mean, std)
-    ]
+    lines += [f"{i!r},{float(m)!r},{float(s)!r}" for i, m, s in zip(index, mean, std)]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -56,6 +56,10 @@ class SyntheticLoader:
     def __post_init__(self):
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation!r}")
+        if self.n_targets < 1:
+            raise ValueError(f"n_targets must be at least 1, got {self.n_targets!r}")
 
 
 LoaderConfig = Union[CsvLoader, IdxLoader, SyntheticLoader]

@@ -63,7 +63,8 @@ def preset_optimizer(
 
 @dataclass
 class RosenbrockResult:
-    """Visited points (step, x, y, f), including the starting point."""
+    """Visited points (step, x, y, f), including the starting point; a run
+    written to a file keeps only its latest point here."""
 
     points: list[tuple[int, float, float, float]]
     status: RunStatus
@@ -84,8 +85,9 @@ def run_rosenbrock(
 
     With ``out``, a path, the trajectory is written there as CSV point by
     point: the header and the start before the first step, then each step
-    as it is taken. A path that cannot be opened fails before any step, and
-    a run stopped by a divergence or an interrupt leaves every point it took.
+    as it is taken, and only the latest point is held in memory. A path
+    that cannot be opened fails before any step, and a run stopped by a
+    divergence or an interrupt leaves every point it took.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -111,13 +113,13 @@ def run_rosenbrock(
 
 
 def _csv_recorder(fh, points: list) -> Callable[[tuple], None]:
-    """Writes the CSV header to ``fh`` and returns a recorder that appends
-    each point to ``points`` and writes it as one line."""
+    """Writes the CSV header to ``fh`` and returns a recorder that makes
+    each point the one entry of ``points`` and writes it as one line."""
     writer = csv.writer(fh)
     writer.writerow(("step", "x", "y", "f"))
 
     def record(point: tuple[int, float, float, float]) -> None:
-        points.append(point)
+        points[:] = (point,)
         step, x, y, f = point
         writer.writerow((step, repr(x), repr(y), repr(f)))
 

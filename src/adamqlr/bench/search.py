@@ -19,6 +19,7 @@ import numpy as np
 
 from ..data import keyed_rng
 from .config import ConfigError, RunConfig, to_dict
+from .records import MetricRecord
 from .training import RunResult, RunStatus, run_training
 
 BATCH_SIZE_CHOICES = (50, 100, 200, 400, 800, 1600, 3200)
@@ -122,12 +123,13 @@ def score_of(result: RunResult, objective: SearchObjective) -> float:
     """Final objective value; diverged runs score +inf so they rank last."""
     if result.status is RunStatus.DIVERGED or not result.records:
         return math.inf
-    if objective is SearchObjective.FINAL_TRAIN_LOSS:
-        return result.records[-1].train_loss
-    for rec in reversed(result.records):
-        if rec.val_loss is not None:
-            return rec.val_loss
-    return result.records[-1].train_loss
+    val = last_val_loss(result.records) if objective is SearchObjective.FINAL_VAL_LOSS else None
+    return result.records[-1].train_loss if val is None else val
+
+
+def last_val_loss(records: list[MetricRecord]) -> Optional[float]:
+    """The latest validation loss among `records`, or None when none has one."""
+    return next((r.val_loss for r in reversed(records) if r.val_loss is not None), None)
 
 
 def search_trials(
@@ -179,17 +181,3 @@ def _run_trials(
             keep = max(1, len(scored) // 3)
             active = [idx for _, idx, _ in scored[:keep]]
 
-
-def random_search(
-    space: dict[str, Distribution],
-    budget: int,
-    objective: SearchObjective,
-    base_cfg: RunConfig,
-    seed: int,
-    halving: bool = False,
-) -> tuple[TrialResult, list[TrialResult]]:
-    """Best trial plus all trials, deterministic in (space, budget, seed)."""
-    trials = []
-    for trial, best in search_trials(space, budget, objective, base_cfg, seed, halving):
-        trials.append(trial)
-    return best, trials

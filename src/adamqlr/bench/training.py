@@ -55,15 +55,6 @@ class RunResult:
     standardize_stats: Optional[data.StandardizeStats] = None
 
 
-@dataclass
-class StepInfo:
-    train_loss: float
-    alpha: Optional[float] = None
-    lam: Optional[float] = None
-    rho: Optional[float] = None
-    guard_event: Optional[optim.GuardEvent] = None
-
-
 class _SgdStepper:
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
         self.lr = lr
@@ -76,7 +67,7 @@ class _SgdStepper:
         params, self.buf = optim.sgd_step(
             params, g, self.lr, self.buf, self.momentum, self.weight_decay
         )
-        return params, StepInfo(train_loss=f, alpha=self.lr)
+        return params, {"train_loss": f, "alpha": self.lr}
 
 
 class _AdamStepper:
@@ -89,7 +80,7 @@ class _AdamStepper:
         f, g = autodiff.eval_grad(obj, params, batch)
         self.state, d = optim.adam_direction(self.state, g, self.hyper)
         params = params.with_values(params.values - self.lr * d.values)
-        return params, StepInfo(train_loss=f, alpha=self.lr)
+        return params, {"train_loss": f, "alpha": self.lr}
 
 
 class _QlrStepper:
@@ -99,16 +90,18 @@ class _QlrStepper:
 
     def step(self, obj: Objective, params: ParamVector, batch: Optional[Batch]):
         params, self.state, diag = optim.qlr_step(obj, params, batch, self.state, self.cfg)
-        return params, StepInfo(
-            train_loss=diag.f_before,
-            alpha=diag.alpha,
-            lam=diag.lam,
-            rho=diag.rho,
-            guard_event=diag.guard,
-        )
+        return params, {
+            "train_loss": diag.f_before,
+            "alpha": diag.alpha,
+            "lam": diag.lam,
+            "rho": diag.rho,
+            "guard_event": diag.guard,
+        }
 
 
 def make_stepper(opt: OptimizerConfig, n_params: int):
+    """A stepper whose `step(obj, params, batch)` returns the new params and
+    the step's `MetricRecord` fields as a dict."""
     if isinstance(opt, SgdMinimalOpt):
         return _SgdStepper(opt.lr)
     if isinstance(opt, SgdFullOpt):
@@ -244,9 +237,9 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
         try:
             for epoch in range(cfg.epochs):
                 for batch in batches(epoch):
-                    params, info = stepper.step(obj, params, batch)
+                    params, fields = stepper.step(obj, params, batch)
                     step = len(records) + 1
-                    records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **vars(info)))
+                    records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **fields))
                     if time.perf_counter() - t0 > cfg.max_runtime_s:
                         result.status = RunStatus.TIMED_OUT
                         break

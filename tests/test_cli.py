@@ -28,7 +28,7 @@ from adamqlr.bench.cli import (
 from adamqlr.bench.config import ConfigError
 from adamqlr.bench.records import read_records
 from adamqlr.bench.rosenbrock import preset_optimizer, run_rosenbrock
-from adamqlr.bench.sweeps import SweepSpec, standard_sweeps
+from adamqlr.bench.sweeps import SWEEP_GRIDS
 from adamqlr.data import Batch
 
 from test_data import write_idx
@@ -196,6 +196,23 @@ class TestTrain:
         path.write_text(text)
         assert main(["train", "--config", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "loader, error",
+        [
+            ({"task": "classification", "separation": float("nan")},
+             "separation must be finite, got nan"),
+            ({"task": "classification", "separation": float("inf")},
+             "separation must be finite, got inf"),
+            ({"n_targets": -1}, "n_targets must be at least 1, got -1"),
+            ({"n_targets": 0}, "n_targets must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_synthetic_knob_is_config_error_naming_it(self, tmp_path, capsys, loader, error):
+        d = regression_cfg_dict()
+        d["dataset"]["loader"].update(loader)
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: dataset.loader: {error}\n"
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
@@ -485,7 +502,7 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--sweep", "omega_sym", "--out", str(out)]) == EXIT_OK
         header, *rows = out.read_text().splitlines()
         assert header == "omega_sym,status,final_train_loss,final_val_loss"
-        values = standard_sweeps()["omega_sym"].values
+        values = SWEEP_GRIDS["omega_sym"]
         assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values]
         assert {row.split(",")[1] for row in rows} == {"completed"}
         assert capsys.readouterr().out.splitlines() == rows
@@ -506,7 +523,7 @@ class TestSweep:
         assert rc == EXIT_INTERRUPTED == 130
         header, *rows = out.read_text().splitlines()
         assert header == "omega_sym,status,final_train_loss,final_val_loss"
-        values = standard_sweeps()["omega_sym"].values[: k - 1]
+        values = SWEEP_GRIDS["omega_sym"][: k - 1]
         assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values]
         for row in rows:
             _, status, train, val = row.split(",")
@@ -514,8 +531,7 @@ class TestSweep:
 
     def test_batch_clamp_warned_once_per_sweep(self, tmp_path, monkeypatch, caplog):
         training._warn_batch_clamp.cache_clear()
-        two = {"lambda0": SweepSpec("lambda0", (1e-3, 1e-2))}
-        monkeypatch.setattr(cli, "standard_sweeps", lambda: two)
+        monkeypatch.setitem(SWEEP_GRIDS, "lambda0", (1e-3, 1e-2))
         d = regression_cfg_dict(epochs=2)
         d["dataset"]["batch"]["batch_size"] = 3200
         with caplog.at_level("WARNING"):

@@ -1,6 +1,7 @@
 """Source hygiene: every module, script and test file imports only names it
-uses, every module uses each private name it defines at its top level, and
-every tape op has its derivative check."""
+uses, every module uses each private name it defines at its top level, every
+public function and class has a caller outside the tests, and every tape op
+has its derivative check."""
 
 import ast
 import inspect
@@ -16,6 +17,7 @@ SRC = ROOT / "src" / "adamqlr"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,6 +104,56 @@ def test_private_detector_sees_each_kind_of_definition():
         "    return np.split(_used(x), _CUT)\n"
     )
     assert unreferenced_privates(source) == ["line 3: _UNUSED", "line 6: _softmax"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """Top-level public functions and classes in ``source``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name ``source`` reads, as a Name or as an Attribute's attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+# Public names whose only callers are tests: the oracles tests check against.
+TEST_ORACLES = {"autodiff.explicit_matrix"}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # Callers are src/ modules, scripts and the benchmark; a re-export in an
+    # __init__ file is not a caller.
+    read = set().union(*(read_names(p.read_text()) for p in MODULES + SCRIPTS + PERFBENCH))
+    defined = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts) + "." + name: name
+        for path in MODULES
+        for name in public_definitions(path.read_text())
+    }
+    dead = sorted(key for key, name in defined.items() if name not in read)
+    assert dead == sorted(TEST_ORACLES)
+
+
+def test_caller_detector_sees_names_and_attributes():
+    source = (
+        "import numpy as np\n"
+        "class Spec: pass\n"
+        "def make(spec: Spec): return np.linalg.norm(spec)\n"
+        "def _helper(): pass\n"
+        "async def fetch(): pass\n"
+    )
+    assert public_definitions(source) == ["Spec", "make", "fetch"]
+    assert read_names(source) == {"np", "Spec", "linalg", "norm", "spec"}
 
 
 # Tape methods that record no op node: the leaves, and the sweeps over the tape.

@@ -63,7 +63,8 @@ def test_unknown_preset_rejected():
 
 def test_trajectory_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5), out=path)
+    run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5), out=path)
+    res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5))
     lines = path.read_text().splitlines()
     assert lines[0] == "step,x,y,f"
     assert len(lines) == 1 + len(res.points)
@@ -71,6 +72,14 @@ def test_trajectory_csv_round_trip(tmp_path):
         cells = line.split(",")
         assert int(cells[0]) == step
         assert [float(c) for c in cells[1:]] == [x, y, f]
+
+
+def test_run_written_to_file_keeps_only_its_latest_point(tmp_path):
+    path = tmp_path / "t.csv"
+    res = run_rosenbrock(preset_optimizer("gd"), steps=30, out=path)
+    want = run_rosenbrock(preset_optimizer("gd"), steps=30).points
+    assert res.points == want[-1:]
+    assert len(path.read_text().splitlines()) == 30 + 2  # header, start and 30 steps
 
 
 # (preset, overrides, start): every preset from (1, -1), a diverging run and

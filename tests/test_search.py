@@ -11,9 +11,9 @@ from adamqlr.bench.search import (
     OneMinusLogUniform,
     SearchObjective,
     apply_sample,
-    random_search,
     sample_space,
     search_space_for,
+    search_trials,
 )
 from adamqlr.bench.training import run_training
 from adamqlr.data import keyed_rng
@@ -68,9 +68,17 @@ class TestSpaces:
         assert cfg.optimizer.lambda0 == 1e-3
 
 
+def run_search(*args, **kwargs):
+    """The best trial and every trial, drawn from `search_trials` as `tune` draws them."""
+    best, trials = None, []
+    for trial, best in search_trials(*args, **kwargs):
+        trials.append(trial)
+    return best, trials
+
+
 class TestRandomSearch:
     def test_budget_one_returns_that_trial(self):
-        best, trials = random_search(
+        best, trials = run_search(
             search_space_for("sgd_minimal"), 1, SearchObjective.FINAL_VAL_LOSS,
             toy_cfg(), seed=0,
         )
@@ -79,14 +87,14 @@ class TestRandomSearch:
 
     def test_collapsed_space_yields_identical_configs(self):
         space = {"lr": Choice((0.05,))}
-        _, trials = random_search(space, 5, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=1)
+        _, trials = run_search(space, 5, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=1)
         lrs = {t.config["optimizer"]["lr"] for t in trials}
         assert lrs == {0.05}
 
     def test_deterministic_in_seed(self):
         space = search_space_for("sgd_minimal")
-        b1, t1 = random_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
-        b2, t2 = random_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
+        b1, t1 = run_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
+        b2, t2 = run_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
         assert [t.config for t in t1] == [t.config for t in t2]
         assert b1.score == b2.score
 
@@ -111,14 +119,14 @@ class TestRandomSearch:
         grid_losses = [final_loss(lr) for lr in grid]
         grid_best = grid[int(np.argmin(grid_losses))]
 
-        best, _ = random_search(space, 50, SearchObjective.FINAL_TRAIN_LOSS, base, seed=11)
+        best, _ = run_search(space, 50, SearchObjective.FINAL_TRAIN_LOSS, base, seed=11)
         best_lr = best.config["optimizer"]["lr"]
         assert 0.5 * grid_best <= best_lr <= 2.0 * grid_best
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_trials_rank_last(self):
         space = {"lr": Choice((1e9, 1e-2))}
-        best, trials = random_search(
+        best, trials = run_search(
             space, 6, SearchObjective.FINAL_TRAIN_LOSS, toy_cfg(), seed=2
         )
         assert best.config["optimizer"]["lr"] == 1e-2
@@ -126,7 +134,7 @@ class TestRandomSearch:
 
     def test_successive_halving_promotes_top_third(self):
         space = search_space_for("sgd_minimal")
-        best, trials = random_search(
+        best, trials = run_search(
             space, 9, SearchObjective.FINAL_VAL_LOSS, toy_cfg(epochs=8), seed=5,
             halving=True,
         )

@@ -5,7 +5,7 @@ import pytest
 
 from adamqlr.bench import config as config_mod
 from adamqlr.bench.config import ConfigError
-from adamqlr.bench.sweeps import apply_sweep_value, enumerate_sweep, standard_sweeps
+from adamqlr.bench.sweeps import SWEEP_GRIDS, sweep_configs
 
 
 def qlr_cfg():
@@ -20,34 +20,33 @@ def qlr_cfg():
 
 
 def test_grid_contents():
-    sweeps = standard_sweeps()
-    np.testing.assert_allclose(sweeps["rescale_k"].values, 2.0 ** np.arange(-1.0, 1.01, 0.2))
-    assert len(sweeps["rescale_k"].values) == 11
-    np.testing.assert_allclose(sweeps["alpha_max"].values, 10.0 ** np.arange(-4.0, 0.01, 0.5))
-    assert len(sweeps["alpha_max"].values) == 9
-    np.testing.assert_allclose(sweeps["lambda0"].values, 10.0 ** np.arange(-8.0, 0.01, 0.5))
-    assert len(sweeps["lambda0"].values) == 17
-    assert sweeps["batch_size"].values == (50, 100, 200, 400, 800, 1600, 3200)
-    np.testing.assert_allclose(sweeps["omega_sym"].values, 2.0 ** np.arange(0.0, 2.01, 0.2))
+    np.testing.assert_allclose(SWEEP_GRIDS["rescale_k"], 2.0 ** np.arange(-1.0, 1.01, 0.2))
+    assert len(SWEEP_GRIDS["rescale_k"]) == 11
+    np.testing.assert_allclose(SWEEP_GRIDS["alpha_max"], 10.0 ** np.arange(-4.0, 0.01, 0.5))
+    assert len(SWEEP_GRIDS["alpha_max"]) == 9
+    np.testing.assert_allclose(SWEEP_GRIDS["lambda0"], 10.0 ** np.arange(-8.0, 0.01, 0.5))
+    assert len(SWEEP_GRIDS["lambda0"]) == 17
+    assert SWEEP_GRIDS["batch_size"] == (50, 100, 200, 400, 800, 1600, 3200)
+    np.testing.assert_allclose(SWEEP_GRIDS["omega_sym"], 2.0 ** np.arange(0.0, 2.01, 0.2))
 
 
 def test_enumerate_reuses_base_config():
     base = qlr_cfg()
-    cfgs = enumerate_sweep(base, standard_sweeps()["lambda0"])
+    cfgs = sweep_configs(base, "lambda0")
     assert len(cfgs) == 17
-    for cfg, value in zip(cfgs, standard_sweeps()["lambda0"].values):
+    for cfg, value in zip(cfgs, SWEEP_GRIDS["lambda0"]):
         assert cfg.optimizer.lambda0 == pytest.approx(value)
         assert cfg.epochs == base.epochs
 
 
 def test_omega_pair_set_symmetrically():
-    cfg = apply_sweep_value(qlr_cfg(), "omega_sym", 2.0 ** 0.4)
+    cfg = sweep_configs(qlr_cfg(), "omega_sym")[2]  # the grid's third value, 2 ** 0.4
     assert cfg.optimizer.omega_inc == pytest.approx(2.0 ** 0.4)
     assert cfg.optimizer.omega_dec == pytest.approx(2.0 ** -0.4)
 
 
 def test_batch_size_sweep_touches_dataset():
-    cfg = apply_sweep_value(qlr_cfg(), "batch_size", 800)
+    cfg = sweep_configs(qlr_cfg(), "batch_size")[4]  # the grid's fifth value, 800
     assert cfg.dataset.batch.batch_size == 800
 
 
@@ -60,4 +59,4 @@ def test_non_qlr_optimizer_rejected():
         }
     )
     with pytest.raises(ConfigError):
-        apply_sweep_value(base, "rescale_k", 1.5)
+        sweep_configs(base, "rescale_k")
