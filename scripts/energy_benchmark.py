@@ -16,7 +16,7 @@ from adamqlr.bench import config as config_mod
 from adamqlr.bench.cli import configure_malloc
 from adamqlr.bench.records import emit
 from adamqlr.bench.stats import bootstrap_trend
-from adamqlr.bench.training import run_training
+from adamqlr.bench.training import start_training
 
 OPTIMIZERS = {
     "sgd": {"kind": "sgd_minimal", "lr": 0.0988},
@@ -62,9 +62,9 @@ def main():
         series = []
         for seed in range(args.seeds):
             cfg = config_mod.from_dict(base_config(optimizer, seed, args.epochs, args.csv))
-            result = run_training(cfg)
-            emit(result.records, out_dir / f"{name}_seed{seed}.jsonl")
-            series.append(np.array([r.train_loss for r in result.records]))
+            records = list(start_training(cfg)[1])
+            emit(records, out_dir / f"{name}_seed{seed}.jsonl")
+            series.append(np.array([r.train_loss for r in records]))
         mean, std = bootstrap_trend(series, n_boot=args.n_boot, seed=0)
         trend_path = out_dir / f"{name}_trend.csv"
         with open(trend_path, "w") as fh:

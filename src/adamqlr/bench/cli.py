@@ -29,7 +29,7 @@ from .config import ConfigError
 from .diagnostics import fisher_alignment
 from .records import FIELDS, emit, read_records
 from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
-from .search import SearchObjective, last_val_loss, search_space_for, search_trials
+from .search import SearchObjective, search_space_for, search_trials
 from .stats import align_time_series, bootstrap_trend
 from .sweeps import SWEEP_GRIDS, sweep_configs
 from .training import RunStatus, run_training, start_training
@@ -136,9 +136,9 @@ def _cmd_train(args) -> int:
             with open(str(out_path) + ".norm.json", "w") as fh:
                 json.dump(result.standardize_stats.to_dict(), fh)
         emit(records, out_path, "csv" if str(out_path).endswith(".csv") else "jsonl")
-    last = result.records[-1] if result.records else None
+    last = result.last
     print(
-        f"status={result.status.value} steps={len(result.records)} "
+        f"status={result.status.value} steps={last.step if last else 0} "
         f"final_train_loss={last.train_loss if last else 'n/a'}"
     )
     return EXIT_DIVERGED if result.status is RunStatus.DIVERGED else EXIT_OK
@@ -197,8 +197,7 @@ def _cmd_sweep(args) -> int:
         fh.write(f"{args.sweep},status,final_train_loss,final_val_loss\n")
         for value, cfg in zip(SWEEP_GRIDS[args.sweep], cfgs):
             result = run_training(cfg)
-            final = result.records[-1] if result.records else None
-            val = last_val_loss(result.records)
+            final, val = result.last, result.val_loss
             line = (
                 f"{float(value)!r},{result.status.value},"
                 f"{final.train_loss if final else ''},{'' if val is None else val}"

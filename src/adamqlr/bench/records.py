@@ -7,6 +7,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional
 
+from ..data import DataFormatError
 from ..optim import GuardEvent
 
 _INT_FIELDS = {"step", "epoch"}
@@ -33,14 +34,15 @@ class MetricRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricRecord":
-        """Fields without a default are required; absent or null optionals are None."""
-        return cls(
-            **{
-                f.name: _decode(f.name, d[key])
-                for f, key in _KEYED_FIELDS
-                if f.default is MISSING or d.get(key) is not None
-            }
-        )
+        """Fields without a default are required; absent or null optionals are None.
+        A missing required field or a value that does not decode raises ValueError."""
+        values = {}
+        for f, key in _KEYED_FIELDS:
+            if d.get(key) is not None:
+                values[f.name] = _decode(key, d[key])
+            elif f.default is MISSING:
+                raise ValueError(f"no {key!r} value")
+        return cls(**values)
 
 
 # Serialized key order is field order; `lambda` is a keyword, so the attribute is `lam`.
@@ -57,10 +59,13 @@ def _encode(name: str, value):
     return int(value) if name in _INT_FIELDS else float(value)
 
 
-def _decode(name: str, value):
-    if name == "guard_event":
-        return GuardEvent[value]
-    return int(value) if name in _INT_FIELDS else float(value)
+def _decode(key: str, value):
+    try:
+        if key == "guard_event":
+            return GuardEvent[value]
+        return int(value) if key in _INT_FIELDS else float(value)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"bad {key!r} value {value!r}") from None
 
 
 def emit(records: Iterable[MetricRecord], path, format: str = "jsonl") -> None:
@@ -92,15 +97,32 @@ def _cell(x) -> str:
 
 
 def read_records(path) -> list[MetricRecord]:
-    """Read back a file produced by `emit`, inferring format from content."""
+    """Read back a file produced by `emit`, inferring format from content.
+
+    A line that holds no record raises DataFormatError naming `path:line`
+    and the missing field or the bad value.
+    """
     with open(path) as fh:
         first = fh.readline()
         fh.seek(0)
         if first.startswith("{") or not first.strip():
-            return [MetricRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
-        reader = csv.DictReader(fh)
+            rows = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+            decode = json.loads
+        else:
+            reader = csv.DictReader(fh)
+            rows = ((reader.line_num, row) for row in reader)
+            decode = _csv_row
         out = []
-        for row in reader:
-            d = {k: (None if v == "" else v) for k, v in row.items()}
-            out.append(MetricRecord.from_dict(d))
+        for n, row in rows:
+            try:
+                d = decode(row)
+                if not isinstance(d, dict):
+                    raise ValueError(f"expected a record object, got {d!r}")
+                out.append(MetricRecord.from_dict(d))
+            except ValueError as e:
+                raise DataFormatError(f"{path}:{n}: {e}") from None
         return out
+
+
+def _csv_row(row: dict) -> dict:
+    return {k: (None if v == "" else v) for k, v in row.items()}

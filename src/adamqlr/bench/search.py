@@ -13,13 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from ..data import keyed_rng
 from .config import ConfigError, RunConfig, to_dict
-from .records import MetricRecord
 from .training import RunResult, RunStatus, run_training
 
 BATCH_SIZE_CHOICES = (50, 100, 200, 400, 800, 1600, 3200)
@@ -121,15 +120,10 @@ def apply_sample(base_cfg: RunConfig, sample: dict) -> RunConfig:
 
 def score_of(result: RunResult, objective: SearchObjective) -> float:
     """Final objective value; diverged runs score +inf so they rank last."""
-    if result.status is RunStatus.DIVERGED or not result.records:
+    if result.status is RunStatus.DIVERGED or result.last is None:
         return math.inf
-    val = last_val_loss(result.records) if objective is SearchObjective.FINAL_VAL_LOSS else None
-    return result.records[-1].train_loss if val is None else val
-
-
-def last_val_loss(records: list[MetricRecord]) -> Optional[float]:
-    """The latest validation loss among `records`, or None when none has one."""
-    return next((r.val_loss for r in reversed(records) if r.val_loss is not None), None)
+    val = result.val_loss if objective is SearchObjective.FINAL_VAL_LOSS else None
+    return result.last.train_loss if val is None else val
 
 
 def search_trials(
@@ -149,20 +143,24 @@ def search_trials(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    samples = [sample_space(space, keyed_rng(seed, i)) for i in range(budget)]
     rungs = [max(1, base_cfg.epochs // 4), max(1, base_cfg.epochs // 2), base_cfg.epochs] if halving else [base_cfg.epochs]
-    return _run_trials(samples, rungs, objective, base_cfg)
+    return _run_trials(space, seed, range(budget), rungs, objective, base_cfg)
 
 
 def _run_trials(
-    samples: list[dict], rungs: list[int], objective: SearchObjective, base_cfg: RunConfig
+    space: dict[str, Distribution],
+    seed: int,
+    active: Sequence[int],
+    rungs: list[int],
+    objective: SearchObjective,
+    base_cfg: RunConfig,
 ) -> Iterator[tuple[TrialResult, TrialResult]]:
-    active = list(range(len(samples)))
-    final: dict[int, TrialResult] = {}
+    # Each trial draws its keyed sample as it runs, so the first starts at once.
     for rung_i, rung_epochs in enumerate(rungs):
         scored: list[tuple[float, int, TrialResult]] = []
+        best: Optional[tuple[float, int, TrialResult]] = None
         for idx in active:
-            cfg = apply_sample(base_cfg, samples[idx])
+            cfg = apply_sample(base_cfg, sample_space(space, keyed_rng(seed, idx)))
             cfg = replace(cfg, epochs=rung_epochs, output_path=None)
             result = run_training(cfg)
             trial = TrialResult(
@@ -173,11 +171,10 @@ def _run_trials(
                 rung_epochs=rung_epochs,
             )
             scored.append((trial.score, idx, trial))
-            final[idx] = trial
-            candidates = [t for t in final.values() if t.rung_epochs == rung_epochs]
-            yield trial, min(candidates, key=lambda t: t.score)
+            if best is None or (trial.score, idx) < best[:2]:
+                best = scored[-1]
+            yield trial, best[2]
         if rung_i < len(rungs) - 1:
             scored.sort(key=lambda t: (t[0], t[1]))
             keep = max(1, len(scored) // 3)
             active = [idx for _, idx, _ in scored[:keep]]
-

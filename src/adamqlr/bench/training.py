@@ -48,8 +48,9 @@ class RunStatus(enum.Enum):
 
 @dataclass
 class RunResult:
-    records: list[MetricRecord]
     status: RunStatus
+    last: Optional[MetricRecord] = None
+    val_loss: Optional[float] = None
     failure_step: Optional[int] = None
     final_params: Optional[ParamVector] = None
     standardize_stats: Optional[data.StandardizeStats] = None
@@ -170,7 +171,7 @@ def check_model_fits(spec: MlpSpec, train: Batch, *others: Batch) -> None:
 
 
 def _fill_eval(
-    rec: MetricRecord,
+    result: RunResult,
     obj: Objective,
     params: ParamVector,
     train: Batch,
@@ -178,16 +179,18 @@ def _fill_eval(
     test: Batch,
     stats,
 ) -> None:
-    """Fill `rec`'s eval fields; each split takes one forward pass for its loss and accuracy."""
+    """Fill `result.last`'s eval fields and `result.val_loss`, one forward pass per split."""
     classification = train.task is Task.CLASSIFICATION
     for name, split in (("train", train), ("val", val), ("test", test)):
         if len(split) == 0:
             continue
         loss, outputs = autodiff.eval_outputs(obj, params, split)
         if name != "train":
-            setattr(rec, f"{name}_loss", loss)
+            setattr(result.last, f"{name}_loss", loss)
+        if name == "val":
+            result.val_loss = loss
         if classification:
-            setattr(rec, f"{name}_acc", models.accuracy(outputs, split.targets))
+            setattr(result.last, f"{name}_acc", models.accuracy(outputs, split.targets))
         elif name == "train" and stats is not None and stats.target_std is not None:
             if stats.target_std.size == 1:
                 logger.info(
@@ -203,12 +206,12 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
     its splits at the configured epoch cadence. A Rosenbrock model takes
     one step per epoch from (1, -1) and has no splits to evaluate.
 
-    The iterator yields each epoch's records once that epoch's eval fields
-    are filled; on a timeout or a divergence it first yields the records it
-    holds. The result fills in as the iterator runs: `records` holds every
-    record taken so far, and the status and final params are settled once
-    the iterator is exhausted. A ValueError raised mid-run is re-raised as
-    a ConfigError that says how many steps were taken and in which epoch.
+    The iterator holds only the current epoch's records and yields them once
+    its eval fields are filled, or as the run stops. The result is the run's
+    summary and fills in as the iterator runs: `last` is the latest record,
+    `val_loss` the latest validation loss, and the status and final params
+    are settled once the iterator is exhausted. A ValueError raised mid-run
+    is re-raised as a ConfigError naming the steps taken and the epoch.
     """
     stats = splits = None
     if isinstance(cfg.model, RosenbrockSpec):
@@ -229,32 +232,33 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
             return data.batch_iter(train, cfg.dataset.batch, epoch)
 
     stepper = make_stepper(cfg.optimizer, len(params))
-    result = RunResult([], RunStatus.COMPLETED, None, params, stats)
+    result = RunResult(RunStatus.COMPLETED, final_params=params, standardize_stats=stats)
 
     def steps() -> Iterator[MetricRecord]:
-        params, records, held = result.final_params, result.records, 0
+        params, step, held = result.final_params, 0, []
         t0 = time.perf_counter()
         try:
             for epoch in range(cfg.epochs):
                 for batch in batches(epoch):
                     params, fields = stepper.step(obj, params, batch)
-                    step = len(records) + 1
-                    records.append(MetricRecord(step, epoch, time.perf_counter() - t0, **fields))
+                    step += 1
+                    result.last = MetricRecord(step, epoch, time.perf_counter() - t0, **fields)
+                    held.append(result.last)
                     if time.perf_counter() - t0 > cfg.max_runtime_s:
                         result.status = RunStatus.TIMED_OUT
                         break
                 if result.status is RunStatus.TIMED_OUT:
                     break
                 if splits and ((epoch + 1) % cfg.eval_every_epochs == 0 or epoch == cfg.epochs - 1):
-                    _fill_eval(records[-1], obj, params, *splits, stats)
-                yield from records[held:]
-                held = len(records)
+                    _fill_eval(result, obj, params, *splits, stats)
+                yield from held
+                held = []
         except ArithmeticError:
-            result.status, result.failure_step = RunStatus.DIVERGED, len(records)
+            result.status, result.failure_step = RunStatus.DIVERGED, step
         except ValueError as e:
-            raise ConfigError(f"after {len(records)} steps, in epoch {epoch}: {e}") from e
+            raise ConfigError(f"after {step} steps, in epoch {epoch}: {e}") from e
         result.final_params = params
-        yield from records[held:]
+        yield from held
 
     return result, steps()
 

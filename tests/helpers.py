@@ -6,6 +6,8 @@ Kronecker-assembled curvature matrices, closed-form least squares, and a
 hand-rolled bootstrap enumeration. `quadratic_objective` is the one
 objective whose curvature and quadratic model are exact by construction;
 `rosenbrock_slice_objective` traces Rosenbrock on vector slices.
+`run_with_records` keeps every record of a training run, which the run's
+result does not.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from adamqlr.autodiff import Objective
+from adamqlr.bench.training import start_training
 from adamqlr.models import RosenbrockSpec
 from adamqlr.tape import Node, Tape
 
@@ -160,3 +163,9 @@ def brute_force_bootstrap(runs, n_boot: int, seed: int):
     mean = [sum(m[t] for m in medians) / n_boot for t in range(length)]
     var = [sum((m[t] - mean[t]) ** 2 for m in medians) / n_boot for t in range(length)]
     return np.array(mean), np.sqrt(np.array(var))
+
+
+def run_with_records(cfg):
+    """A finished run's result and every record it yielded, drawn from `start_training`."""
+    result, records = start_training(cfg)
+    return result, list(records)

@@ -59,6 +59,7 @@ from helpers import (
     dense_linear_softmax_fisher,
     golden_section,
     quadratic_objective,
+    run_with_records,
 )
 
 A_DIAG = np.diag([2.0, 8.0])
@@ -344,14 +345,14 @@ def test_07_energy_scale_training():
             "seed": 0,
         }
     )
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     elapsed = time.perf_counter() - t0
-    init, final = result.records[0].train_loss, result.records[-1].train_loss
+    init, final = records[0].train_loss, records[-1].train_loss
     reduction = 1.0 - final / init
     rejected = sum(
-        1 for r in result.records if r.guard_event is GuardEvent.STEP_REJECTED
+        1 for r in records if r.guard_event is GuardEvent.STEP_REJECTED
     )
-    lams = np.array([r.lam for r in result.records])
+    lams = np.array([r.lam for r in records])
     lam_ok = bool(np.all(np.isfinite(lams)) and np.all(lams >= LAMBDA_MIN))
     ok = (
         result.status is RunStatus.COMPLETED

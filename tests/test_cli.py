@@ -586,6 +586,31 @@ class TestBootstrap:
     def test_no_matches_is_config_error(self, tmp_path):
         assert main(["bootstrap", "--inputs", str(tmp_path / "zzz*.jsonl")]) == EXIT_CONFIG
 
+    GOOD = '{"step": 1, "epoch": 0, "wall_time_s": 0.5, "train_loss": 2.0}'
+
+    @pytest.mark.parametrize(
+        "name, text, problem",
+        [
+            ("no-step.csv", "epoch,wall_time_s,train_loss\n0,0.5,2.0\n", "2: no 'step' value"),
+            ("no-loss.jsonl", GOOD + '\n{"step": 2, "epoch": 0, "wall_time_s": 0.6}\n',
+             "2: no 'train_loss' value"),
+            ("bogus.jsonl", GOOD + '\n' + GOOD[:-1] + ', "guard_event": "BOGUS"}\n',
+             "2: bad 'guard_event' value 'BOGUS'"),
+            ("list.jsonl", GOOD + "\n[1, 2]\n", "2: expected a record object, got [1, 2]"),
+            ("huge-step.jsonl", '{"step": 1e400, "epoch": 0, "wall_time_s": 0.5, '
+             '"train_loss": 2.0}\n', "1: bad 'step' value inf"),
+        ],
+        ids=["csv-no-step", "jsonl-no-train-loss", "bogus-guard-event", "not-an-object",
+             "step-overflows"],
+    )
+    def test_malformed_record_file_is_config_error(self, tmp_path, capsys, name, text, problem):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["bootstrap", "--inputs", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {path}:{problem}\n"
+
     @pytest.mark.parametrize("metric", ["nosuch", "guard_event"])
     def test_non_numeric_metric_is_usage_error(self, metric, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

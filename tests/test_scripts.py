@@ -1,6 +1,8 @@
 """The experiment scripts run end to end on small inputs."""
 
+import math
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,3 +24,32 @@ def test_energy_benchmark_writes_runs_and_trends(tmp_path, monkeypatch, capsys):
         assert header == "step,mean,std"
         assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def _identity_main():
+    return runpy.run_path(str(SCRIPTS / "identity.py"))["main"]
+
+
+# Two quick commands of the identity check's fixed list, one per kind of output.
+IDENTITY_SUBSET = "rosenbrock-adam,gradcheck"
+
+
+def test_identity_check_passes_a_tree_against_itself(capsys):
+    assert _identity_main()([str(SCRIPTS.parent), "--only", IDENTITY_SUBSET]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2 commands, 7 files compared, 0 differ"]
+
+
+def test_identity_check_catches_a_one_ulp_constant_change(tmp_path, capsys):
+    shutil.copytree(SCRIPTS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    models = tmp_path / "src" / "adamqlr" / "models.py"
+    text = models.read_text()
+    assert text.count("b: float = 100.0\n") == 1
+    one_ulp_up = f"b: float = {math.nextafter(100.0, 101.0)!r}\n"
+    models.write_text(text.replace("b: float = 100.0\n", one_ulp_up))
+    assert _identity_main()([str(tmp_path), "--only", IDENTITY_SUBSET]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: rosenbrock-adam.csv",
+        "differs: rosenbrock-adam.stdout",
+        "2 commands, 7 files compared, 2 differ",
+    ]

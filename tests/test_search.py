@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adamqlr.bench import config as config_mod
+from adamqlr.bench import search
 from adamqlr.bench.search import (
     BATCH_SIZE_CHOICES,
     Choice,
@@ -113,7 +114,7 @@ class TestRandomSearch:
         def final_loss(lr):
             cfg = apply_sample(base, {"lr": lr})
             result = run_training(cfg)
-            return result.records[-1].train_loss if result.records else np.inf
+            return result.last.train_loss if result.last else np.inf
 
         grid = np.logspace(-4, 0, 60)
         grid_losses = [final_loss(lr) for lr in grid]
@@ -122,6 +123,23 @@ class TestRandomSearch:
         best, _ = run_search(space, 50, SearchObjective.FINAL_TRAIN_LOSS, base, seed=11)
         best_lr = best.config["optimizer"]["lr"]
         assert 0.5 * grid_best <= best_lr <= 2.0 * grid_best
+
+    @pytest.mark.parametrize("halving", [False, True])
+    def test_first_trial_draws_only_its_own_sample(self, monkeypatch, halving):
+        draws = []
+
+        def counted(space, rng):
+            draws.append(space)
+            return sample_space(space, rng)
+
+        monkeypatch.setattr(search, "sample_space", counted)
+        trials = search_trials(
+            search_space_for("sgd_minimal"), 1000, SearchObjective.FINAL_VAL_LOSS,
+            toy_cfg(epochs=1), seed=0, halving=halving,
+        )
+        trial, best = next(trials)
+        assert len(draws) == 1
+        assert best is trial
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_trials_rank_last(self):

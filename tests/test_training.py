@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from adamqlr.bench.diagnostics import fisher_alignment
 from adamqlr.bench.training import RunStatus, run_training
 from adamqlr.optim import LAMBDA_MIN
 
-from helpers import least_squares_mse
+from helpers import least_squares_mse, run_with_records
 from test_cli import wide_cfg_dict
 
 
@@ -37,17 +38,17 @@ def regression_cfg(**overrides):
 
 def test_sgd_reaches_least_squares_regime():
     cfg = regression_cfg()
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     assert result.status is RunStatus.COMPLETED
-    initial, final = result.records[0].train_loss, result.records[-1].train_loss
+    initial, final = records[0].train_loss, records[-1].train_loss
     assert final <= 0.05 * initial
 
 
 def test_same_seed_identical_records_excluding_wall_time():
     cfg = regression_cfg(optimizer={"kind": "qlr"})
-    a, b = run_training(cfg), run_training(cfg)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
+    (_, a), (_, b) = run_with_records(cfg), run_with_records(cfg)
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
         da, db = ra.to_dict(), rb.to_dict()
         da.pop("wall_time_s")
         db.pop("wall_time_s")
@@ -58,14 +59,14 @@ def test_split_products_leave_records_unchanged(halves):
     # A 784-input classifier: its input-layer products, in the steps and in
     # evaluation, reach `tape.SPLIT_MADDS`.
     cfg = config_mod.from_dict({**wide_cfg_dict(), "epochs": 3})
-    split = run_training(cfg)
+    split, split_records = run_with_records(cfg)
     assert halves._pool is not None  # the worker ran halves
     halves.split = False
-    whole = run_training(cfg)
+    whole, whole_records = run_with_records(cfg)
     assert split.status is whole.status is RunStatus.COMPLETED
     np.testing.assert_array_equal(split.final_params.values, whole.final_params.values)
-    assert len(split.records) == len(whole.records) == 6
-    for ra, rb in zip(split.records, whole.records):
+    assert len(split_records) == len(whole_records) == 6
+    for ra, rb in zip(split_records, whole_records):
         da, db = ra.to_dict(), rb.to_dict()
         da.pop("wall_time_s")
         db.pop("wall_time_s")
@@ -74,17 +75,17 @@ def test_split_products_leave_records_unchanged(halves):
 
 def test_qlr_records_respect_bounds():
     cfg = regression_cfg(optimizer={"kind": "qlr", "rescale_k": 1.5})
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     assert result.status is RunStatus.COMPLETED
-    for rec in result.records:
+    for rec in records:
         assert rec.lam >= LAMBDA_MIN
         assert 0.0 <= rec.alpha <= 1.5 * 0.1
 
 
 def test_eval_fields_filled_at_epoch_cadence():
     cfg = regression_cfg(epochs=4, eval_every_epochs=2)
-    result = run_training(cfg)
-    with_val = [r for r in result.records if r.val_loss is not None]
+    _, records = run_with_records(cfg)
+    with_val = [r for r in records if r.val_loss is not None]
     # epochs 1 and 3 (0-indexed) evaluate; last epoch always does
     assert len(with_val) == 2
     assert all(r.test_loss is not None for r in with_val)
@@ -108,8 +109,8 @@ def classification_cfg(**overrides):
 
 
 def test_classification_reports_accuracy():
-    result = run_training(classification_cfg())
-    last = [r for r in result.records if r.train_acc is not None][-1]
+    _, records = run_with_records(classification_cfg())
+    last = [r for r in records if r.train_acc is not None][-1]
     assert last.train_acc >= 0.9
     assert last.val_acc is not None and last.test_acc is not None
 
@@ -141,7 +142,7 @@ def test_classification_eval_matches_loss_and_predict_oracle():
     # Runs are deterministic, so the params at the end of epoch k are the
     # final params of the same run cut after k epochs.
     cfg = classification_cfg(optimizer={"kind": "qlr"}, epochs=3)
-    records = run_training(cfg).records
+    _, records = run_with_records(cfg)
     train, val, test, _ = training.prepare_data(cfg.dataset)
     obj = models.mlp_objective(cfg.model)
     evaluated = [r for r in records if r.train_acc is not None]
@@ -186,10 +187,10 @@ def test_train_only_split_trains_to_completion(task):
             "epochs": 3,
         }
     )
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     assert result.status is RunStatus.COMPLETED
-    assert len(result.records) == 9
-    last = result.records[-1]
+    assert len(records) == 9
+    last = records[-1]
     assert all(getattr(last, f"{s}_{m}") is None for s in ("val", "test") for m in ("loss", "acc"))
     assert (last.train_acc is not None) == (task == "classification")
 
@@ -202,19 +203,19 @@ def test_divergent_run_records_status():
          "epochs": 50}
     )
     for cfg in (mlp, rosenbrock):
-        result = run_training(cfg)
+        result, records = run_with_records(cfg)
         assert result.status is RunStatus.DIVERGED
-        assert 0 < len(result.records) < cfg.epochs
-        assert result.failure_step == len(result.records)
-        assert all(np.isfinite(r.train_loss) for r in result.records)
+        assert 0 < len(records) < cfg.epochs
+        assert result.failure_step == len(records)
+        assert all(np.isfinite(r.train_loss) for r in records)
         assert np.all(np.isfinite(result.final_params.values))
 
 
 def test_runtime_limit_times_out():
     cfg = regression_cfg(epochs=100_000, max_runtime_s=0.05)
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     assert result.status is RunStatus.TIMED_OUT
-    assert 0 < len(result.records) < 100_000
+    assert 0 < len(records) < 100_000
 
 
 def test_batch_size_clamped_to_full_batch():
@@ -222,9 +223,9 @@ def test_batch_size_clamped_to_full_batch():
     cfg = config_mod.from_dict({**config_mod.to_dict(cfg)})
     big = config_mod.to_dict(cfg)
     big["dataset"]["batch"]["batch_size"] = 3200
-    result = run_training(config_mod.from_dict(big))
+    _, records = run_with_records(config_mod.from_dict(big))
     # 42 train rows -> one full batch per epoch
-    steps_per_epoch = sum(1 for r in result.records if r.epoch == 0)
+    steps_per_epoch = sum(1 for r in records if r.epoch == 0)
     assert steps_per_epoch == 1
 
 
@@ -243,7 +244,7 @@ def test_oversized_batch_warned_once_per_run(job, caplog):
     )
     with caplog.at_level("WARNING"):
         if job == "train":
-            assert len(run_training(cfg).records) == 5
+            assert len(run_with_records(cfg)[1]) == 5
         else:
             assert fisher_alignment(cfg, steps=5)["steps"] == 5
     clamps = [rec.getMessage() for rec in caplog.records if "clamp" in rec.getMessage()]
@@ -267,10 +268,36 @@ def test_rosenbrock_model_trains_batch_free():
             "seed": 0,
         }
     )
-    result = run_training(cfg)
+    result, records = run_with_records(cfg)
     assert result.status is RunStatus.COMPLETED
-    assert len(result.records) == 50
-    assert result.records[-1].train_loss < result.records[0].train_loss
+    assert len(records) == 50
+    assert records[-1].train_loss < records[0].train_loss
+
+
+def test_run_holds_no_memory_per_epoch():
+    # A finished run keeps its summary, not its records: the bytes it holds
+    # do not grow with its epochs.
+    def cfg(epochs):
+        return config_mod.from_dict(
+            {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "sgd_minimal", "lr": 1e-4},
+             "epochs": epochs, "max_runtime_s": 10.0}
+        )
+
+    def held_by_run(epochs):
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_training(cfg(epochs))
+        gc.collect()
+        assert result.status is RunStatus.COMPLETED
+        return tracemalloc.get_traced_memory()[0] - before
+
+    run_training(cfg(10))  # caches filled by a first run are not the runs' to hold
+    tracemalloc.start()
+    try:
+        short, long = held_by_run(100), held_by_run(1000)
+    finally:
+        tracemalloc.stop()
+    assert abs(long - short) < 16 * 1024
 
 
 def test_oracle_floor_matches_least_squares():
