@@ -82,6 +82,13 @@ COMMANDS = [
     ("rosenbrock-gd-lr10", ["rosenbrock", "--optimizer", "gd", "--lr", "10",
                             "--out", "rosenbrock-gd-lr10.csv"]),
     ("rosenbrock-start", ["rosenbrock", "--optimizer", "adamqlr-untuned", "--start", "0.5,0.5"]),
+    # From (0, 0) the first step meets exact zeros: y - x² and the y part
+    # of the gradient.
+    *(
+        (f"rosenbrock-zero-{p}", ["rosenbrock", "--optimizer", p, "--start", "0,0",
+                                  "--out", f"rosenbrock-zero-{p}.csv"])
+        for p in ("adamqlr-untuned", "gd")
+    ),
     ("sweep-lambda0", ["sweep", "--config", "energy40.json", "--sweep", "lambda0",
                        "--out", "sweep-lambda0.csv"]),
     ("tune", ["tune", "--config", "energy40.json", "--budget", "4", "--out", "tune.json"]),

@@ -152,7 +152,10 @@ def _cmd_rosenbrock(args) -> int:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigError(f"--start must be finite, got {args.start!r}")
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
-    result = run_rosenbrock(opt, steps=args.steps, start=(x, y), out=args.out or None)
+    # Only the last point is printed, so only the latest is kept.
+    result = run_rosenbrock(
+        opt, steps=args.steps, start=(x, y), out=args.out or None, latest_only=True
+    )
     print(
         f"status={result.status.value} steps={result.points[-1][0]} "
         f"final_f={result.final_f!r} final_xy=({result.points[-1][1]!r},{result.points[-1][2]!r})"
@@ -170,10 +173,12 @@ def _cmd_tune(args) -> int:
     results = search_trials(
         space, args.budget, SearchObjective(args.objective), cfg, seed, args.halving
     )
+    # Every trial is kept only for the --out file.
     best, trials = None, []
     try:
         for trial, best in results:
-            trials.append(trial)
+            if args.out:
+                trials.append(trial)
     finally:
         # A search that stops early, interrupted or on an error, still leaves
         # every finished trial and the best of them.

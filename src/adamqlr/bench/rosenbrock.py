@@ -64,7 +64,7 @@ def preset_optimizer(
 @dataclass
 class RosenbrockResult:
     """Visited points (step, x, y, f), including the starting point; a run
-    written to a file keeps only its latest point here."""
+    that keeps only its latest point holds that one here."""
 
     points: list[tuple[int, float, float, float]]
     status: RunStatus
@@ -80,9 +80,11 @@ def run_rosenbrock(
     start: tuple[float, float] = ROSENBROCK_START,
     spec: RosenbrockSpec = RosenbrockSpec(),
     out=None,
+    latest_only: bool = False,
 ) -> RosenbrockResult:
     """Take ``steps`` steps of ``optimizer`` from ``start``.
 
+    The result holds every point, or with ``latest_only`` only the latest.
     With ``out``, a path, the trajectory is written there as CSV point by
     point: the header and the start before the first step, then each step
     as it is taken, and only the latest point is held in memory. A path
@@ -95,11 +97,15 @@ def run_rosenbrock(
     params = ParamVector(start)
     stepper = make_stepper(optimizer, 2)
     points: list[tuple[int, float, float, float]] = []
-    record = points.append
+
+    def keep_latest(point: tuple[int, float, float, float]) -> None:
+        points[:] = (point,)
+
+    record = keep_latest if latest_only or out is not None else points.append
     with contextlib.ExitStack() as stack:
         if out is not None:
             fh = stack.enter_context(open(out, "w", newline="", buffering=1))
-            record = _csv_recorder(fh, points)
+            record = _csv_recorder(fh, record)
         # The start's f is recorded even when it is not finite, so a run that
         # diverges from there still leaves its one point.
         record((0, *params.values.tolist(), obj.value(params.values, None)))
@@ -112,14 +118,14 @@ def run_rosenbrock(
     return RosenbrockResult(points, RunStatus.COMPLETED)
 
 
-def _csv_recorder(fh, points: list) -> Callable[[tuple], None]:
-    """Writes the CSV header to ``fh`` and returns a recorder that makes
-    each point the one entry of ``points`` and writes it as one line."""
+def _csv_recorder(fh, keep: Callable[[tuple], None]) -> Callable[[tuple], None]:
+    """Writes the CSV header to ``fh`` and returns a recorder that passes
+    each point to ``keep`` and writes it as one line."""
     writer = csv.writer(fh)
     writer.writerow(("step", "x", "y", "f"))
 
     def record(point: tuple[int, float, float, float]) -> None:
-        points[:] = (point,)
+        keep(point)
         step, x, y, f = point
         writer.writerow((step, repr(x), repr(y), repr(f)))
 

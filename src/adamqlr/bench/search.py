@@ -156,8 +156,10 @@ def _run_trials(
     base_cfg: RunConfig,
 ) -> Iterator[tuple[TrialResult, TrialResult]]:
     # Each trial draws its keyed sample as it runs, so the first starts at once.
+    # A rung keeps the best trial, and the scores only when a next rung reads them.
     for rung_i, rung_epochs in enumerate(rungs):
-        scored: list[tuple[float, int, TrialResult]] = []
+        promotes = rung_i < len(rungs) - 1
+        scored: list[tuple[float, int]] = []
         best: Optional[tuple[float, int, TrialResult]] = None
         for idx in active:
             cfg = apply_sample(base_cfg, sample_space(space, keyed_rng(seed, idx)))
@@ -170,11 +172,11 @@ def _run_trials(
                 failure_step=result.failure_step,
                 rung_epochs=rung_epochs,
             )
-            scored.append((trial.score, idx, trial))
+            if promotes:
+                scored.append((trial.score, idx))
             if best is None or (trial.score, idx) < best[:2]:
-                best = scored[-1]
+                best = (trial.score, idx, trial)
             yield trial, best[2]
-        if rung_i < len(rungs) - 1:
-            scored.sort(key=lambda t: (t[0], t[1]))
-            keep = max(1, len(scored) // 3)
-            active = [idx for _, idx, _ in scored[:keep]]
+        if promotes:
+            scored.sort()
+            active = [idx for _, idx in scored[: max(1, len(scored) // 3)]]

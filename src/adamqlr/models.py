@@ -159,22 +159,17 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
 
     Batch-independent; curvature products use the exact Hessian (there is
     no model/loss split, so Gauss-Newton/Fisher curvature is undefined).
-    The trace reads x and y as scalar nodes, so every node does scalar
-    arithmetic: the same IEEE operations, in the same order, as on
-    1-element slices, so the same bits.
+    The trace is one fused node, :meth:`Tape.rosenbrock`, with the bits of
+    the same function traced through the generic ops.
     """
     a, b = spec.a, spec.b
 
     def trace(tape: Tape, theta: Node, batch):
-        x = tape.index(theta, 0)
-        y = tape.index(theta, 1)
-        f = tape.add(
-            tape.square(tape.sub(tape.const(a), x)),
-            tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
-        )
-        return None, f, None
+        return None, tape.rosenbrock(theta, a, b), None
 
     def value(values: np.ndarray, batch) -> float:
+        # Squares by `**`, not by the node's `d * d`: `**` rounds some
+        # squares differently, and recorded runs hold these bits.
         x, y = values
         return float((a - x) ** 2 + b * (y - x * x) ** 2)
 

@@ -1,12 +1,16 @@
 """Command-line interface contracts: subcommands and exit codes."""
 
+import contextlib
 import ctypes
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,6 +58,25 @@ def regression_cfg_dict(**over):
     }
     d.update(over)
     return d
+
+
+def peak_bytes_held(argvs) -> list[int]:
+    """Peak traced bytes above the start of each ``main(argv)`` call, after
+    one untraced run of the first, so caches it fills are not counted."""
+    peaks = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argvs[0]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            for argv in argvs:
+                gc.collect()
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def diverging_adam_cfg_dict():
@@ -400,6 +423,13 @@ class TestRosenbrock:
         assert "status=diverged steps=3 " in capsys.readouterr().out
         assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
 
+    def test_run_without_out_holds_no_memory_per_step(self):
+        # Only the last point is printed, so only the latest is kept.
+        short, long = peak_bytes_held(
+            [["rosenbrock", "--optimizer", "gd", "--steps", str(n)] for n in (100, 1000)]
+        )
+        assert long - short < 16 * 1024
+
     @pytest.mark.parametrize("start", ["oops", "nan,0", "0,inf"])
     def test_bad_start_is_config_error(self, start):
         assert main(["rosenbrock", "--optimizer", "gd", "--start", start]) == EXIT_CONFIG
@@ -485,6 +515,15 @@ class TestTune:
         cfg = write_cfg(tmp_path, regression_cfg_dict())
         assert main(["tune", "--config", cfg, "--budget", "3", "--out", str(out)]) == EXIT_INTERRUPTED
         assert json.loads(out.read_text()) == {"best": None, "trials": []}
+
+    def test_search_without_out_holds_no_memory_per_trial(self, tmp_path):
+        # Without --out only the best trial is read, so only it is kept.
+        cfg = write_cfg(tmp_path, {"model": {"kind": "rosenbrock"},
+                                   "optimizer": {"kind": "sgd_minimal", "lr": 1e-4}, "epochs": 1})
+        short, long = peak_bytes_held(
+            [["tune", "--config", cfg, "--budget", str(n)] for n in (25, 250)]
+        )
+        assert long - short < 16 * 1024
 
     def test_invalid_budget_leaves_out_file_untouched(self, tmp_path, capsys):
         out = tmp_path / "tune.json"

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from adamqlr import tape
+from adamqlr.models import RosenbrockSpec, rosenbrock_objective
 from adamqlr.tape import Tape
 
-from helpers import softmax_rows
+from helpers import rosenbrock_slice_objective, softmax_rows
 
 N = 12
 H = 1e-5
@@ -46,6 +47,7 @@ OPS = {
     "sum": lambda t, x: t.sum(x),
     "softmax_xent": lambda t, x: t.softmax_xent(t.affine(t.const(X42), x, 0, 6, 2, 3), LABELS),
     "mse": lambda t, x: t.mse(x, TARGETS),
+    "rosenbrock": lambda t, x: t.rosenbrock(t.index(x, slice(3, 5)), 1.3, 7.0),
 }
 
 
@@ -117,6 +119,47 @@ def test_mse_has_the_bits_of_the_chain_it_fuses():
         np.testing.assert_array_equal(fused, chain)
 
 
+# Rosenbrock points: random ones, then x = 0, y = x², x = a and signed zeros,
+# each for a = 1 and a = 0.
+ROSENBROCK_POINTS = [
+    *np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 2)).tolist(),
+    (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 1.5), (-0.0, -1.5),
+    (1.5, 2.25), (-0.5, 0.25), (1.0, -1.0), (1.0, 1.0), (1.0, -0.0),
+]
+# Sweep seeds: the plain one, one with a tangent, and signed zeros.
+ROSENBROCK_SEEDS = [(1.0, None), (0.75, -2.5), (-0.0, 0.0), (1.0, -0.0)]
+
+
+def _rosenbrock_sweeps(objective, point, v, seed):
+    """Value, tangent, and both sweeps' cotangent pairs at ``point`` along ``v``, as bytes."""
+    t = Tape()
+    leaf = t.input(point)
+    _, loss, _ = objective.trace(t, leaf, None)
+    seed = tuple(None if s is None else np.float64(s) for s in seed)
+    grad = t.backward(loss, seed, leaf, use_tangents=False)
+    t.replay_tangent(leaf, v)
+    # The slice trace's closing sum adds its one element to 0.0, so a -0.0
+    # tangent reads +0.0 there; the tangents are compared as 0.0 + tangent.
+    tan = 0.0 + loss.tan
+    got = [loss.val, tan, *grad, *t.backward(loss, seed, leaf, use_tangents=True)]
+    return [None if x is None else np.asarray(x, dtype=np.float64).tobytes() for x in got]
+
+
+@pytest.mark.parametrize("a", [1.0, 0.0])
+@pytest.mark.parametrize("point", ROSENBROCK_POINTS)
+def test_rosenbrock_node_has_the_bits_of_the_slice_trace(point, a):
+    # Rosenbrock runs are pinned bit for bit, so the fused node keeps the
+    # generic chain's arithmetic, signed zeros included.
+    spec = RosenbrockSpec(a=a, b=100.0)
+    fused, slices = rosenbrock_objective(spec), rosenbrock_slice_objective(spec)
+    rng = np.random.default_rng(len(point))
+    for v in (rng.normal(size=2), np.array([0.0, -0.0]), np.array([-0.0, 1.0])):
+        for seed in ROSENBROCK_SEEDS:
+            assert _rosenbrock_sweeps(fused, point, v, seed) == _rosenbrock_sweeps(
+                slices, point, v, seed
+            )
+
+
 def test_ggn_factors_have_the_bits_of_the_closed_forms():
     # Records were made with the cross-entropy factor's softmax taken as the
     # max-shifted exponentials over their row sums; the node's exp(z - lse)
@@ -148,6 +191,7 @@ def test_an_int_index_gives_a_scalar_node_and_a_range_a_vector():
         lambda t, x: t.affine(t.const(X42), x, 6, 12, 2, 3),  # b runs past the leaf
         lambda t, x: t.affine(t.const(X43), x, 0, 6, 2, 3),  # the data matrix is 3 wide
         lambda t, x: t.mse(x, TARGETS[:6]),
+        lambda t, x: t.rosenbrock(x, 1.0, 100.0),  # not a 2-vector
         # A live matrix times a vector: its cotangent rule needs a matrix.
         lambda t, x: t.matmul(t.affine(t.const(X32), x, 0, 6, 2, 3), t.index(x, slice(9, 12))),
         lambda t, x: t.index(x, N),
@@ -251,6 +295,22 @@ def _check_data_product(n, d, k):
     for got, want in ((node.val, x @ w), (node.tan, x @ wt)):
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m, n", [(554, 50), (50, 554), (1, 50), (69, 1), (1, 1)])
+def test_outer_products_have_the_bits_of_blas(m, n):
+    # Inner dimension 1 runs through einsum. Its bytes are those of `x @ y`,
+    # zeros' signs included: both give +0.0 where a broadcast gives -0.0.
+    rng = np.random.default_rng(m + n)
+    x, y = rng.normal(size=(m, 1)), rng.normal(size=(1, n))
+    x[::3], y[:, ::4] = 0.0, -0.0
+    x[1::5], y[:, 2::7] = -0.0, 0.0
+    broadcast = x * y
+    assert np.signbit(broadcast[broadcast == 0]).any()  # the data meets -0.0 products
+    got, want = tape.matmul(x, y), x @ y
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+    with pytest.raises(ValueError):
+        tape.matmul(x, rng.normal(size=(2, n)))  # no broadcast of a mismatched inner dimension
 
 
 def _matmul_workers():
