@@ -67,6 +67,19 @@ CONFIGS = {
     "energy.json": _energy(400),
     "energy40.json": _energy(40, eval_every_epochs=5),
     "adam.json": {**_energy(40), "optimizer": {"kind": "adam", "lr": 0.01}},
+    # Rosenbrock trained from (1, -1), one step per epoch, with the knobs
+    # of the `rosenbrock` command's two quadratic-model presets.
+    "rosenbrock-untuned.json": {
+        "model": {"kind": "rosenbrock"},
+        "optimizer": {"kind": "qlr", "curvature": "hessian"},
+        "epochs": 500,
+    },
+    "rosenbrock-tuned.json": {
+        "model": {"kind": "rosenbrock"},
+        "optimizer": {"kind": "qlr", "curvature": "hessian", "lambda0": 3.0270e-6,
+                      "omega_dec": 0.9, "omega_inc": 2.1, "alpha_max": 6.098},
+        "epochs": 500,
+    },
 }
 
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
@@ -76,12 +89,20 @@ COMMANDS = [
     ("train-energy40-csv", ["train", "--config", "energy40.json", "--out", "energy40.csv"]),
     ("train-no-out", ["train", "--config", "energy40.json"]),
     *(
+        (f"train-rosenbrock-{k}", ["train", "--config", f"rosenbrock-{k}.json",
+                                   "--out", f"train-rosenbrock-{k}.jsonl"])
+        for k in ("untuned", "tuned")
+    ),
+    *(
         (f"rosenbrock-{p}", ["rosenbrock", "--optimizer", p, "--out", f"rosenbrock-{p}.csv"])
         for p in PRESETS
     ),
     ("rosenbrock-gd-lr10", ["rosenbrock", "--optimizer", "gd", "--lr", "10",
                             "--out", "rosenbrock-gd-lr10.csv"]),
     ("rosenbrock-start", ["rosenbrock", "--optimizer", "adamqlr-untuned", "--start", "0.5,0.5"]),
+    # f overflows at the start: the run diverges with the start as its one point.
+    ("rosenbrock-overflow", ["rosenbrock", "--optimizer", "gd", "--start", "1e200,1e200",
+                             "--out", "rosenbrock-overflow.csv"]),
     # From (0, 0) the first step meets exact zeros: y - x² and the y part
     # of the gradient.
     *(

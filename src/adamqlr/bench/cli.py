@@ -8,6 +8,7 @@ interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import glob as globlib
 import itertools
@@ -28,7 +29,7 @@ from . import config as config_mod
 from .config import ConfigError
 from .diagnostics import fisher_alignment
 from .records import FIELDS, emit, read_records
-from .rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
+from .rosenbrock import PRESET_NAMES, preset_optimizer, trajectory
 from .search import SearchObjective, search_space_for, search_trials
 from .stats import align_time_series, bootstrap_trend
 from .sweeps import SWEEP_GRIDS, sweep_configs
@@ -152,15 +153,21 @@ def _cmd_rosenbrock(args) -> int:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigError(f"--start must be finite, got {args.start!r}")
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
-    # Only the last point is printed, so only the latest is kept.
-    result = run_rosenbrock(
-        opt, steps=args.steps, start=(x, y), out=args.out or None, latest_only=True
-    )
-    print(
-        f"status={result.status.value} steps={result.points[-1][0]} "
-        f"final_f={result.final_f!r} final_xy=({result.points[-1][1]!r},{result.points[-1][2]!r})"
-    )
-    return EXIT_DIVERGED if result.status is RunStatus.DIVERGED else EXIT_OK
+    # A bad --steps raises here, before --out is created.
+    points = trajectory(opt, args.steps, (x, y))
+    # Each point reaches the file as it is taken, so a run that stops early
+    # leaves the header and every point taken. Only the latest point is kept,
+    # for the status line.
+    with open(args.out or os.devnull, "w", newline="", buffering=1) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("step", "x", "y", "f"))
+        for point in points:
+            writer.writerow((point[0], *map(repr, point[1:])))
+    step, x, y, f = point
+    # A trajectory ends early only by diverging.
+    status = RunStatus.COMPLETED if step == args.steps else RunStatus.DIVERGED
+    print(f"status={status.value} steps={step} final_f={f!r} final_xy=({x!r},{y!r})")
+    return EXIT_DIVERGED if status is RunStatus.DIVERGED else EXIT_OK
 
 
 def _cmd_tune(args) -> int:

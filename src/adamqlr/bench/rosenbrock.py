@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from .. import autodiff
 from ..autodiff import CurvatureKind
@@ -63,8 +61,7 @@ def preset_optimizer(
 
 @dataclass
 class RosenbrockResult:
-    """Visited points (step, x, y, f), including the starting point; a run
-    that keeps only its latest point holds that one here."""
+    """Visited points (step, x, y, f), including the starting point."""
 
     points: list[tuple[int, float, float, float]]
     status: RunStatus
@@ -74,59 +71,43 @@ class RosenbrockResult:
         return self.points[-1][3]
 
 
+def trajectory(
+    optimizer: OptimizerConfig,
+    steps: int = 200,
+    start: tuple[float, float] = ROSENBROCK_START,
+    spec: RosenbrockSpec = RosenbrockSpec(),
+) -> Iterator[tuple[int, float, float, float]]:
+    """The points (step, x, y, f) of ``steps`` steps of ``optimizer`` from ``start``.
+
+    The start comes first, even when its f is not finite. Each step is
+    taken as its point is drawn, and a divergence ends the trajectory at
+    its last finite point, so it falls short of ``steps + 1`` points only
+    by diverging. Bad arguments raise here, before any point is drawn.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    obj = rosenbrock_objective(spec)
+    stepper = make_stepper(optimizer, 2)
+
+    def points(params: ParamVector) -> Iterator[tuple[int, float, float, float]]:
+        yield (0, *params.values.tolist(), obj.value(params.values, None))
+        try:
+            for i in range(1, steps + 1):
+                params, _ = stepper.step(obj, params, None)
+                yield (i, *params.values.tolist(), autodiff.eval_loss(obj, params, None))
+        except ArithmeticError:
+            return
+
+    return points(ParamVector(start))
+
+
 def run_rosenbrock(
     optimizer: OptimizerConfig,
     steps: int = 200,
     start: tuple[float, float] = ROSENBROCK_START,
     spec: RosenbrockSpec = RosenbrockSpec(),
-    out=None,
-    latest_only: bool = False,
 ) -> RosenbrockResult:
-    """Take ``steps`` steps of ``optimizer`` from ``start``.
-
-    The result holds every point, or with ``latest_only`` only the latest.
-    With ``out``, a path, the trajectory is written there as CSV point by
-    point: the header and the start before the first step, then each step
-    as it is taken, and only the latest point is held in memory. A path
-    that cannot be opened fails before any step, and a run stopped by a
-    divergence or an interrupt leaves every point it took.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    obj = rosenbrock_objective(spec)
-    params = ParamVector(start)
-    stepper = make_stepper(optimizer, 2)
-    points: list[tuple[int, float, float, float]] = []
-
-    def keep_latest(point: tuple[int, float, float, float]) -> None:
-        points[:] = (point,)
-
-    record = keep_latest if latest_only or out is not None else points.append
-    with contextlib.ExitStack() as stack:
-        if out is not None:
-            fh = stack.enter_context(open(out, "w", newline="", buffering=1))
-            record = _csv_recorder(fh, record)
-        # The start's f is recorded even when it is not finite, so a run that
-        # diverges from there still leaves its one point.
-        record((0, *params.values.tolist(), obj.value(params.values, None)))
-        try:
-            for i in range(1, steps + 1):
-                params, _ = stepper.step(obj, params, None)
-                record((i, *params.values.tolist(), autodiff.eval_loss(obj, params, None)))
-        except ArithmeticError:
-            return RosenbrockResult(points, RunStatus.DIVERGED)
-    return RosenbrockResult(points, RunStatus.COMPLETED)
-
-
-def _csv_recorder(fh, keep: Callable[[tuple], None]) -> Callable[[tuple], None]:
-    """Writes the CSV header to ``fh`` and returns a recorder that passes
-    each point to ``keep`` and writes it as one line."""
-    writer = csv.writer(fh)
-    writer.writerow(("step", "x", "y", "f"))
-
-    def record(point: tuple[int, float, float, float]) -> None:
-        keep(point)
-        step, x, y, f = point
-        writer.writerow((step, repr(x), repr(y), repr(f)))
-
-    return record
+    """Every point of the `trajectory`; a run ends early only by diverging."""
+    points = list(trajectory(optimizer, steps, start, spec))
+    status = RunStatus.COMPLETED if len(points) == steps + 1 else RunStatus.DIVERGED
+    return RosenbrockResult(points, status)

@@ -16,18 +16,17 @@ are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
 Most ops belong to one of three families, each of which states its JVP
-and backward rules once: linear maps (``scale``; ``index``, which reads a
-scalar node off a flat vector for an int and a vector for a slice; ``sum``),
-sums ``a + g(b)`` with a linear ``g`` (``add``, ``sub``), and elementwise
-functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
-their own rules, and so do four fused ops: ``affine``, one MLP layer
-reading its weight and bias off a flat parameter vector; ``mse``; a
-numerically-stabilized ``softmax_xent``; and ``rosenbrock``, the
-benchmark valley on a 2-vector. A fused op is one node, so every replay
-and sweep makes one Python call for it. Each fused loss is the one
-statement of its loss: checks and value (shared with ``loss_eval``),
-gradient, dual sweep and GGN factor ``Node.ggn``. ``mse`` and
-``rosenbrock`` keep the bits of the chains of generic ops they stand
+and backward rules once: linear maps (``scale``; ``index``, a slice of a
+flat vector; ``sum``), sums ``a + g(b)`` with a linear ``g`` (``add``,
+``sub``), and elementwise functions (``square``, ``relu``, ``tanh``).
+``mul`` and ``matmul`` keep their own rules, and so do four fused ops:
+``affine``, one MLP layer reading its weight and bias off a flat
+parameter vector; ``mse``; a numerically-stabilized ``softmax_xent``; and
+``rosenbrock``, the benchmark valley on a 2-vector. A fused op is one
+node, so every replay and sweep makes one Python call for it. Each fused
+loss is the one statement of its loss: checks and value (shared with
+``loss_eval``), gradient, dual sweep and GGN factor ``Node.ggn``. ``mse``
+and ``rosenbrock`` keep the bits of the chains of generic ops they stand
 for; those ops remain for composed objectives and the test oracles.
 
 A tape holds the tangent of its latest replay, so a tape serves one
@@ -483,17 +482,12 @@ class Tape:
 
     # -- shape and reduction -------------------------------------------------
 
-    def index(self, a: Node, key: int | slice) -> Node:
-        """``a[key]`` of a flat vector: a scalar node for an int ``key``, a
-        vector for a slice ``start:stop``. Either must lie inside ``a``."""
+    def index(self, a: Node, key: slice) -> Node:
+        """``a[start:stop]`` of a flat vector, a slice that lies inside ``a``."""
         if a.val.ndim != 1:
             raise ValueError("index expects a flat vector")
         n = a.val.shape[0]
-        if isinstance(key, slice):
-            inside = key.step is None and 0 <= key.start <= key.stop <= n
-        else:
-            inside = 0 <= key < n
-        if not inside:
+        if not (key.step is None and 0 <= key.start <= key.stop <= n):
             raise ValueError(f"index {key!r} outside a vector of length {n}")
 
         def scatter(ct):

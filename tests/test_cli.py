@@ -430,6 +430,43 @@ class TestRosenbrock:
         )
         assert long - short < 16 * 1024
 
+    def test_run_written_to_file_holds_no_memory_per_step(self, tmp_path):
+        # Each point goes to the file as it is taken; only the latest is kept.
+        argv = ["rosenbrock", "--optimizer", "gd", "--steps"]
+        short, long = peak_bytes_held(
+            [[*argv, str(n), "--out", str(tmp_path / f"{n}.csv")] for n in (100, 1000)]
+        )
+        assert long - short < 16 * 1024
+        assert len((tmp_path / "1000.csv").read_text().splitlines()) == 1000 + 2
+
+    def test_trajectory_csv_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        argv = ["rosenbrock", "--optimizer", "adam", "--steps", "5", "--start", "0.5,0.5"]
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+        res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5))
+        header, *rows = path.read_text().splitlines()
+        assert header == "step,x,y,f"
+        assert [(int(s), *map(float, xyf)) for s, *xyf in (r.split(",") for r in rows)] == res.points
+        step, x, y, f = res.points[-1]
+        assert capsys.readouterr().out == (
+            f"status=completed steps={step} final_f={f!r} final_xy=({x!r},{y!r})\n"
+        )
+
+    def test_zero_steps_is_config_error_before_out_is_created(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ["rosenbrock", "--optimizer", "gd", "--steps", "0", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: steps must be >= 1\n"
+        assert not out.exists()
+
+    def test_trajectory_takes_each_step_as_its_point_is_drawn(self, monkeypatch):
+        steps = self.spy_on_steps(monkeypatch)
+        points = rosenbrock.trajectory(preset_optimizer("gd"), 10)
+        assert steps == []
+        assert next(points)[0] == 0 and steps == []
+        for k in range(1, 4):
+            assert next(points)[0] == k and len(steps) == k
+
     @pytest.mark.parametrize("start", ["oops", "nan,0", "0,inf"])
     def test_bad_start_is_config_error(self, start):
         assert main(["rosenbrock", "--optimizer", "gd", "--start", start]) == EXIT_CONFIG

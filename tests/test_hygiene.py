@@ -1,10 +1,12 @@
 """Source hygiene: every module, script and test file imports only names it
 uses, every module uses each private name it defines at its top level, every
-public function and class has a caller outside the tests, and every tape op
-has its derivative check."""
+public function and class has a caller outside the tests, every tape op
+has its derivative check, and only the CLI and its record writer write
+files."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -181,3 +183,56 @@ def test_every_tape_op_has_a_derivative_check():
     }
     covered = {op for op in ops for c in cases if c == op or c.startswith(op + "_")}
     assert ops and sorted(ops - covered) == []
+
+
+# The modules that may write files: the CLI, and the record writer it calls.
+# Every other module hands its results to them.
+WRITERS = {"bench/cli.py", "bench/records.py"}
+_WRITE_MODE = re.compile(r"[rbt+]*[wax][rwaxbt+]*")
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that open a file for writing: an ``open`` (a function or a
+    method) given a ``w``, ``a`` or ``x`` mode, ``write_text`` and ``write_bytes``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            given = node.args + [k.value for k in node.keywords]
+            if any(
+                isinstance(a, ast.Constant) and isinstance(a.value, str)
+                and _WRITE_MODE.fullmatch(a.value)
+                for a in given
+            ):
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_write_detector_sees_each_way_to_write():
+    source = (
+        "import gzip\n"
+        "from pathlib import Path\n"
+        "open('data.csv')\n"
+        "open(p, 'rb')\n"
+        "open(p, 'w')\n"
+        "gzip.open(p, mode='ab')\n"
+        "Path(p).open('x')\n"
+        "Path(p).write_text('')\n"
+        "p.write_bytes(b'')\n"
+    )
+    assert file_writes(source) == [
+        "line 5: open", "line 6: open", "line 7: open", "line 8: write_text",
+        "line 9: write_bytes",
+    ]
+
+
+def test_only_the_cli_and_the_record_writer_write_files():
+    # A runner yields its results; the CLI decides where they go.
+    names = {path.relative_to(SRC).as_posix(): path for path in MODULES}
+    assert WRITERS <= set(names)
+    writes = {name: file_writes(names[name].read_text()) for name in set(names) - WRITERS}
+    assert {name: found for name, found in writes.items() if found} == {}

@@ -61,27 +61,6 @@ def test_unknown_preset_rejected():
         preset_optimizer("newton")
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    path = tmp_path / "t.csv"
-    run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5), out=path)
-    res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,x,y,f"
-    assert len(lines) == 1 + len(res.points)
-    for line, (step, x, y, f) in zip(lines[1:], res.points):
-        cells = line.split(",")
-        assert int(cells[0]) == step
-        assert [float(c) for c in cells[1:]] == [x, y, f]
-
-
-def test_run_written_to_file_keeps_only_its_latest_point(tmp_path):
-    path = tmp_path / "t.csv"
-    res = run_rosenbrock(preset_optimizer("gd"), steps=30, out=path)
-    want = run_rosenbrock(preset_optimizer("gd"), steps=30).points
-    assert res.points == want[-1:]
-    assert len(path.read_text().splitlines()) == 30 + 2  # header, start and 30 steps
-
-
 # (preset, overrides, start): every preset from (1, -1), a diverging run and
 # another start.
 TRAJECTORIES = [(name, {}, (1.0, -1.0)) for name in PRESET_NAMES] + [
