@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import LossKind, Objective
 from .data import Batch
 from .params import ParamVector
-from .tape import Node, Tape, data_matmul, matmul
+from .tape import Node, Tape, data_matmul, matmul, rosenbrock_terms
 
 
 class Activation(enum.Enum):
@@ -160,18 +160,16 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
     Batch-independent; curvature products use the exact Hessian (there is
     no model/loss split, so Gauss-Newton/Fisher curvature is undefined).
     The trace is one fused node, :meth:`Tape.rosenbrock`, with the bits of
-    the same function traced through the generic ops.
+    the same function traced through the generic ops; the tape-free value
+    is the node's, `rosenbrock_terms`.
     """
-    a, b = spec.a, spec.b
+    a, b = float(spec.a), float(spec.b)
 
     def trace(tape: Tape, theta: Node, batch):
         return None, tape.rosenbrock(theta, a, b), None
 
     def value(values: np.ndarray, batch) -> float:
-        # Squares by `**`, not by the node's `d * d`: `**` rounds some
-        # squares differently, and recorded runs hold these bits.
-        x, y = values
-        return float((a - x) ** 2 + b * (y - x * x) ** 2)
+        return rosenbrock_terms(*values.tolist(), a, b)[2]
 
     return Objective(name="rosenbrock", n_params=2, trace=trace, value=value)
 

@@ -25,9 +25,11 @@ parameter vector; ``mse``; a numerically-stabilized ``softmax_xent``; and
 ``rosenbrock``, the benchmark valley on a 2-vector. A fused op is one
 node, so every replay and sweep makes one Python call for it. Each fused
 loss is the one statement of its loss: checks and value (shared with
-``loss_eval``), gradient, dual sweep and GGN factor ``Node.ggn``. ``mse``
-and ``rosenbrock`` keep the bits of the chains of generic ops they stand
-for; those ops remain for composed objectives and the test oracles.
+``loss_eval``), gradient, dual sweep and GGN factor ``Node.ggn``;
+``rosenbrock`` shares its value, ``rosenbrock_terms``, with the tape-free
+one. ``mse`` and ``rosenbrock`` keep the bits of the chains of generic
+ops they stand for; those ops remain for composed objectives and the
+test oracles.
 
 A tape holds the tangent of its latest replay, so a tape serves one
 caller at a time; tapes share nothing but the worker thread of
@@ -260,6 +262,13 @@ def _softmax_hvp(p: Array, t: Array, n: int) -> Array:
     in the logits, at softmax rows ``p``, times a logit tangent ``t``."""
     pt = p * t
     return (pt - p * pt.sum(axis=1, keepdims=True)) / n
+
+
+def rosenbrock_terms(x: float, y: float, a: float, b: float) -> tuple[float, float, float]:
+    """Rosenbrock's ``d1 = a - x``, ``d2 = y - x²`` and ``f = d1² + b·d2²``
+    on Python floats, each square taken as ``d * d``."""
+    d1, d2 = a - x, y - x * x
+    return d1, d2, d1 * d1 + b * (d2 * d2)
 
 
 def mse_targets(outputs: Array, targets) -> Array:
@@ -572,17 +581,18 @@ class Tape:
         ``d1 = a - x`` and ``d2 = y - x²`` by ``sub`` and ``square``, then
         ``square``, ``scale`` and ``add``. So its value, tangent and both
         sweeps have that chain's bits, and theta's cotangent is formed as
-        the two index scatters add, ``(0 + gx, gy + 0)``. It has no GGN
+        the two index scatters add, ``(0 + gx, gy + 0)``. Its value is
+        `rosenbrock_terms`, as the tape-free value is. It has no GGN
         factor: f has no model/loss split.
         """
         if theta.val.shape != (2,):
             raise ValueError("rosenbrock expects a 2-vector (x, y)")
         a, b = float(a), float(b)
         x, y = theta.val.tolist()
-        d1, d2 = a - x, y - x * x
+        d1, d2, f = rosenbrock_terms(x, y, a, b)
         # Each square's derivative, as `square` takes it.
         dd1, dx, dd2 = 2.0 * d1, 2.0 * x, 2.0 * d2
-        out = self._node(np.float64(d1 * d1 + b * (d2 * d2)), theta)
+        out = self._node(np.float64(f), theta)
         tans = None  # (x, d1, d2)'s tangents from the latest replay, None without one
 
         def jvp():

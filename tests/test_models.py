@@ -116,6 +116,19 @@ class TestRosenbrock:
         assert obj.value(np.array([1.0, 1.0]), None) == 0.0
         assert obj.value(np.array([0.0, 0.0]), None) == 1.0
 
+    @pytest.mark.parametrize("a", [1.0, 0.0])
+    def test_value_has_the_bits_of_the_traced_node(self, a):
+        # A qlr step's rho takes f before the step off the node and f after
+        # it off the value, so the two must round alike. At this x, x ** 2
+        # and x * x differ by one ulp; with a = 0 it is also -d1.
+        tie = 1.7995453029870987
+        obj = rosenbrock_objective(RosenbrockSpec(a=a))
+        rng = np.random.default_rng(7)
+        for values in [*rng.uniform(-3.0, 3.0, size=(2000, 2)), np.array([tie, 0.5])]:
+            t = Tape()
+            node = obj.trace(t, t.input(values), None)[1]
+            assert np.float64(obj.value(values, None)).tobytes() == node.val.tobytes()
+
     def test_gradient_at_1_minus1(self):
         obj = rosenbrock_objective()
         _, g = eval_grad(obj, ParamVector(np.array([1.0, -1.0])), None)
