@@ -91,12 +91,13 @@ def trajectory(
 
     def points(params: ParamVector) -> Iterator[tuple[int, float, float, float]]:
         yield (0, *params.values.tolist(), obj.value(params.values, None))
-        try:
-            for i in range(1, steps + 1):
+        for i in range(1, steps + 1):
+            try:
                 params, _ = stepper.step(obj, params, None)
-                yield (i, *params.values.tolist(), autodiff.eval_loss(obj, params, None))
-        except ArithmeticError:
-            return
+                f = autodiff.eval_loss(obj, params, None)
+            except ArithmeticError:
+                return
+            yield (i, *params.values.tolist(), f)
 
     return points(ParamVector(start))
 

@@ -16,20 +16,21 @@ are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
 Most ops belong to one of three families, each of which states its JVP
-and backward rules once: linear maps (``scale``; ``index``, a slice of a
-flat vector; ``sum``), sums ``a + g(b)`` with a linear ``g`` (``add``,
-``sub``), and elementwise functions (``square``, ``relu``, ``tanh``).
-``mul`` and ``matmul`` keep their own rules, and so do four fused ops:
-``affine``, one MLP layer reading its weight and bias off a flat
-parameter vector; ``mse``; a numerically-stabilized ``softmax_xent``; and
-``rosenbrock``, the benchmark valley on a 2-vector. A fused op is one
-node, so every replay and sweep makes one Python call for it. Each fused
-loss is the one statement of its loss: checks and value (shared with
-``loss_eval``), gradient, dual sweep and GGN factor ``Node.ggn``;
-``rosenbrock`` shares its value, ``rosenbrock_terms``, with the tape-free
-one. ``mse`` and ``rosenbrock`` keep the bits of the chains of generic
-ops they stand for; those ops remain for composed objectives and the
-test oracles.
+and backward rules once: linear maps (``scale``; ``index``, which reads a
+slice ``start:stop`` off a flat vector; ``sum``),
+sums ``a + g(b)`` with a linear ``g`` (``add``, ``sub``), and elementwise
+functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
+their own rules, and so do four fused ops: ``affine``, one MLP layer
+reading its weight and bias off a flat parameter vector; ``mse``; a
+numerically-stabilized ``softmax_xent``; and ``rosenbrock``, the
+benchmark valley on a 2-vector. A fused op is one node, so every replay
+and sweep makes one Python call for it. Each fused loss is the one
+statement of its loss: checks and value (shared with ``loss_eval``),
+gradient, dual sweep and GGN factor ``Node.ggn``. ``mse`` and
+``rosenbrock`` keep the bits of the chains of generic ops they stand
+for; those ops remain for composed objectives and the test oracles.
+``rosenbrock`` and the tape-free Rosenbrock value take f from one
+statement, ``rosenbrock_terms``.
 
 A tape holds the tangent of its latest replay, so a tape serves one
 caller at a time; tapes share nothing but the worker thread of

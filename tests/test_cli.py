@@ -446,7 +446,8 @@ class TestRosenbrock:
         res = run_rosenbrock(preset_optimizer("adam"), steps=5, start=(0.5, 0.5))
         header, *rows = path.read_text().splitlines()
         assert header == "step,x,y,f"
-        assert [(int(s), *map(float, xyf)) for s, *xyf in (r.split(",") for r in rows)] == res.points
+        cells = [row.split(",") for row in rows]
+        assert [(int(step), *map(float, xyf)) for step, *xyf in cells] == res.points
         step, x, y, f = res.points[-1]
         assert capsys.readouterr().out == (
             f"status=completed steps={step} final_f={f!r} final_xy=({x!r},{y!r})\n"
