@@ -241,6 +241,9 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
             for epoch in range(cfg.epochs):
                 for batch in batches(epoch):
                     params, fields = stepper.step(obj, params, batch)
+                    # Let go of this batch before the next one is gathered, so a
+                    # run never holds two: fmnist's are 20 and 10 MB.
+                    del batch
                     step += 1
                     result.last = MetricRecord(step, epoch, time.perf_counter() - t0, **fields)
                     held.append(result.last)

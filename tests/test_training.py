@@ -3,11 +3,12 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from adamqlr import eval_loss, models
+from adamqlr import data, eval_loss, models
 from adamqlr.bench import config as config_mod
 from adamqlr.bench import training
 from adamqlr.bench.diagnostics import fisher_alignment
@@ -298,6 +299,24 @@ def test_run_holds_no_memory_per_epoch():
     finally:
         tracemalloc.stop()
     assert abs(long - short) < 16 * 1024
+
+
+def test_each_batch_is_let_go_before_the_next_is_gathered(monkeypatch):
+    # Held while the next is gathered, two batches (20 and 10 MB on fmnist)
+    # would be alive at once.
+    real, held = data.batch_iter, []
+
+    def batch_iter(ds, plan, epoch):
+        for batch in real(ds, plan, epoch):
+            ref = weakref.ref(batch)
+            yield batch
+            del batch
+            held.append(ref() is not None)
+
+    monkeypatch.setattr(data, "batch_iter", batch_iter)
+    for opt in ({"kind": "sgd_minimal", "lr": 0.05}, {"kind": "adam", "lr": 0.01}, {"kind": "qlr"}):
+        run_training(regression_cfg(optimizer=opt, epochs=3))
+    assert len(held) == 3 * 3 * 3 and not any(held)  # 42 rows in batches of 16
 
 
 def test_oracle_floor_matches_least_squares():
