@@ -84,8 +84,8 @@ CONFIGS = {
 
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
 COMMANDS = [
-    ("train-fmnist", ["train", "--config", "fmnist.json", "--out", "fmnist.jsonl"]),
-    ("train-energy", ["train", "--config", "energy.json", "--out", "energy.jsonl"]),
+    ("train-fmnist", ["train", "--config", "fmnist.json", "--out", "records-fmnist.jsonl"]),
+    ("train-energy", ["train", "--config", "energy.json", "--out", "records-energy.jsonl"]),
     ("train-energy40-csv", ["train", "--config", "energy40.json", "--out", "energy40.csv"]),
     ("train-no-out", ["train", "--config", "energy40.json"]),
     *(
@@ -115,7 +115,9 @@ COMMANDS = [
     ("tune", ["tune", "--config", "energy40.json", "--budget", "4", "--out", "tune.json"]),
     ("tune-halving", ["tune", "--config", "energy40.json", "--budget", "6", "--halving",
                       "--objective", "train", "--out", "tune-halving.json"]),
-    ("bootstrap", ["bootstrap", "--inputs", "*.jsonl", "--n-boot", "20",
+    # Its inputs are the two `records-` files alone, whatever other
+    # commands this list gains.
+    ("bootstrap", ["bootstrap", "--inputs", "records-*.jsonl", "--n-boot", "20",
                    "--out", "bootstrap.csv"]),
     ("diag-fisher", ["diag-fisher", "--config", "adam.json", "--steps", "30",
                      "--out", "diag-fisher.json"]),

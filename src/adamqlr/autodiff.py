@@ -25,6 +25,7 @@ finite-difference oracle shares no derivative code with what it checks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -130,7 +131,7 @@ def _evaluate(
     else:
         outputs = obj.predict(values, batch.inputs, pre)
         value = loss_eval(obj.loss_kind, outputs, batch.targets)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise EvalOverflowError(f"{context}({obj.name})", value)
     return value, outputs
 
@@ -182,7 +183,7 @@ class Linearization:
         return float(self.loss.val)
 
     def _check_finite(self, context: str) -> None:
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise EvalOverflowError(f"{context}({self.obj.name})", self.value)
 
     def grad(self) -> ParamVector:

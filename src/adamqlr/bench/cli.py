@@ -155,9 +155,9 @@ def _cmd_rosenbrock(args) -> int:
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
     # A bad --steps raises here, before --out is created.
     points = trajectory(opt, args.steps, (x, y))
-    # Each point reaches the file as it is taken, so a run that stops early
-    # leaves the header and every point taken. Only the latest point is kept,
-    # for the status line.
+    # Each point reaches the file as it is drawn, with the step leaving it
+    # taken, so a run that stops early leaves the header and every point a
+    # finished step reached. Only the latest is kept, for the status line.
     with open(args.out or os.devnull, "w", newline="", buffering=1) as fh:
         writer = csv.writer(fh)
         writer.writerow(("step", "x", "y", "f"))

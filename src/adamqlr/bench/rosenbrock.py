@@ -79,25 +79,43 @@ def trajectory(
 ) -> Iterator[tuple[int, float, float, float]]:
     """The points (step, x, y, f) of ``steps`` steps of ``optimizer`` from ``start``.
 
-    The start comes first, even when its f is not finite. Each step is
-    taken as its point is drawn, and a divergence ends the trajectory at
-    its last finite point, so it falls short of ``steps + 1`` points only
-    by diverging. Bad arguments raise here, before any point is drawn.
+    The start comes first, even when its f is not finite. Point k's f is
+    the ``train_loss`` of step k + 1, run as point k is drawn; the last
+    point and one whose next step raises (a Ctrl-C re-raised after it)
+    evaluate f alone. A divergence ends the trajectory at its last finite
+    point, so it falls short of ``steps + 1`` points only by diverging.
+    Bad arguments raise here, before any point is drawn.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     obj = rosenbrock_objective(spec)
     stepper = make_stepper(optimizer, 2)
 
+    def checked(i: int, params: ParamVector) -> Iterator[tuple[int, float, float, float]]:
+        try:
+            f = autodiff.eval_loss(obj, params, None)
+        except ArithmeticError:
+            return
+        yield (i, *params.values.tolist(), f)
+
     def points(params: ParamVector) -> Iterator[tuple[int, float, float, float]]:
         yield (0, *params.values.tolist(), obj.value(params.values, None))
-        for i in range(1, steps + 1):
+        try:
+            params, _ = stepper.step(obj, params, None)
+        except ArithmeticError:
+            return
+        i = 1
+        while i < steps:
             try:
-                params, _ = stepper.step(obj, params, None)
-                f = autodiff.eval_loss(obj, params, None)
+                after, fields = stepper.step(obj, params, None)
             except ArithmeticError:
-                return
-            yield (i, *params.values.tolist(), f)
+                break
+            except KeyboardInterrupt:
+                yield from checked(i, params)
+                raise
+            yield (i, *params.values.tolist(), fields["train_loss"])
+            i, params = i + 1, after
+        yield from checked(i, params)
 
     return points(ParamVector(start))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,7 +144,7 @@ def load_csv(path, n_features: int, target_columns: int = 1) -> Batch:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {expected} columns, found {len(parsed)}"
                 )
-            if not all(np.isfinite(parsed)):
+            if not all(map(math.isfinite, parsed)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value")
             rows.append(parsed)
     if not rows:

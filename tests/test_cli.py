@@ -461,12 +461,16 @@ class TestRosenbrock:
         assert not out.exists()
 
     def test_trajectory_takes_each_step_as_its_point_is_drawn(self, monkeypatch):
-        steps = self.spy_on_steps(monkeypatch)
-        points = rosenbrock.trajectory(preset_optimizer("gd"), 10)
+        # Point k's f comes from step k + 1, so drawing point k runs steps k
+        # and k + 1; the start and the last point run none.
+        steps, n = self.spy_on_steps(monkeypatch), 10
+        points = rosenbrock.trajectory(preset_optimizer("gd"), n)
         assert steps == []
         assert next(points)[0] == 0 and steps == []
-        for k in range(1, 4):
-            assert next(points)[0] == k and len(steps) == k
+        for k in range(1, n):
+            assert next(points)[0] == k and len(steps) == k + 1
+        assert next(points)[0] == n and len(steps) == n
+        assert next(points, None) is None and len(steps) == n
 
     @pytest.mark.parametrize("start", ["oops", "nan,0", "0,inf"])
     def test_bad_start_is_config_error(self, start):

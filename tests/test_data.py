@@ -94,10 +94,11 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=":2"):
             load_csv(p, 2)
 
-    def test_rejects_non_finite(self, tmp_path):
-        p = tmp_path / "inf.csv"
-        p.write_text("1,2,inf\n")
-        with pytest.raises(DataFormatError, match="non-finite"):
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,2,3\n4,{cell},6\n")
+        with pytest.raises(DataFormatError, match=":2: non-finite"):
             load_csv(p, 2)
 
 

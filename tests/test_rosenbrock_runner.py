@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from adamqlr import autodiff
+from adamqlr import NonFiniteError, autodiff
 from adamqlr.bench import rosenbrock
 from adamqlr.bench.rosenbrock import PRESET_NAMES, preset_optimizer, run_rosenbrock
 from adamqlr.bench.training import RunStatus
+from adamqlr.models import rosenbrock_objective
 
 from helpers import rosenbrock_slice_objective
 
@@ -33,11 +34,14 @@ def test_stationary_start_never_drifts():
 
 
 def test_each_step_is_one_checked_loss_evaluation():
-    # gd's steps take only gradients, so each count is a step's recorded f.
-    autodiff.counters.reset()
-    res = run_rosenbrock(preset_optimizer("gd"), steps=5)
-    assert autodiff.counters.eval_loss == len(res.points) - 1 == 5
-    assert res.points[0][1:] == (1.0, -1.0, 400.0)
+    # A point's f is the checked forward pass of the step leaving it; only
+    # the last point evaluates f alone. A qlr step also evaluates its trial.
+    for name, trials in (("gd", 0), ("adamqlr-untuned", 5)):
+        autodiff.counters.reset()
+        res = run_rosenbrock(preset_optimizer(name), steps=5)
+        assert len(res.points) == 6 and autodiff.counters.eval_grad == 5
+        assert autodiff.counters.eval_loss == trials + 1
+        assert res.points[0][1:] == (1.0, -1.0, 400.0)
     autodiff.counters.reset()
 
 
@@ -79,3 +83,49 @@ def test_scalar_trace_visits_the_points_of_the_slice_trace(monkeypatch, name, ov
     want = run_rosenbrock(opt, steps=200, start=start)
     assert got.status is want.status
     assert [tuple(map(repr, p)) for p in got.points] == [tuple(map(repr, p)) for p in want.points]
+
+
+def assert_each_f_is_the_tape_free_value(points):
+    value = rosenbrock_objective().value
+    assert [repr(f) for *_, f in points] == [
+        repr(value(np.array([x, y]), None)) for _, x, y, _ in points
+    ]
+
+
+# Every preset from three starts, one of them with exact zeros, and a
+# diverging run.
+LAGGED = [
+    (name, {}, start) for name in PRESET_NAMES for start in ((1.0, -1.0), (0.5, 0.5), (0.0, 0.0))
+] + [("gd", {"lr": 10.0}, (1.0, -1.0))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, overrides, start", LAGGED)
+def test_each_f_taken_from_a_step_has_the_bits_of_the_tape_free_value(name, overrides, start):
+    res = run_rosenbrock(preset_optimizer(name, **overrides), steps=200, start=start)
+    assert res.status is (RunStatus.DIVERGED if overrides else RunStatus.COMPLETED)
+    assert_each_f_is_the_tape_free_value(res.points)
+
+
+@pytest.mark.parametrize("name", ["gd", "adamqlr-untuned"])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_a_step_that_raises_ends_the_run_at_the_point_it_left(monkeypatch, name, k):
+    # Step k leaves point k - 1, which is drawn with its own f evaluation.
+    make_stepper = rosenbrock.make_stepper
+
+    class Spy:
+        def __init__(self, opt, n_params):
+            self.inner, self.taken = make_stepper(opt, n_params), 0
+
+        def step(self, *args):
+            self.taken += 1
+            if self.taken == k:
+                raise NonFiniteError("planted at step k")
+            return self.inner.step(*args)
+
+    want = run_rosenbrock(preset_optimizer(name), steps=10).points[:k]
+    monkeypatch.setattr(rosenbrock, "make_stepper", Spy)
+    res = run_rosenbrock(preset_optimizer(name), steps=10)
+    assert res.status is RunStatus.DIVERGED
+    assert [tuple(map(repr, p)) for p in res.points] == [tuple(map(repr, p)) for p in want]
+    assert_each_f_is_the_tape_free_value(res.points)

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs."""
 
+import fnmatch
 import math
 import runpy
 import shutil
@@ -52,4 +53,18 @@ def test_identity_check_catches_a_one_ulp_constant_change(tmp_path, capsys):
         "differs: rosenbrock-adam.csv",
         "differs: rosenbrock-adam.stdout",
         "2 commands, 7 files compared, 2 differ",
+    ]
+
+
+def test_identity_bootstrap_reads_only_its_named_record_files():
+    script = runpy.run_path(str(SCRIPTS / "identity.py"))
+    commands = dict(script["COMMANDS"])
+    args = commands["bootstrap"]
+    pattern = args[args.index("--inputs") + 1]
+    # Every file a side's directory holds: configs, outputs and streams.
+    names = set(script["CONFIGS"]) | {
+        f"{name}.{kind}" for name in commands for kind in ("stdout", "stderr", "exit")
+    } | {a[a.index("--out") + 1] for a in commands.values() if "--out" in a}
+    assert sorted(fnmatch.filter(names, pattern)) == [
+        "records-energy.jsonl", "records-fmnist.jsonl"
     ]
