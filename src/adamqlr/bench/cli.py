@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import autodiff, models
 from ..autodiff import LossKind
-from ..data import Batch, DataFormatError
+from ..data import Batch, DataFormatError, check_seed
 from ..params import ParamVector
 from . import config as config_mod
 from .config import ConfigError
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     cfg = config_mod.from_json(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=check_seed(args.seed, "--seed"))
     out_path = args.out or cfg.output_path
     if out_path is None:
         result = run_training(cfg)
@@ -233,6 +233,7 @@ def _metric_series(records, metric: str):
 def _cmd_bootstrap(args) -> int:
     if args.n_points < 1:
         raise ConfigError(f"n_points must be at least 1, got {args.n_points}")
+    check_seed(args.seed, "--seed")
     paths = sorted(globlib.glob(args.inputs))
     if not paths:
         raise ConfigError(f"no files match {args.inputs!r}")
@@ -271,7 +272,7 @@ def _gradcheck_model(name: str, seed: int):
 
 
 def _cmd_gradcheck(args) -> int:
-    obj, params, batch = _gradcheck_model(args.model, args.seed)
+    obj, params, batch = _gradcheck_model(args.model, check_seed(args.seed, "--seed"))
     rng = np.random.default_rng(args.seed + 1)
 
     _, grad = autodiff.eval_grad(obj, params, batch)

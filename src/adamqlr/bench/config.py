@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..data import BatchPlan, SplitSpec, Task
+from ..data import BatchPlan, SplitSpec, Task, check_seed
 from ..models import MlpSpec, RosenbrockSpec
 from ..optim import AdamHyper, QLRConfig
 
@@ -137,6 +137,7 @@ class RunConfig:
     eval_every_epochs: int = 1
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.eval_every_epochs < 1:

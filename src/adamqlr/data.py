@@ -84,6 +84,13 @@ class Batch:
         return batch
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed``, refused when negative: numpy's generators take no negative seed."""
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
@@ -92,6 +99,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f < 0 for f in fracs):
             raise ValueError("split fractions must be non-negative")

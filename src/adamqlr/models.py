@@ -160,8 +160,8 @@ def rosenbrock_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objective:
     Batch-independent; curvature products use the exact Hessian (there is
     no model/loss split, so Gauss-Newton/Fisher curvature is undefined).
     The trace is one fused node, :meth:`Tape.rosenbrock`, with the bits of
-    the same function traced through the generic ops; the tape-free value
-    is the node's, `rosenbrock_terms`.
+    the same function traced through the oracle ops of ``tests/oracle_ops.py``;
+    the tape-free value is the node's, `rosenbrock_terms`.
     """
     a, b = float(spec.a), float(spec.b)
 

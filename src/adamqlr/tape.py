@@ -15,22 +15,20 @@ Leaves made by :meth:`Tape.const`, and nodes computed from them alone,
 are not live: they do not depend on the input leaf, so the backward pass
 neither computes nor accumulates their cotangents.
 
-Most ops belong to one of three families, each of which states its JVP
-and backward rules once: linear maps (``scale``; ``index``, which reads a
-slice ``start:stop`` off a flat vector; ``sum``),
-sums ``a + g(b)`` with a linear ``g`` (``add``, ``sub``), and elementwise
-functions (``square``, ``relu``, ``tanh``). ``mul`` and ``matmul`` keep
-their own rules, and so do four fused ops: ``affine``, one MLP layer
-reading its weight and bias off a flat parameter vector; ``mse``; a
-numerically-stabilized ``softmax_xent``; and ``rosenbrock``, the
-benchmark valley on a 2-vector. A fused op is one node, so every replay
-and sweep makes one Python call for it. Each fused loss is the one
-statement of its loss: checks and value (shared with ``loss_eval``),
-gradient, dual sweep and GGN factor ``Node.ggn``. ``mse`` and
-``rosenbrock`` keep the bits of the chains of generic ops they stand
-for; those ops remain for composed objectives and the test oracles.
-``rosenbrock`` and the tape-free Rosenbrock value take f from one
-statement, ``rosenbrock_terms``.
+The ops are those the package's objectives record. ``relu`` and
+``tanh`` are elementwise, and share one statement of their JVP and
+backward rules, ``_elementwise``. Four fused ops keep their own rules:
+``affine``, one MLP layer reading its weight and bias off a flat
+parameter vector; ``mse``; a numerically-stabilized ``softmax_xent``;
+and ``rosenbrock``, the benchmark valley on a 2-vector. A fused op is
+one node, so every replay and sweep makes one Python call for it. Each
+fused loss is the one statement of its loss: checks and value (shared
+with ``loss_eval``), gradient, dual sweep and GGN factor ``Node.ggn``.
+``mse`` and ``rosenbrock`` keep the bits of the chains of generic ops
+they stand for; those ops live in the test oracle module,
+``tests/oracle_ops.py``, built from this module's nodes and pair
+helpers. ``rosenbrock`` and the tape-free Rosenbrock value take f from
+one statement, ``rosenbrock_terms``.
 
 A tape holds the tangent of its latest replay, so a tape serves one
 caller at a time; tapes share nothing but the worker thread of
@@ -40,7 +38,6 @@ evaluations on separate tapes are safe to run concurrently.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from typing import Callable, Optional
@@ -227,10 +224,6 @@ def p_linear(a: Pair, f: LinearMap) -> Pair:
     return f(a[0]), None if a[1] is None else f(a[1])
 
 
-def _identity(x: Array) -> Array:
-    return x
-
-
 def _transpose(x: Array) -> Array:
     return x.T
 
@@ -332,100 +325,7 @@ class Tape:
     def input(self, values: Array) -> Node:
         return Node(self, np.asarray(values, dtype=np.float64))
 
-    # -- rule families -----------------------------------------------------
-
-    def _linear(self, a: Node, f: LinearMap, f_t: LinearMap) -> Node:
-        """``f(a)`` for a linear map ``f`` whose transpose is ``f_t``."""
-        out = self._node(f(a.val), a)
-        out._jvp = lambda: None if a.tan is None else f(a.tan)
-        out._bwd = lambda ct, acc, use_tangents: acc(a, p_linear(ct, f_t))
-        return out
-
-    def _add(
-        self, val: Array, a: Node, b: Node, g: LinearMap = _identity, g_t: LinearMap = _identity
-    ) -> Node:
-        """``a + g(b)``, computed as ``val``, for a linear ``g`` with transpose ``g_t``."""
-        out = self._node(val, a, b)
-        out._jvp = lambda: _tadd(a.tan, None if b.tan is None else g(b.tan))
-
-        def bwd(ct, acc, use_tangents):
-            acc(a, ct)
-            acc(b, p_linear(ct, g_t))
-
-        out._bwd = bwd
-        return out
-
-    def _elementwise(
-        self, a: Node, val: Array, deriv: Array, deriv_tan: Optional[LinearMap] = None
-    ) -> Node:
-        """``h(a)`` elementwise, with value ``val`` and derivative ``deriv``.
-
-        ``deriv_tan(a.tan)`` is the tangent of ``deriv``; None means ``deriv``
-        is locally constant. It reads arrays, never the output node.
-        """
-        out = self._node(val, a)
-        out._jvp = lambda: None if a.tan is None else deriv * a.tan
-
-        def bwd(ct, acc, use_tangents):
-            dtan = None
-            if use_tangents and deriv_tan is not None and a.tan is not None:
-                dtan = deriv_tan(a.tan)
-            acc(a, p_mul(ct, (deriv, dtan)))
-
-        out._bwd = bwd
-        return out
-
-    # -- elementwise -----------------------------------------------------
-
-    def add(self, a: Node, b: Node) -> Node:
-        return self._add(a.val + b.val, a, b)
-
-    def sub(self, a: Node, b: Node) -> Node:
-        return self._add(a.val - b.val, a, b, operator.neg, operator.neg)
-
-    def mul(self, a: Node, b: Node) -> Node:
-        if a.val.shape != b.val.shape:
-            raise ValueError("mul requires equal shapes; use scale for scalars")
-        out = self._node(a.val * b.val, a, b)
-
-        def jvp():
-            tan = None if a.tan is None else a.tan * b.val
-            return tan if b.tan is None else _tadd(tan, a.val * b.tan)
-
-        def bwd(ct, acc, use_tangents):
-            acc(a, p_mul(ct, _pair(b, use_tangents)))
-            acc(b, p_mul(ct, _pair(a, use_tangents)))
-
-        out._jvp, out._bwd = jvp, bwd
-        return out
-
-    def scale(self, a: Node, c: float) -> Node:
-        return self._linear(a, lambda x: c * x, lambda ct: c * ct)
-
-    def square(self, a: Node) -> Node:
-        return self._elementwise(a, a.val * a.val, 2.0 * a.val, lambda t: 2.0 * t)
-
     # -- linear algebra ----------------------------------------------------
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        if a.val.ndim != 2 or (a.live and b.val.ndim != 2):
-            raise ValueError("matmul takes a matrix times a matrix, or a constant one times a vector")
-        out = self._node(_mm(a.val, b.val), a, b)
-
-        def jvp():
-            tan = None if a.tan is None else _mm(a.tan, b.val)
-            return tan if b.tan is None else _tadd(tan, _mm(a.val, b.tan))
-
-        def bwd(ct, acc, use_tangents):
-            if a.live:
-                acc(a, p_matmul(ct, p_linear(_pair(b, use_tangents), _transpose)))
-            if b.live:
-                # aᵀ·ct as (ctᵀ·a)ᵀ, as in affine.
-                ct_a = p_matmul(p_linear(ct, _transpose), _pair(a, use_tangents))
-                acc(b, p_linear(ct_a, _transpose))
-
-        out._jvp, out._bwd = jvp, bwd
-        return out
 
     def affine(self, h: Node, theta: Node, w0: int, b0: int, din: int, dout: int) -> Node:
         """One layer ``h·W + b`` reading ``W = theta[w0:b0]`` as a (din, dout)
@@ -480,6 +380,26 @@ class Tape:
 
     # -- nonlinearities ----------------------------------------------------
 
+    def _elementwise(
+        self, a: Node, val: Array, deriv: Array, deriv_tan: Optional[LinearMap] = None
+    ) -> Node:
+        """``h(a)`` elementwise, with value ``val`` and derivative ``deriv``.
+
+        ``deriv_tan(a.tan)`` is the tangent of ``deriv``; None means ``deriv``
+        is locally constant. It reads arrays, never the output node.
+        """
+        out = self._node(val, a)
+        out._jvp = lambda: None if a.tan is None else deriv * a.tan
+
+        def bwd(ct, acc, use_tangents):
+            dtan = None
+            if use_tangents and deriv_tan is not None and a.tan is not None:
+                dtan = deriv_tan(a.tan)
+            acc(a, p_mul(ct, (deriv, dtan)))
+
+        out._bwd = bwd
+        return out
+
     def relu(self, a: Node) -> Node:
         mask = (a.val > 0.0).astype(np.float64)
         return self._elementwise(a, a.val * mask, mask)
@@ -489,27 +409,6 @@ class Tape:
         deriv = 1.0 - val * val
         # d(1 - y^2)/deps = -2 y y_dot, with y_dot = deriv * t the output tangent.
         return self._elementwise(a, val, deriv, lambda t: -2.0 * val * (deriv * t))
-
-    # -- shape and reduction -------------------------------------------------
-
-    def index(self, a: Node, key: slice) -> Node:
-        """``a[start:stop]`` of a flat vector, a slice that lies inside ``a``."""
-        if a.val.ndim != 1:
-            raise ValueError("index expects a flat vector")
-        n = a.val.shape[0]
-        if not (key.step is None and 0 <= key.start <= key.stop <= n):
-            raise ValueError(f"index {key!r} outside a vector of length {n}")
-
-        def scatter(ct):
-            z = np.zeros(n, dtype=np.float64)
-            z[key] = ct
-            return z
-
-        return self._linear(a, lambda x: x[key], scatter)
-
-    def sum(self, a: Node) -> Node:
-        shape = a.val.shape
-        return self._linear(a, lambda x: x.sum(), lambda ct: np.full(shape, ct, dtype=np.float64))
 
     # -- fused loss ----------------------------------------------------------
 
@@ -550,8 +449,8 @@ class Tape:
     def mse(self, outputs: Node, targets: Array) -> Node:
         """Mean squared error ``sum((outputs - targets)²) / N`` over N rows.
 
-        Fused, with the same arithmetic as the chain of ``sub``, ``square``,
-        ``sum`` and ``scale`` it stands for, so its bits match that chain's.
+        Fused, with the arithmetic of the chain of ``sub``, ``square``, ``sum``
+        and ``scale`` in ``tests/oracle_ops.py``, so its bits match that chain's.
         """
         targets = mse_targets(outputs.val, targets)
         n = targets.shape[0]
@@ -578,13 +477,13 @@ class Tape:
         """Rosenbrock's ``f = (a - x)² + b·(y - x²)²`` of a 2-vector ``theta = (x, y)``.
 
         Fused on Python floats, with the IEEE operations, in order, of the
-        chain it stands for: ``x`` and ``y`` read off by ``index``,
-        ``d1 = a - x`` and ``d2 = y - x²`` by ``sub`` and ``square``, then
-        ``square``, ``scale`` and ``add``. So its value, tangent and both
-        sweeps have that chain's bits, and theta's cotangent is formed as
-        the two index scatters add, ``(0 + gx, gy + 0)``. Its value is
-        `rosenbrock_terms`, as the tape-free value is. It has no GGN
-        factor: f has no model/loss split.
+        chain of ``tests/oracle_ops.py`` ops it stands for: ``x`` and ``y``
+        read off by ``index``, ``d1 = a - x`` and ``d2 = y - x²`` by ``sub``
+        and ``square``, then ``square``, ``scale`` and ``add``. So its value,
+        tangent and both sweeps have that chain's bits, and theta's cotangent
+        is formed as the two index scatters add, ``(0 + gx, gy + 0)``. Its
+        value is `rosenbrock_terms`, as the tape-free value is. It has no
+        GGN factor: f has no model/loss split.
         """
         if theta.val.shape != (2,):
             raise ValueError("rosenbrock expects a 2-vector (x, y)")

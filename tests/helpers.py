@@ -5,7 +5,8 @@ than the functions under test: golden-section line search, dense
 Kronecker-assembled curvature matrices, closed-form least squares, and a
 hand-rolled bootstrap enumeration. `quadratic_objective` is the one
 objective whose curvature and quadratic model are exact by construction;
-`rosenbrock_slice_objective` traces Rosenbrock on vector slices.
+`rosenbrock_slice_objective` traces Rosenbrock on vector slices. Both
+record the generic ops of `oracle_ops`.
 `run_with_records` keeps every record of a training run, which the run's
 result does not.
 """
@@ -20,6 +21,8 @@ from adamqlr.autodiff import Objective
 from adamqlr.bench.training import start_training
 from adamqlr.models import RosenbrockSpec
 from adamqlr.tape import Node, Tape
+
+import oracle_ops as ops
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,10 +60,10 @@ def quadratic_objective(a_matrix: np.ndarray, b: Optional[np.ndarray] = None) ->
         raise ValueError("A must be square")
 
     def trace(tape: Tape, theta: Node, batch):
-        q = tape.matmul(tape.const(a_matrix), theta)
-        f = tape.scale(tape.sum(tape.mul(theta, q)), 0.5)
+        q = ops.matmul(tape, tape.const(a_matrix), theta)
+        f = ops.scale(tape, ops.sum(tape, ops.mul(tape, theta, q)), 0.5)
         if b is not None:
-            f = tape.add(f, tape.sum(tape.mul(theta, tape.const(b))))
+            f = ops.add(tape, f, ops.sum(tape, ops.mul(tape, theta, tape.const(b))))
         return None, f, None
 
     def value(values: np.ndarray, batch) -> float:
@@ -82,13 +85,14 @@ def rosenbrock_slice_objective(spec: RosenbrockSpec = RosenbrockSpec()) -> Objec
     a, b = spec.a, spec.b
 
     def trace(tape: Tape, theta: Node, batch):
-        x = tape.index(theta, slice(0, 1))
-        y = tape.index(theta, slice(1, 2))
-        f = tape.add(
-            tape.square(tape.sub(tape.const(a), x)),
-            tape.scale(tape.square(tape.sub(y, tape.square(x))), float(b)),
+        x = ops.index(tape, theta, slice(0, 1))
+        y = ops.index(tape, theta, slice(1, 2))
+        f = ops.add(
+            tape,
+            ops.square(tape, ops.sub(tape, tape.const(a), x)),
+            ops.scale(tape, ops.square(tape, ops.sub(tape, y, ops.square(tape, x))), float(b)),
         )
-        return None, tape.sum(f), None
+        return None, ops.sum(tape, f), None
 
     def value(values: np.ndarray, batch) -> float:
         x, y = values

@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import functools
 import gc
 import io
 import json
@@ -116,6 +117,49 @@ def test_divergence_prints_no_numpy_warnings(command, tmp_path, recwarn):
         argv = [command, "--config", write_cfg(tmp_path, diverging_adam_cfg_dict())]
     assert main(argv) == EXIT_DIVERGED
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# A negative seed that would reach numpy's generators is refused as the
+# config and flags are read, before any data is prepared, naming its path
+# or flag. The seeds `keyed_rng` folds into its key keep working.
+@pytest.mark.parametrize(
+    "command, key, flags, error",
+    [
+        ("train", "seed", [], "config: seed must be non-negative, got -1"),
+        ("sweep", "seed", ["--sweep", "omega_sym"], "config: seed must be non-negative, got -1"),
+        ("train", "dataset.split.seed", [], "dataset.split: seed must be non-negative, got -1"),
+        ("train", None, ["--seed", "-5"], "--seed must be non-negative, got -5"),
+        ("bootstrap", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ("gradcheck", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ("tune", None, ["--seed", "-1", "--budget", "1"], None),
+        ("train", "dataset.loader.seed", [], None),
+        ("train", "dataset.batch.shuffle_seed", [], None),
+    ],
+)
+def test_negative_seed_is_refused_naming_it_unless_keyed(
+    command, key, flags, error, tmp_path, monkeypatch, capsys
+):
+    d = regression_cfg_dict(epochs=1)
+    if key is not None:
+        *parents, leaf = key.split(".")
+        functools.reduce(dict.__getitem__, parents, d)[leaf] = -1
+    cfg = write_cfg(tmp_path, d)
+    if command == "bootstrap":
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run.jsonl")]) == EXIT_OK
+        argv = ["bootstrap", "--inputs", str(tmp_path / "*.jsonl")]
+    elif command == "gradcheck":
+        argv = ["gradcheck"]
+    else:
+        argv = [command, "--config", cfg]
+    if error is None:
+        assert main(argv + flags) == EXIT_OK
+        return
+    monkeypatch.setattr(
+        training, "prepare_data", lambda *a: pytest.fail("data prepared before the seed was read")
+    )
+    capsys.readouterr()
+    assert main(argv + flags) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 class TestTrain:

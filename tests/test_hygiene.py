@@ -1,8 +1,8 @@
 """Source hygiene: every module, script and test file imports only names it
 uses, every module uses each private name it defines at its top level, every
-public function and class has a caller outside the tests, every tape op
-has its derivative check, and only the CLI and its record writer write
-files."""
+public function, class and method has a caller outside the tests, every
+tape op, on the tape or among the test oracle ops, has its derivative
+check, and only the CLI and its record writer write files."""
 
 import ast
 import inspect
@@ -146,6 +146,49 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert dead == sorted(TEST_ORACLES)
 
 
+def public_methods(source: str) -> list[str]:
+    """``Class.method`` for each public method of each class in ``source``."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+# Public methods whose only callers are tests: hooks of the test lifecycle.
+TEST_HOOKS = {
+    # Zeroes the process-wide op counters, so a test counts one run's calls.
+    "autodiff.OpCounters.reset",
+    # Stops the matmul worker thread the `halves` fixture started; a run's
+    # worker otherwise lives as long as its process.
+    "tape.HalfWorker.close",
+}
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    """Each public method of a src/ class is read by name in src/, a script or the benchmark.
+
+    The check is by name, as for top-level names: a method counts as
+    called when any caller reads an attribute or a name spelled like it.
+    So it cannot see a method no caller runs when other code reads its
+    name: as methods of ``Tape``, the generic ops ``sub``, ``scale``,
+    ``matmul``, ``index`` and ``sum`` would each pass, read as the CLI's
+    subparsers, gradcheck's scale, ``tape.matmul``, bootstrap's index and
+    ``ndarray.sum``.
+    """
+    read = set().union(*(read_names(p.read_text()) for p in MODULES + SCRIPTS + PERFBENCH))
+    dead = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts) + "." + method
+        for path in MODULES
+        for method in public_methods(path.read_text())
+        if method.split(".")[1] not in read
+    )
+    assert dead == sorted(TEST_HOOKS)
+
+
 def test_caller_detector_sees_names_and_attributes():
     source = (
         "import numpy as np\n"
@@ -158,8 +201,27 @@ def test_caller_detector_sees_names_and_attributes():
     assert read_names(source) == {"np", "Spec", "linalg", "norm", "spec"}
 
 
+def test_method_detector_sees_each_class_and_skips_private_methods():
+    source = (
+        "class Worker:\n"
+        "    def __init__(self): self._pool = None\n"
+        "    def close(self): self._stop()\n"
+        "    def _stop(self): pass\n"
+        "    async def wait(self): pass\n"
+        "    size = 1\n"
+        "def run(w: Worker):\n"
+        "    class Local:\n"
+        "        def step(self): w.close()\n"
+        "    return Local\n"
+    )
+    assert public_methods(source) == ["Worker.close", "Worker.wait", "Local.step"]
+    assert "close" in read_names(source) and "wait" not in read_names(source)
+
+
 # Tape methods that record no op node: the leaves, and the sweeps over the tape.
 NOT_OPS = {"const", "input", "replay_tangent", "backward"}
+# The generic ops, recorded by the test oracles only.
+ORACLE_OPS = ROOT / "tests" / "oracle_ops.py"
 
 
 def op_cases(source: str) -> set[str]:
@@ -174,15 +236,18 @@ def op_cases(source: str) -> set[str]:
 
 def test_every_tape_op_has_a_derivative_check():
     # A case named after the op, or the op and a suffix (`affine_input`),
-    # runs its rules against central differences in test_tape.py.
+    # runs its rules against central differences in test_tape.py. The ops
+    # are the tape's methods and the oracle module's public functions.
     cases = op_cases((ROOT / "tests" / "test_tape.py").read_text())
-    ops = {
+    tape_ops = {
         name
         for name, fn in inspect.getmembers(Tape, inspect.isfunction)
         if not name.startswith("_") and name not in NOT_OPS
     }
-    covered = {op for op in ops for c in cases if c == op or c.startswith(op + "_")}
-    assert ops and sorted(ops - covered) == []
+    oracle_ops = set(public_definitions(ORACLE_OPS.read_text()))
+    for ops in (tape_ops, oracle_ops):
+        covered = {op for op in ops for c in cases if c == op or c.startswith(op + "_")}
+        assert ops and sorted(ops - covered) == []
 
 
 # The modules that may write files: the CLI, and the record writer it calls.

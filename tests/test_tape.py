@@ -11,6 +11,7 @@ from adamqlr import tape
 from adamqlr.models import RosenbrockSpec, rosenbrock_objective
 from adamqlr.tape import Tape
 
+import oracle_ops as ops
 from helpers import rosenbrock_slice_objective, softmax_rows
 
 N = 12
@@ -30,23 +31,23 @@ TARGETS = np.linspace(-1.0, 1.0, N)
 # node reads its weight and bias off the leaf; it is also how a case gets a
 # live matrix.
 OPS = {
-    "add": lambda t, x: t.add(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
-    "sub": lambda t, x: t.sub(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
-    "mul": lambda t, x: t.mul(t.index(x, slice(0, 6)), t.index(x, slice(6, 12))),
-    "scale": lambda t, x: t.scale(x, -1.7),
-    "square": lambda t, x: t.square(x),
-    "matmul": lambda t, x: t.matmul(
-        t.affine(t.const(X32), x, 0, 6, 2, 3), t.affine(t.const(X32), x, 9, 11, 2, 1)
+    "add": lambda t, x: ops.add(t, ops.index(t, x, slice(0, 6)), ops.index(t, x, slice(6, 12))),
+    "sub": lambda t, x: ops.sub(t, ops.index(t, x, slice(0, 6)), ops.index(t, x, slice(6, 12))),
+    "mul": lambda t, x: ops.mul(t, ops.index(t, x, slice(0, 6)), ops.index(t, x, slice(6, 12))),
+    "scale": lambda t, x: ops.scale(t, x, -1.7),
+    "square": lambda t, x: ops.square(t, x),
+    "matmul": lambda t, x: ops.matmul(
+        t, t.affine(t.const(X32), x, 0, 6, 2, 3), t.affine(t.const(X32), x, 9, 11, 2, 1)
     ),
     "affine_input": lambda t, x: t.affine(t.const(X43), x, 0, 6, 3, 2),
     "affine_hidden": lambda t, x: t.affine(t.affine(t.const(X32), x, 0, 4, 2, 2), x, 6, 10, 2, 2),
     "relu": lambda t, x: t.relu(x),
     "tanh": lambda t, x: t.tanh(x),
-    "index_range": lambda t, x: t.index(x, slice(2, 9)),
-    "sum": lambda t, x: t.sum(x),
+    "index_range": lambda t, x: ops.index(t, x, slice(2, 9)),
+    "sum": lambda t, x: ops.sum(t, x),
     "softmax_xent": lambda t, x: t.softmax_xent(t.affine(t.const(X42), x, 0, 6, 2, 3), LABELS),
     "mse": lambda t, x: t.mse(x, TARGETS),
-    "rosenbrock": lambda t, x: t.rosenbrock(t.index(x, slice(3, 5)), 1.3, 7.0),
+    "rosenbrock": lambda t, x: t.rosenbrock(ops.index(t, x, slice(3, 5)), 1.3, 7.0),
 }
 
 
@@ -61,7 +62,7 @@ def _record(op, x, w, c):
     t = Tape()
     leaf = t.input(x)
     out = OPS[op](t, leaf)
-    return t, leaf, t.sum(t.mul(t.mul(out, t.const(w)), t.add(out, t.const(c))))
+    return t, leaf, ops.sum(t, ops.mul(t, ops.mul(t, out, t.const(w)), ops.add(t, out, t.const(c))))
 
 
 def _central(fn, x, d):
@@ -109,8 +110,9 @@ def test_mse_has_the_bits_of_the_chain_it_fuses():
         if fused:
             loss = t.mse(leaf, targets)
         else:
-            loss = t.scale(t.sum(t.square(t.sub(leaf, t.const(targets)))), 1.0 / N)
-        root = t.mul(loss, loss)
+            diff = ops.sub(t, leaf, t.const(targets))
+            loss = ops.scale(t, ops.sum(t, ops.square(t, diff)), 1.0 / N)
+        root = ops.mul(t, loss, loss)
         g = t.backward(root, SEED, leaf, use_tangents=False)[0]
         t.replay_tangent(leaf, v)
         got.append([loss.val, loss.tan, g, *t.backward(root, SEED, leaf, use_tangents=True)])
@@ -184,11 +186,13 @@ def test_ggn_factors_have_the_bits_of_the_closed_forms():
         lambda t, x: t.mse(x, TARGETS[:6]),
         lambda t, x: t.rosenbrock(x, 1.0, 100.0),  # not a 2-vector
         # A live matrix times a vector: its cotangent rule needs a matrix.
-        lambda t, x: t.matmul(t.affine(t.const(X32), x, 0, 6, 2, 3), t.index(x, slice(9, 12))),
-        lambda t, x: t.index(x, slice(6, N + 1)),
-        lambda t, x: t.index(x, slice(0, N, 2)),
-        lambda t, x: t.index(t.sum(x), slice(0, 1)),  # a scalar is not a vector
-        lambda t, x: t.index(t.affine(t.const(X32), x, 0, 6, 2, 3), slice(0, 1)),
+        lambda t, x: ops.matmul(
+            t, t.affine(t.const(X32), x, 0, 6, 2, 3), ops.index(t, x, slice(9, 12))
+        ),
+        lambda t, x: ops.index(t, x, slice(6, N + 1)),
+        lambda t, x: ops.index(t, x, slice(0, N, 2)),
+        lambda t, x: ops.index(t, ops.sum(t, x), slice(0, 1)),  # a scalar is not a vector
+        lambda t, x: ops.index(t, t.affine(t.const(X32), x, 0, 6, 2, 3), slice(0, 1)),
     ],
 )
 def test_misshaped_operands_are_refused(op):
@@ -225,7 +229,7 @@ def _weight_cotangents(n, d, k, live_left):
         left = t.const(rng.normal(size=(n, d)))
         v = np.concatenate(layer_tan)
     w_at = leaf.val.size - d * k - k
-    loss = t.sum(t.square(t.affine(left, leaf, w_at, w_at + d * k, d, k)))
+    loss = ops.sum(t, ops.square(t, t.affine(left, leaf, w_at, w_at + d * k, d, k)))
     g = t.backward(loss, SEED, leaf, use_tangents=False)[0]
     t.replay_tangent(leaf, v)
     gv, hv = t.backward(loss, SEED, leaf, use_tangents=True)
