@@ -80,6 +80,18 @@ CONFIGS = {
                       "omega_dec": 0.9, "omega_inc": 2.1, "alpha_max": 6.098},
         "epochs": 500,
     },
+    # Guard paths the runs above do not take. Energy with Hessian curvature
+    # and an outsized step meets non-descent and non-convex steps and
+    # drives lambda to its ceiling; Rosenbrock with a 1e150 rescale
+    # overflows every trial, so every step is rejected.
+    "energy-guards.json": {**_energy(40), "optimizer": {
+        "kind": "qlr", "curvature": "hessian", "alpha_max": 10, "rescale_k": 1000,
+        "omega_inc": 8}},
+    "rosenbrock-rejected.json": {
+        "model": {"kind": "rosenbrock"},
+        "optimizer": {"kind": "qlr", "curvature": "hessian", "rescale_k": 1e150},
+        "epochs": 500,
+    },
 }
 
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
@@ -93,6 +105,11 @@ COMMANDS = [
                                    "--out", f"train-rosenbrock-{k}.jsonl"])
         for k in ("untuned", "tuned")
     ),
+    # Named outside the `records-*.jsonl` glob that `bootstrap` reads.
+    ("train-energy-guards", ["train", "--config", "energy-guards.json",
+                             "--out", "guards-energy.jsonl"]),
+    ("train-rosenbrock-rejected", ["train", "--config", "rosenbrock-rejected.json",
+                                   "--out", "train-rosenbrock-rejected.jsonl"]),
     *(
         (f"rosenbrock-{p}", ["rosenbrock", "--optimizer", p, "--out", f"rosenbrock-{p}.csv"])
         for p in PRESETS

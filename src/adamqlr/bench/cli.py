@@ -172,7 +172,8 @@ def _cmd_rosenbrock(args) -> int:
 
 def _cmd_tune(args) -> int:
     cfg = config_mod.from_json(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed, name = (cfg.seed, "config: seed") if args.seed is None else (args.seed, "--seed")
+    seed = check_seed(seed, name, keyed=True)
     space = search_space_for(
         cfg.optimizer.kind, include_batch_size=cfg.dataset is not None
     )

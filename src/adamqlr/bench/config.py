@@ -54,6 +54,7 @@ class SyntheticLoader:
     separation: float = 6.0
 
     def __post_init__(self):
+        check_seed(self.seed, keyed=True)
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
         if not math.isfinite(self.separation):

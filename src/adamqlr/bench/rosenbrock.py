@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -13,22 +12,21 @@ from ..params import ParamVector
 from .config import AdamOpt, ConfigError, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
 
-# Each preset's optimizer block; its keyword arguments are the overrides it takes.
+# Each preset's optimizer config class and its defaults; an override is
+# taken only where the preset has a default for it.
 _PRESETS = {
-    "gd": lambda lr=1e-3: SgdMinimalOpt(lr=lr),
+    "gd": (SgdMinimalOpt, {"lr": 1e-3}),
     # default lr scaled down so the momentum-amplified step stays stable
-    "gd-full": lambda lr=1e-4, momentum=0.9, weight_decay=0.0: SgdFullOpt(
-        lr=lr, momentum=momentum, weight_decay=weight_decay
-    ),
-    "adam": lambda lr=9.8848e-2: AdamOpt(lr=lr),
-    "adamqlr-tuned": lambda: QlrOpt(
-        curvature=CurvatureKind.HESSIAN,
-        lambda0=3.0270e-6,
-        omega_dec=0.9,
-        omega_inc=2.1,
-        alpha_max=6.098,
-    ),
-    "adamqlr-untuned": lambda: QlrOpt(curvature=CurvatureKind.HESSIAN),
+    "gd-full": (SgdFullOpt, {"lr": 1e-4, "momentum": 0.9, "weight_decay": 0.0}),
+    "adam": (AdamOpt, {"lr": 9.8848e-2}),
+    "adamqlr-tuned": (QlrOpt, {
+        "curvature": CurvatureKind.HESSIAN,
+        "lambda0": 3.0270e-6,
+        "omega_dec": 0.9,
+        "omega_inc": 2.1,
+        "alpha_max": 6.098,
+    }),
+    "adamqlr-untuned": (QlrOpt, {"curvature": CurvatureKind.HESSIAN}),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -49,14 +47,13 @@ def preset_optimizer(
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown optimizer preset {name!r}; choose from {PRESET_NAMES}")
-    make = _PRESETS[name]
-    takes = inspect.signature(make).parameters
+    cls, defaults = _PRESETS[name]
     given = {"lr": lr, "momentum": momentum, "weight_decay": weight_decay}
     overrides = {key: value for key, value in given.items() if value is not None}
-    ignored = ["--" + key.replace("_", "-") for key in overrides if key not in takes]
+    ignored = ["--" + key.replace("_", "-") for key in overrides if key not in defaults]
     if ignored:
         raise ConfigError(f"optimizer preset {name!r} does not take {', '.join(ignored)}")
-    return make(**overrides)
+    return cls(**{**defaults, **overrides})
 
 
 @dataclass

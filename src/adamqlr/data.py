@@ -84,8 +84,11 @@ class Batch:
         return batch
 
 
-def check_seed(seed: int, name: str = "seed") -> int:
-    """``seed``, refused when negative: numpy's generators take no negative seed."""
+def check_seed(seed: int, name: str = "seed", *, keyed: bool = False) -> int:
+    """``seed``, refused when negative: numpy's generators take no negative seed.
+    A ``keyed`` seed, one that `keyed_rng` takes, must also lie below 2**32."""
+    if keyed and not 0 <= seed < 2**32:
+        raise ValueError(f"{name} must lie in [0, 2**32), got {seed!r}")
     if seed < 0:
         raise ValueError(f"{name} must be non-negative, got {seed!r}")
     return seed
@@ -115,6 +118,7 @@ class BatchPlan:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        check_seed(self.shuffle_seed, "shuffle_seed", keyed=True)
 
 
 def _open_maybe_gzip(path):
@@ -229,10 +233,14 @@ def split_dataset(ds: Batch, spec: SplitSpec) -> tuple[Batch, Batch, Batch]:
 def keyed_rng(seed: int, *keys: int) -> np.random.Generator:
     """Random stream keyed on (seed, *keys): a SeedSequence over both.
 
-    Streams with different keys are independent, so what each one draws
-    does not depend on the order in which they are used.
+    What each stream draws does not depend on the order in which streams
+    are used. The seed must lie in [0, 2**32): SeedSequence splits a larger
+    int into 32-bit words, so 2**32 + 5 would draw the stream of seed 5
+    keyed on 1. One alias stays: SeedSequence pads its entropy with zeros,
+    so ``keyed_rng(s)`` and ``keyed_rng(s, 0)`` draw the same stream.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *keys]))
+    check_seed(seed, keyed=True)
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))
 
 
 def batch_iter(ds: Batch, plan: BatchPlan, epoch: int) -> Iterator[Batch]:

@@ -10,7 +10,11 @@ step size by minimizing a damped second-order model along that direction:
 where C is Hessian or Gauss-Newton/Fisher curvature. The damping lambda
 adapts Levenberg-Marquardt style from the reduction ratio rho = actual
 loss change / model-predicted change: above 3/4 the model is trusted and
-lambda shrinks, below 1/4 it grows. One forward pass is shared by the
+lambda shrinks, below 1/4 it grows. Each guard is a GuardEvent on the
+step: no step when g . d <= 0; the clipped, rescaled largest step when
+d^T (C + lambda I) d <= 0; lambda left alone when the predicted change is
+at most 1e-12 * max(1, |f|); and a non-finite post-step loss rejects the
+step and multiplies lambda by omega_inc. One forward pass is shared by the
 gradient, one curvature-vector product and the post-step loss: an MLP's
 input-layer product at the new point is read off that pass and its
 tangent, so only the layers above it run again. Everything else is vector
@@ -34,18 +38,6 @@ from .params import NonFiniteError, ParamVector
 LAMBDA_MIN = 1e-8
 LAMBDA_MAX = 1e10
 RHO_GUARD_SCALE = 1e-12
-
-
-class NonDescentDirection(Exception):
-    """g . d <= 0: stepping along -d would not descend."""
-
-
-class NonConvexDirection(Exception):
-    """d^T (C + lambda I) d <= 0: the quadratic model is unbounded below."""
-
-
-class DegenerateModelChange(Exception):
-    """Predicted model change too small for a meaningful reduction ratio."""
 
 
 class GuardEvent(enum.Enum):
@@ -196,18 +188,20 @@ class StepDiagnostics:
 
 def select_learning_rate(
     g_dot_d: float, d_cd: float, d_dot_d: float, lam: float
-) -> float:
-    """Minimizer of the damped quadratic model along the direction.
+) -> tuple[float, Optional[GuardEvent]]:
+    """Minimizer of the damped quadratic model along the direction, and its guard.
 
-    Raises NonDescentDirection when g . d <= 0 and NonConvexDirection when
-    the damped curvature term is not positive; callers apply the fallback.
+    When g . d <= 0 the step is 0.0 (NON_DESCENT): no step. When the damped
+    curvature term is not positive the model is unbounded below and the
+    step is inf (NON_CONVEX), which `apply_lr_policy` clips to alpha_max
+    and rescales.
     """
     if g_dot_d <= 0.0:
-        raise NonDescentDirection(f"g.d = {g_dot_d}")
+        return 0.0, GuardEvent.NON_DESCENT
     denom = d_cd + lam * d_dot_d
     if denom <= 0.0:
-        raise NonConvexDirection(f"d^T(C + lambda I)d = {denom}")
-    return g_dot_d / denom
+        return math.inf, GuardEvent.NON_CONVEX
+    return g_dot_d / denom, None
 
 
 def apply_lr_policy(alpha_raw: float, cfg: QLRConfig) -> float:
@@ -220,11 +214,15 @@ def quadratic_model_change(alpha: float, g_dot_d: float, d_cld: float) -> float:
     return -alpha * g_dot_d + 0.5 * alpha * alpha * d_cld
 
 
-def compute_rho(f_change: float, m_change: float, f_before: float = 0.0) -> float:
-    """Reduction ratio: actual loss change over model-predicted change."""
+def compute_rho(
+    f_change: float, m_change: float, f_before: float = 0.0
+) -> tuple[float, Optional[GuardEvent]]:
+    """Reduction ratio: actual loss change over model-predicted change, or
+    NaN (DEGENERATE_MODEL) when the latter is at most 1e-12 * max(1, |f_before|).
+    """
     if abs(m_change) <= RHO_GUARD_SCALE * max(1.0, abs(f_before)):
-        raise DegenerateModelChange(f"model change {m_change} below guard threshold")
-    return f_change / m_change
+        return math.nan, GuardEvent.DEGENERATE_MODEL
+    return f_change / m_change, None
 
 
 def update_damping(rho: float, lam: float, cfg: QLRConfig) -> float:
@@ -269,16 +267,8 @@ def qlr_step(
     d_cd = float(d.values @ cd.values)
     d_dot_d = float(d.values @ d.values)
 
-    guard: Optional[GuardEvent] = None
-    try:
-        alpha = apply_lr_policy(
-            select_learning_rate(g_dot_d, d_cd, d_dot_d, state.lam), cfg
-        )
-    except NonDescentDirection:
-        guard, alpha = GuardEvent.NON_DESCENT, 0.0
-    except NonConvexDirection:
-        guard, alpha = GuardEvent.NON_CONVEX, cfg.rescale_k * cfg.alpha_max
-
+    alpha_raw, guard = select_learning_rate(g_dot_d, d_cd, d_dot_d, state.lam)
+    alpha = apply_lr_policy(alpha_raw, cfg)
     fired = [] if guard is None else [guard]
     rho, lam = math.nan, state.lam
     try:
@@ -289,14 +279,11 @@ def qlr_step(
         lam = _clamp_lambda(cfg.omega_inc * state.lam)
     if guard is None:
         m_change = quadratic_model_change(alpha, g_dot_d, d_cd + state.lam * d_dot_d)
-        try:
-            rho = compute_rho(f_after - f_before, m_change, f_before)
-        except DegenerateModelChange:
-            guard = GuardEvent.DEGENERATE_MODEL
+        rho, guard = compute_rho(f_after - f_before, m_change, f_before)
+        if guard is not None:
             fired.append(guard)
-        else:
-            if cfg.damped:
-                lam = update_damping(rho, state.lam, cfg)
+        elif cfg.damped:
+            lam = update_damping(rho, state.lam, cfg)
 
     # Only a rejection or a damped update sets lambda; either may leave it at the ceiling.
     lam_updated = guard is GuardEvent.STEP_REJECTED or (guard is None and cfg.damped)

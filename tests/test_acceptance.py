@@ -193,7 +193,7 @@ def test_04_learning_rate_formula_exactness():
     obj = quadratic_objective(A_DIAG)
     theta = np.array([1.0, 1.0])
     g = A_DIAG @ theta  # (2, 8)
-    alpha = select_learning_rate(g @ g, g @ (A_DIAG @ g), g @ g, 0.0)
+    alpha, _ = select_learning_rate(g @ g, g @ (A_DIAG @ g), g @ g, 0.0)
     alpha_err = abs(alpha - 68.0 / 520.0)
 
     oracle = golden_section(lambda a: obj.value(theta - a * g, None), 0.0, 1.0)
@@ -202,12 +202,12 @@ def test_04_learning_rate_formula_exactness():
     # with a linear term the same formula still minimizes the model
     obj_b = quadratic_objective(A_DIAG, np.array([-1.0, 2.0]))
     g_b = A_DIAG @ theta + np.array([-1.0, 2.0])
-    alpha_b = select_learning_rate(g_b @ g_b, g_b @ (A_DIAG @ g_b), g_b @ g_b, 0.0)
+    alpha_b, _ = select_learning_rate(g_b @ g_b, g_b @ (A_DIAG @ g_b), g_b @ g_b, 0.0)
     oracle_b = golden_section(lambda a: obj_b.value(theta - a * g_b, None), 0.0, 1.0)
     oracle_err = max(oracle_err, abs(alpha_b - oracle_b))
 
     f_change = obj.value(theta - alpha * g, None) - obj.value(theta, None)
-    rho = compute_rho(f_change, quadratic_model_change(alpha, g @ g, g @ (A_DIAG @ g)), 5.0)
+    rho, _ = compute_rho(f_change, quadratic_model_change(alpha, g @ g, g @ (A_DIAG @ g)), 5.0)
     rho_err = abs(rho - 1.0)
 
     # damping decay: ceil(log2(1e5)) = 17 halvings from 1e-3 to the 1e-8 floor
@@ -267,9 +267,9 @@ def test_05_invariance_suite():
     curv = np.diag(rng.uniform(0.5, 4.0, size=6))
     worst_rescale = 0.0
     for c in (1e-6, 0.1, 7.0, 1e6):
-        a1 = select_learning_rate(g @ d, d @ (curv @ d), d @ d, 0.0)
+        a1, _ = select_learning_rate(g @ d, d @ (curv @ d), d @ d, 0.0)
         dc = c * d
-        a2 = select_learning_rate(g @ dc, dc @ (curv @ dc), dc @ dc, 0.0)
+        a2, _ = select_learning_rate(g @ dc, dc @ (curv @ dc), dc @ dc, 0.0)
         worst_rescale = max(worst_rescale, max_rel(a2 * dc, a1 * d))
 
     # per-step bounds on representative runs

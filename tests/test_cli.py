@@ -119,9 +119,15 @@ def test_divergence_prints_no_numpy_warnings(command, tmp_path, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def set_key(d: dict, key: str, value) -> None:
+    """Set the value at dotted ``key`` of the nested dict ``d``."""
+    *parents, leaf = key.split(".")
+    functools.reduce(dict.__getitem__, parents, d)[leaf] = value
+
+
 # A negative seed that would reach numpy's generators is refused as the
 # config and flags are read, before any data is prepared, naming its path
-# or flag. The seeds `keyed_rng` folds into its key keep working.
+# or flag. A seed that `keyed_rng` takes must also lie below 2**32.
 @pytest.mark.parametrize(
     "command, key, flags, error",
     [
@@ -131,18 +137,18 @@ def test_divergence_prints_no_numpy_warnings(command, tmp_path, recwarn):
         ("train", None, ["--seed", "-5"], "--seed must be non-negative, got -5"),
         ("bootstrap", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
         ("gradcheck", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
-        ("tune", None, ["--seed", "-1", "--budget", "1"], None),
-        ("train", "dataset.loader.seed", [], None),
-        ("train", "dataset.batch.shuffle_seed", [], None),
+        ("tune", None, ["--seed", "-1", "--budget", "1"], "--seed must lie in [0, 2**32), got -1"),
+        ("train", "dataset.loader.seed", [], "dataset.loader: seed must lie in [0, 2**32), got -1"),
+        ("train", "dataset.batch.shuffle_seed", [],
+         "dataset.batch: shuffle_seed must lie in [0, 2**32), got -1"),
     ],
 )
-def test_negative_seed_is_refused_naming_it_unless_keyed(
+def test_negative_seed_is_refused_naming_it(
     command, key, flags, error, tmp_path, monkeypatch, capsys
 ):
     d = regression_cfg_dict(epochs=1)
     if key is not None:
-        *parents, leaf = key.split(".")
-        functools.reduce(dict.__getitem__, parents, d)[leaf] = -1
+        set_key(d, key, -1)
     cfg = write_cfg(tmp_path, d)
     if command == "bootstrap":
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run.jsonl")]) == EXIT_OK
@@ -151,15 +157,47 @@ def test_negative_seed_is_refused_naming_it_unless_keyed(
         argv = ["gradcheck"]
     else:
         argv = [command, "--config", cfg]
-    if error is None:
-        assert main(argv + flags) == EXIT_OK
-        return
     monkeypatch.setattr(
         training, "prepare_data", lambda *a: pytest.fail("data prepared before the seed was read")
     )
     capsys.readouterr()
     assert main(argv + flags) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+# SeedSequence splits an int into 32-bit words, so each group of seeds
+# below would draw one stream if all were taken: -1 and 2**63 - 1 once
+# folded into 63 bits; -2**63 and 2**63 folded to 0; 2**32 + 5 reads as
+# (5, 1), the epoch-1 shuffle of seed 5 and trial 1 of `tune --seed 5`.
+@pytest.mark.parametrize("seeds", [(-1, 2**63 - 1), (-(2**63), 2**63, 0), (2**32 + 5, 5)])
+@pytest.mark.parametrize(
+    "command, key, named",
+    [
+        ("train", "dataset.loader.seed", "dataset.loader: seed"),
+        ("train", "dataset.batch.shuffle_seed", "dataset.batch: shuffle_seed"),
+        ("tune", "seed", "config: seed"),
+        ("tune", None, "--seed"),
+    ],
+)
+def test_keyed_seeds_sharing_a_stream_are_accepted_at_most_once(
+    command, key, named, seeds, tmp_path, capsys
+):
+    accepted = []
+    for seed in seeds:
+        d = regression_cfg_dict(epochs=1)
+        flags = ["--budget", "1"] if command == "tune" else []
+        if key is None:
+            flags += ["--seed", str(seed)]
+        else:
+            set_key(d, key, seed)
+        capsys.readouterr()
+        code = main([command, "--config", write_cfg(tmp_path, d), *flags])
+        if code == EXIT_OK:
+            accepted.append(seed)
+        else:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: {named} must ")
+    assert len(accepted) <= 1, accepted
 
 
 class TestTrain:

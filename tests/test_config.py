@@ -223,6 +223,7 @@ positive = st.floats(1e-6, 1e6)
 non_negative = st.floats(0.0, 1e6)
 counts = st.integers(1, 5000)
 seeds = st.integers(0, 2**63 - 1)
+keyed_seeds = st.integers(0, 2**32 - 1)  # the seeds `keyed_rng` takes
 unit = st.floats(0.0, 0.999)
 
 loaders = st.one_of(
@@ -230,7 +231,7 @@ loaders = st.one_of(
     st.builds(IdxLoader, st.text(), st.text()),
     st.builds(
         SyntheticLoader,
-        st.sampled_from(Task), counts, counts, seeds, counts, non_negative, counts, floats,
+        st.sampled_from(Task), counts, counts, keyed_seeds, counts, non_negative, counts, floats,
     ),
 )
 datasets = st.builds(
@@ -238,7 +239,7 @@ datasets = st.builds(
     loaders,
     st.builds(lambda fractions, seed: SplitSpec(*fractions, seed),
               st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0)]), seeds),
-    st.builds(BatchPlan, counts, seeds),
+    st.builds(BatchPlan, counts, keyed_seeds),
     st.booleans(),
 )
 hypers = st.builds(AdamHyper, unit, unit, st.floats(0.0, 1.0))
