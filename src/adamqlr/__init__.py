@@ -10,7 +10,6 @@ from .autodiff import (
     curvature_vp,
     eval_grad,
     eval_loss,
-    explicit_matrix,
     fd_grad,
 )
 from .data import Batch, BatchPlan, SplitSpec, Task

@@ -45,10 +45,6 @@ class EvalOverflowError(ArithmeticError):
         self.value = value
 
 
-class MatrixCapExceededError(ValueError):
-    """Refused to densify a curvature matrix beyond the configured cap."""
-
-
 class UnsupportedCurvatureError(ValueError):
     """The objective lacks the model/loss split this curvature kind needs."""
 
@@ -105,14 +101,11 @@ class Objective:
     loss_kind: Optional[LossKind] = None
 
 
-def _check_params(obj: Objective, params: ParamVector) -> None:
+def _check(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> None:
     if len(params) != obj.n_params:
         raise ValueError(
             f"objective {obj.name!r} expects {obj.n_params} parameters, got {len(params)}"
         )
-
-
-def _check_batch(obj: Objective, batch: Optional[Batch]) -> None:
     if batch is None and obj.loss_kind is not None:
         raise ValueError(f"objective {obj.name!r} requires a batch")
     if batch is not None and len(batch) == 0:
@@ -138,8 +131,7 @@ def _evaluate(
 
 def eval_loss(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> float:
     """Mean-reduced loss; raises EvalOverflowError instead of returning inf/nan."""
-    _check_params(obj, params)
-    _check_batch(obj, batch)
+    _check(obj, params, batch)
     return _evaluate(obj, params.values, batch, "eval_loss")[0]
 
 
@@ -151,8 +143,7 @@ def eval_outputs(obj: Objective, params: ParamVector, batch: Batch) -> tuple[flo
     """
     if obj.loss_kind is None:
         raise ValueError(f"objective {obj.name!r} has no model outputs")
-    _check_params(obj, params)
-    _check_batch(obj, batch)
+    _check(obj, params, batch)
     return _evaluate(obj, params.values, batch, "eval_outputs")
 
 
@@ -241,8 +232,7 @@ class Linearization:
 
 def linearize(obj: Objective, params: ParamVector, batch: Optional[Batch]) -> Linearization:
     """Record one forward pass of ``obj`` at ``params`` for its derivatives."""
-    _check_params(obj, params)
-    _check_batch(obj, batch)
+    _check(obj, params, batch)
     tape = Tape()
     theta = tape.input(params.values)
     outputs, loss, pre = obj.trace(tape, theta, batch)
@@ -280,42 +270,13 @@ def curvature_vp(
     return linearize(obj, params, batch).curvature_vp(v, kind)
 
 
-def explicit_matrix(
-    obj: Objective,
-    params: ParamVector,
-    batch: Optional[Batch],
-    kind: CurvatureKind,
-    cap: int = 200,
-) -> np.ndarray:
-    """Dense curvature matrix assembled column-by-column; test oracle only.
-
-    Refuses to run past `cap` parameters so it cannot sneak into
-    production paths. The result is symmetrized by averaging with its
-    transpose.
-    """
-    _check_params(obj, params)
-    n = len(params)
-    if n > cap:
-        raise MatrixCapExceededError(
-            f"explicit matrix for {n} parameters exceeds cap {cap}"
-        )
-    lin = linearize(obj, params, batch)
-    cols = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols[:, i] = lin.curvature_vp(params.with_values(e), kind).values
-    return 0.5 * (cols + cols.T)
-
-
 def fd_grad(
     obj: Objective, params: ParamVector, batch: Optional[Batch], h: float = 1e-5
 ) -> ParamVector:
     """Central-difference gradient oracle over the tape-free loss path."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    _check_params(obj, params)
-    _check_batch(obj, batch)
+    _check(obj, params, batch)
     base = params.values
     grad = np.empty_like(base)
     for i in range(base.size):

@@ -37,6 +37,7 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
     )
     for batch in itertools.islice(stream, steps):
         params, _ = stepper.step(obj, params, batch)
+        del batch  # before the next one is gathered, as in training
 
     n_ref = min(REFERENCE_BATCH_ROWS, len(train))
     ref = train.take(slice(n_ref))

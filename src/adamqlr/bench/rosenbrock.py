@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 
 from .. import autodiff
 from ..autodiff import CurvatureKind
-from ..models import ROSENBROCK_START, RosenbrockSpec, rosenbrock_objective
+from ..models import ROSENBROCK_START, rosenbrock_objective
 from ..params import ParamVector
 from .config import AdamOpt, ConfigError, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
@@ -72,7 +72,6 @@ def trajectory(
     optimizer: OptimizerConfig,
     steps: int = 200,
     start: tuple[float, float] = ROSENBROCK_START,
-    spec: RosenbrockSpec = RosenbrockSpec(),
 ) -> Iterator[tuple[int, float, float, float]]:
     """The points (step, x, y, f) of ``steps`` steps of ``optimizer`` from ``start``.
 
@@ -85,7 +84,7 @@ def trajectory(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    obj = rosenbrock_objective(spec)
+    obj = rosenbrock_objective()
     stepper = make_stepper(optimizer, 2)
 
     def checked(i: int, params: ParamVector) -> Iterator[tuple[int, float, float, float]]:
@@ -121,9 +120,8 @@ def run_rosenbrock(
     optimizer: OptimizerConfig,
     steps: int = 200,
     start: tuple[float, float] = ROSENBROCK_START,
-    spec: RosenbrockSpec = RosenbrockSpec(),
 ) -> RosenbrockResult:
     """Every point of the `trajectory`; a run ends early only by diverging."""
-    points = list(trajectory(optimizer, steps, start, spec))
+    points = list(trajectory(optimizer, steps, start))
     status = RunStatus.COMPLETED if len(points) == steps + 1 else RunStatus.DIVERGED
     return RosenbrockResult(points, status)

@@ -104,6 +104,8 @@ class SplitSpec:
     def __post_init__(self):
         check_seed(self.seed)
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
+        if not all(math.isfinite(f) for f in fracs):
+            raise ValueError(f"split fractions must be finite, got {fracs}")
         if any(f < 0 for f in fracs):
             raise ValueError("split fractions must be non-negative")
         if abs(sum(fracs) - 1.0) > 1e-12:

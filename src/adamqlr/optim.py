@@ -311,19 +311,17 @@ def empirical_fisher_diag(
     return params.with_values(acc / n)
 
 
-def fisher_adam_alignment(
-    fisher_diag: ParamVector, v_hat: np.ndarray, eps: float = 1e-30
-) -> tuple[float, float]:
+def fisher_adam_alignment(fisher_diag: ParamVector, v_hat: np.ndarray) -> tuple[float, float]:
     """Cosine similarity and log-ratio spread between the empirical Fisher
     diagonal and Adam's bias-corrected second-moment buffer.
 
     The spread is the standard deviation of elementwise log ratios over
-    components where both vectors exceed `eps`.
+    components where both vectors exceed 1e-30.
     """
     f = fisher_diag.values
     v = np.asarray(v_hat)
-    cos = float(f @ v / max(np.linalg.norm(f) * np.linalg.norm(v), eps))
-    mask = (f > eps) & (v > eps)
+    cos = float(f @ v / max(np.linalg.norm(f) * np.linalg.norm(v), 1e-30))
+    mask = (f > 1e-30) & (v > 1e-30)
     if not mask.any():
         return cos, math.nan
     ratios = np.log(v[mask]) - np.log(f[mask])

@@ -114,8 +114,8 @@ class HalfWorker:
     ``split`` (None until the first large product) is decided from those.
     """
 
-    def __init__(self, split: Optional[bool] = None):
-        self.split = split
+    def __init__(self):
+        self.split: Optional[bool] = None
         self._lock = threading.Lock()
         self._pool = None
 

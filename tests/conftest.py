@@ -27,7 +27,8 @@ def halves(request, monkeypatch):
     Tier-1 runs with BLAS unpinned, where products are never split, so this
     is how the split path runs under the tests.
     """
-    worker = tape.HalfWorker(split=getattr(request, "param", True))
+    worker = tape.HalfWorker()
+    worker.split = getattr(request, "param", True)
     monkeypatch.setattr(tape, "HALVES", worker)
     yield worker
     worker.close()

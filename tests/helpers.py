@@ -2,11 +2,12 @@
 
 Everything here recomputes expected values through a different code path
 than the functions under test: golden-section line search, dense
-Kronecker-assembled curvature matrices, closed-form least squares, and a
-hand-rolled bootstrap enumeration. `quadratic_objective` is the one
-objective whose curvature and quadratic model are exact by construction;
-`rosenbrock_slice_objective` traces Rosenbrock on vector slices. Both
-record the generic ops of `oracle_ops`.
+Kronecker-assembled curvature matrices, `explicit_matrix` (any
+objective's curvature densified one product per unit vector), closed-form
+least squares, and a hand-rolled bootstrap enumeration.
+`quadratic_objective` is the one objective whose curvature and quadratic
+model are exact by construction; `rosenbrock_slice_objective` traces
+Rosenbrock on vector slices. Both record the generic ops of `oracle_ops`.
 `run_with_records` keeps every record of a training run, which the run's
 result does not.
 """
@@ -17,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from adamqlr.autodiff import Objective
+from adamqlr.autodiff import CurvatureKind, Objective, linearize
 from adamqlr.bench.training import start_training
 from adamqlr.models import RosenbrockSpec
+from adamqlr.params import ParamVector
 from adamqlr.tape import Node, Tape
 
 import oracle_ops as ops
@@ -135,6 +137,19 @@ def dense_linear_mse_ggn(x: np.ndarray, n_out: int) -> np.ndarray:
         j = linear_model_jacobian(x[i], n_out)
         out += j.T @ j
     return 2.0 * out / n
+
+
+def explicit_matrix(obj: Objective, params: ParamVector, batch, kind: CurvatureKind) -> np.ndarray:
+    """Dense curvature matrix, one product with each unit vector on one
+    linearization, symmetrized by averaging with its transpose."""
+    lin = linearize(obj, params, batch)
+    n = len(params)
+    cols = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cols[:, i] = lin.curvature_vp(params.with_values(e), kind).values
+    return 0.5 * (cols + cols.T)
 
 
 def least_squares_mse(x: np.ndarray, y: np.ndarray) -> float:

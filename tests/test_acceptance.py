@@ -33,7 +33,6 @@ from adamqlr import (
     curvature_vp,
     eval_grad,
     eval_loss,
-    explicit_matrix,
     fd_grad,
     mlp_init,
     mlp_objective,
@@ -57,6 +56,7 @@ from helpers import (
     brute_force_bootstrap,
     dense_linear_mse_ggn,
     dense_linear_softmax_fisher,
+    explicit_matrix,
     golden_section,
     quadratic_objective,
     run_with_records,

@@ -16,7 +16,6 @@ from adamqlr import (
     curvature_vp,
     eval_grad,
     eval_loss,
-    explicit_matrix,
     fd_grad,
     mlp_init,
     mlp_objective,
@@ -25,14 +24,18 @@ from adamqlr import (
 from adamqlr.autodiff import (
     EvalOverflowError,
     Objective,
-    MatrixCapExceededError,
     UnsupportedCurvatureError,
     counters,
     eval_outputs,
     linearize,
 )
 
-from helpers import dense_linear_mse_ggn, dense_linear_softmax_fisher, quadratic_objective
+from helpers import (
+    dense_linear_mse_ggn,
+    dense_linear_softmax_fisher,
+    explicit_matrix,
+    quadratic_objective,
+)
 
 ROSEN = rosenbrock_objective(RosenbrockSpec())
 HESSIAN = CurvatureKind.HESSIAN
@@ -408,11 +411,6 @@ class TestExplicitMatrix:
         obj, params, batch = random_mlp((4, 5, 3), LossKind.SOFTMAX_CROSS_ENTROPY, 11)
         mat = explicit_matrix(obj, params, batch, CurvatureKind.GGN_FISHER)
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
-
-    def test_cap_refusal(self):
-        obj, params, batch = random_mlp((8, 50, 1), LossKind.MSE, 0)
-        with pytest.raises(MatrixCapExceededError):
-            explicit_matrix(obj, params, batch, CurvatureKind.HESSIAN, cap=200)
 
 
 class TestFdGrad:

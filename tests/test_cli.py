@@ -287,20 +287,23 @@ class TestTrain:
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "key, text",
+        "key, text, problem",
         [
-            ("model", "null"),
-            ("epochs", "1e400"),
-            ("optimizer", '{"kind": "adam", "lr": NaN}'),
-            ("optimizer", '{"kind": "sgd_minimal", "lr": -0.01}'),
+            ("model", "null", "expected an object"),
+            ("epochs", "1e400", "expected an integer"),
+            ("optimizer", '{"kind": "adam", "lr": NaN}', "lr must be finite"),
+            ("optimizer", '{"kind": "sgd_minimal", "lr": -0.01}', "lr must be finite"),
+            ("optimizer", '{"kind": "adam", "lr": 1' + "0" * 400 + "}", "is out of range"),
         ],
+        ids=["null-model", "float-epochs", "nan-lr", "negative-lr", "lr-overflows-a-float"],
     )
-    def test_malformed_value_exit_code(self, tmp_path, capsys, key, text):
+    def test_malformed_value_exit_code(self, tmp_path, capsys, key, text, problem):
         path = tmp_path / "cfg.json"
         text = json.dumps(regression_cfg_dict(**{key: "PLACEHOLDER"})).replace('"PLACEHOLDER"', text)
         path.write_text(text)
         assert main(["train", "--config", str(path)]) == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and problem in err
 
     @pytest.mark.parametrize(
         "loader, error",
@@ -387,13 +390,31 @@ class TestTrain:
         [
             ("loader", "noise", "dataset.loader: noise must be finite and non-negative"),
             ("optimizer", "lambda0", "optimizer: lambda0 must be finite and positive"),
+            # NaN passes both of `SplitSpec`'s comparisons; unchecked, splitting
+            # failed on numpy's bare "cannot convert float NaN to integer".
+            *[("split", key, "dataset.split: split fractions must be finite, got (")
+              for key in ("train_fraction", "val_fraction", "test_fraction")],
         ],
     )
     def test_nan_knob_is_config_error(self, tmp_path, capsys, block, key, message):
         d = regression_cfg_dict()
-        (d["dataset"]["loader"] if block == "loader" else d["optimizer"])[key] = float("nan")
+        (d["optimizer"] if block == "optimizer" else d["dataset"][block])[key] = float("nan")
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("eval_every_epochs", 0, "config: eval_every_epochs must be >= 1"),
+            ("dataset.batch.batch_size", 0, "dataset.batch: batch_size must be positive"),
+            ("model.layer_widths", [3, 2], "output width 2 != target dimension 1"),
+        ],
+    )
+    def test_bad_run_shape_is_config_error(self, tmp_path, capsys, key, value, message):
+        d = regression_cfg_dict()
+        set_key(d, key, value)
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "optimizer, message",
@@ -702,6 +723,17 @@ class TestSweep:
         clamps = [rec.getMessage() for rec in caplog.records if "clamp" in rec.getMessage()]
         assert clamps == ["batch size 3200 exceeds train split size 36; clamping to full batch"]
 
+    def test_batch_size_on_a_model_without_data_is_config_error(self, tmp_path, capsys):
+        d = {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 2}
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", write_cfg(tmp_path, d), "--sweep", "batch_size",
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: batch_size sampled but config has no dataset block\n"
+        )
+        assert not out.exists()
+
     def test_qlr_field_on_adam_config_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}))
         assert main(["sweep", "--config", cfg, "--sweep", "lambda0"]) == EXIT_CONFIG
@@ -745,6 +777,33 @@ class TestBootstrap:
         assert capsys.readouterr().err == (
             f"config error: n_points must be at least 1, got {n_points}\n"
         )
+
+    def test_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
+        self._make_runs(tmp_path)
+        capsys.readouterr()
+        rc = main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"), "--n-boot", "3"])
+        assert rc == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "index,mean,std"
+        assert [row.split(",")[0] for row in rows] == [str(i) for i in range(12)]
+
+    def test_metric_no_record_holds_is_config_error(self, tmp_path, capsys):
+        d = regression_cfg_dict(epochs=2)
+        d["dataset"]["split"].update(train_fraction=1.0, val_fraction=0.0, test_fraction=0.0)
+        out = tmp_path / "run.jsonl"
+        assert main(["train", "--config", write_cfg(tmp_path, d), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["bootstrap", "--inputs", str(out), "--metric", "val_loss"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: no values for metric 'val_loss' in input records\n"
+        )
+
+    def test_zero_n_boot_is_config_error(self, tmp_path, capsys):
+        self._make_runs(tmp_path)
+        rc = main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"), "--n-boot", "0"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: n_boot must be >= 1\n"
 
     def test_no_matches_is_config_error(self, tmp_path):
         assert main(["bootstrap", "--inputs", str(tmp_path / "zzz*.jsonl")]) == EXIT_CONFIG
@@ -817,6 +876,19 @@ class TestGradcheckAndDiagFisher:
     def test_diag_fisher_requires_adam(self, tmp_path):
         cfg = write_cfg(tmp_path, regression_cfg_dict())
         assert main(["diag-fisher", "--config", cfg]) == EXIT_CONFIG
+
+    def test_diag_fisher_requires_an_mlp(self, tmp_path, capsys):
+        d = {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "adam", "lr": 1e-3},
+             "epochs": 2}
+        assert main(["diag-fisher", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: fisher alignment diagnostic requires an MLP model\n"
+        )
+
+    def test_diag_fisher_zero_steps_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}))
+        assert main(["diag-fisher", "--config", cfg, "--steps", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: steps must be >= 1\n"
 
     @pytest.mark.parametrize(
         "widths, message",

@@ -129,10 +129,6 @@ def read_names(source: str) -> set[str]:
     return names
 
 
-# Public names whose only callers are tests: the oracles tests check against.
-TEST_ORACLES = {"autodiff.explicit_matrix"}
-
-
 def test_every_public_name_has_a_caller_outside_tests():
     # Callers are src/ modules, scripts and the benchmark; a re-export in an
     # __init__ file is not a caller.
@@ -143,7 +139,7 @@ def test_every_public_name_has_a_caller_outside_tests():
         for name in public_definitions(path.read_text())
     }
     dead = sorted(key for key, name in defined.items() if name not in read)
-    assert dead == sorted(TEST_ORACLES)
+    assert dead == []
 
 
 def public_methods(source: str) -> list[str]:

@@ -301,9 +301,9 @@ def test_run_holds_no_memory_per_epoch():
     assert abs(long - short) < 16 * 1024
 
 
-def test_each_batch_is_let_go_before_the_next_is_gathered(monkeypatch):
-    # Held while the next is gathered, two batches (20 and 10 MB on fmnist)
-    # would be alive at once.
+def spy_on_held_batches(monkeypatch) -> list[bool]:
+    """Patch `data.batch_iter` to note, as each batch's successor is gathered,
+    whether that batch is still alive; returns the list of notes."""
     real, held = data.batch_iter, []
 
     def batch_iter(ds, plan, epoch):
@@ -314,9 +314,22 @@ def test_each_batch_is_let_go_before_the_next_is_gathered(monkeypatch):
             held.append(ref() is not None)
 
     monkeypatch.setattr(data, "batch_iter", batch_iter)
+    return held
+
+
+def test_each_batch_is_let_go_before_the_next_is_gathered(monkeypatch):
+    # Held while the next is gathered, two batches (20 and 10 MB on fmnist)
+    # would be alive at once.
+    held = spy_on_held_batches(monkeypatch)
     for opt in ({"kind": "sgd_minimal", "lr": 0.05}, {"kind": "adam", "lr": 0.01}, {"kind": "qlr"}):
         run_training(regression_cfg(optimizer=opt, epochs=3))
     assert len(held) == 3 * 3 * 3 and not any(held)  # 42 rows in batches of 16
+
+
+def test_fisher_alignment_lets_go_of_each_batch_before_the_next_is_gathered(monkeypatch):
+    held = spy_on_held_batches(monkeypatch)
+    fisher_alignment(regression_cfg(optimizer={"kind": "adam", "lr": 0.01}), steps=7)
+    assert len(held) == 6 and not any(held)  # the 7th batch has no successor
 
 
 def test_oracle_floor_matches_least_squares():
