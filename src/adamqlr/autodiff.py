@@ -226,7 +226,10 @@ class Linearization:
         if v is None:
             raise ValueError("trial needs a curvature product to give its direction")
         point = params if alpha == 0.0 else params.with_values(params.values - alpha * v)
-        pre = None if self.pre is None else self.pre.val - alpha * self.pre.tan
+        pre = None
+        if self.pre is not None:
+            pre = alpha * self.pre.tan
+            np.subtract(self.pre.val, pre, out=pre)
         return point, _evaluate(self.obj, point.values, self.batch, "trial", pre)[0]
 
 
@@ -253,9 +256,10 @@ def loss_eval(kind: LossKind, outputs: np.ndarray, targets) -> float:
     if kind is LossKind.SOFTMAX_CROSS_ENTROPY:
         return float(mean_xent(outputs, targets)[0])
     diff = outputs - mse_targets(outputs, targets)
+    diff *= diff
     # sum / N, where the mse node takes (1/N)·sum: the two round differently,
     # and records hold both.
-    return float((diff * diff).sum() / outputs.shape[0])
+    return float(diff.sum() / outputs.shape[0])
 
 
 def curvature_vp(

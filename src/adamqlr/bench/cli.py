@@ -1,8 +1,9 @@
 """Command-line entry points for training, benchmarks, tuning and stats.
 
 Exit codes: 0 success, 1 run divergence (any ArithmeticError) or a failed
-check, 2 config or shape error (any ValueError), 3 I/O error, 130
-interrupted (Ctrl-C).
+check, 2 config or shape error (any ValueError, or a MemoryError: an array
+the config sizes that cannot be allocated), 3 I/O error, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
     except (ConfigError, DataFormatError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        print(f"config error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as e:
         print(f"diverged: {e}", file=sys.stderr)

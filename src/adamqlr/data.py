@@ -289,7 +289,12 @@ def synthesize(
     centers = rng.normal(size=(n_classes, d)) * (separation / np.sqrt(2.0 * d))
     labels = np.arange(n, dtype=np.int64) % n_classes
     rng.shuffle(labels)
-    x = centers[labels] + rng.normal(size=(n, d))
+    # centers[labels] + rng.normal(size=(n, d)), bit for bit: standard_normal
+    # draws normal's stream, and each block of rows adds its centres in place.
+    x = rng.standard_normal((n, d))
+    rows = max(1, (1 << 16) // d)  # 512 KiB of gathered centres per block
+    for start in range(0, n, rows):
+        x[start : start + rows] += centers[labels[start : start + rows]]
     return Batch(x, labels)
 
 

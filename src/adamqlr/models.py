@@ -104,18 +104,22 @@ def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
 def _mlp_forward_raw(
     spec: MlpSpec, values: np.ndarray, inputs: np.ndarray, pre: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Model outputs; a given input-layer pre-activation `pre` replaces that layer's product."""
+    """Model outputs; a given input-layer pre-activation `pre` replaces that layer's product.
+
+    Writes only into the arrays it makes: `inputs` and `pre` stay as they are.
+    """
     act = spec.hidden_activation
     h = inputs
     n_layers = len(spec.layer_widths) - 1
     for i, (din, dout, w0, b0) in enumerate(_mlp_layers(spec)):
         if i == 0 and pre is not None:
-            h = pre
+            h, out = pre, None  # the caller's array: activate into a new one
         else:
             w = values[w0:b0].reshape(din, dout)
-            h = (data_matmul(h, w) if i == 0 else matmul(h, w)) + values[b0 : b0 + dout]
+            h = out = data_matmul(h, w) if i == 0 else matmul(h, w)
+            h += values[b0 : b0 + dout]
         if i < n_layers - 1:
-            h = np.maximum(h, 0.0) if act is Activation.RELU else np.tanh(h)
+            h = np.maximum(h, 0.0, out=out) if act is Activation.RELU else np.tanh(h, out=out)
     return h
 
 

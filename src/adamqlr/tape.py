@@ -58,6 +58,15 @@ def _tadd(a: Optional[Array], b: Optional[Array]) -> Optional[Array]:
     return a + b
 
 
+def _add_into(a: Optional[Array], b: Optional[Array]) -> Optional[Array]:
+    """``a + b``, bit for bit, formed in ``a``: an array the caller made. None is zero."""
+    if a is None:
+        return b
+    if b is not None:
+        a += b
+    return a
+
+
 def p_add(a: Pair, b: Pair) -> Pair:
     return a[0] + b[0], _tadd(a[1], b[1])
 
@@ -342,7 +351,8 @@ class Tape:
             raise ValueError(f"affine expects an (N, {din}) left factor")
         w = theta.val[w0:b0].reshape(din, dout)
         left_mm = _mm if h.live else lambda x, y: data_matmul(x, y, _mm)
-        out = self._node(left_mm(h.val, w) + theta.val[b0 : b0 + dout], h, theta)
+        # Value and tangent are each summed into the fresh product of their first term.
+        out = self._node(_add_into(left_mm(h.val, w), theta.val[b0 : b0 + dout]), h, theta)
 
         def w_tan() -> Optional[Array]:
             return None if theta.tan is None else theta.tan[w0:b0].reshape(din, dout)
@@ -351,8 +361,8 @@ class Tape:
             tan = None if h.tan is None else _mm(h.tan, w)
             wt = w_tan()
             if wt is not None:
-                tan = _tadd(tan, left_mm(h.val, wt))
-            return _tadd(tan, None if theta.tan is None else theta.tan[b0 : b0 + dout])
+                tan = _add_into(tan, left_mm(h.val, wt))
+            return _add_into(tan, None if theta.tan is None else theta.tan[b0 : b0 + dout])
 
         def scatter(ct_w: Optional[Array], ct_b: Optional[Array]) -> Optional[Array]:
             # ct_w is the weight cotangent transposed, (dout, din).
@@ -406,7 +416,8 @@ class Tape:
 
     def tanh(self, a: Node) -> Node:
         val = np.tanh(a.val)
-        deriv = 1.0 - val * val
+        deriv = val * val
+        np.subtract(1.0, deriv, out=deriv)
         # d(1 - y^2)/deps = -2 y y_dot, with y_dot = deriv * t the output tangent.
         return self._elementwise(a, val, deriv, lambda t: -2.0 * val * (deriv * t))
 
@@ -457,7 +468,8 @@ class Tape:
         c = 1.0 / n
         diff = outputs.val - targets
         deriv = 2.0 * diff
-        out = self._node(c * (diff * diff).sum(), outputs)
+        diff *= diff
+        out = self._node(c * diff.sum(), outputs)
         out._jvp = lambda: None if outputs.tan is None else c * (deriv * outputs.tan).sum()
 
         def bwd(ct, acc, use_tangents):

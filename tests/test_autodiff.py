@@ -364,6 +364,32 @@ class TestLinearization:
                 assert abs(loss - want) <= 1e-12 * abs(want)
         counters.reset()
 
+    @pytest.mark.parametrize(
+        "case, kind",
+        [
+            ("tanh", CurvatureKind.GGN_FISHER),
+            ("tanh", HESSIAN),
+            ("relu", CurvatureKind.GGN_FISHER),
+            ("relu", HESSIAN),
+        ],
+    )
+    def test_trial_and_predict_write_into_no_array_they_are_given(self, case, kind):
+        # Both build their arrays in place, so each may write only into one it made.
+        obj, params, batch = linearization_case(case)
+        lin = linearize(obj, params, batch)
+        lin.curvature_vp(lin.grad(), kind)
+        held = [params.values, batch.inputs, lin.theta.tan, lin.pre.val, lin.pre.tan]
+        held += [a for node in lin.tape._nodes for a in (node.val, node.tan)
+                 if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in held]
+        lin.trial(1e-3)
+        pre = lin.pre.val - 1e-3 * lin.pre.tan
+        given = pre.tobytes()
+        obj.predict(params.values, batch.inputs, pre)
+        assert pre.tobytes() == given
+        obj.predict(params.values, batch.inputs)
+        assert [a.tobytes() for a in held] == before
+
     def test_trial_needs_a_direction_and_a_finite_loss(self):
         obj, params, batch = linearization_case("tanh")
         lin = linearize(obj, params, batch)

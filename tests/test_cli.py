@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adamqlr import autodiff, data, tape
+from adamqlr import autodiff, data, models, tape
 from adamqlr.autodiff import EvalOverflowError
 from adamqlr.bench import cli, rosenbrock, search, training
 from adamqlr.bench.cli import (
@@ -677,6 +677,60 @@ class TestTune:
         assert main(["tune", "--config", cfg, "--budget", "0", "--out", str(out)]) == EXIT_CONFIG
         assert "budget must be >= 1" in capsys.readouterr().err
         assert out.read_bytes() == b'{"earlier": "search"}\n'
+
+
+class TestAllocationFailure:
+    """An array the config sizes too large to allocate is a config error (exit 2).
+
+    The allocating call is made to raise, so the tests allocate nothing
+    whatever the host's overcommit setting.
+    """
+
+    NUMPY_MESSAGE = (
+        "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+        "and data type float64"
+    )
+
+    @staticmethod
+    def fail_at_call(monkeypatch, module, name, k, error):
+        real, calls = getattr(module, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == k:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+
+    @pytest.mark.parametrize("module, name", [(models, "mlp_init"), (data, "synthesize")])
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError(NUMPY_MESSAGE), NUMPY_MESSAGE), (MemoryError(), "out of memory")],
+    )
+    def test_train(self, tmp_path, monkeypatch, capsys, module, name, error, message):
+        self.fail_at_call(monkeypatch, module, name, 1, error)
+        cfg = write_cfg(tmp_path, regression_cfg_dict())
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run.jsonl")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("module, name", [(models, "mlp_init"), (data, "synthesize")])
+    def test_tune_keeps_finished_trials(self, tmp_path, monkeypatch, capsys, module, name):
+        cfg = write_cfg(tmp_path, regression_cfg_dict(epochs=2))
+        argv = ["tune", "--config", cfg, "--budget", "4", "--out"]
+        assert main([*argv, str(tmp_path / "full.json")]) == EXIT_OK
+        full = json.loads((tmp_path / "full.json").read_text())
+        capsys.readouterr()
+        k = 3
+        self.fail_at_call(monkeypatch, module, name, k, MemoryError(self.NUMPY_MESSAGE))
+        assert main([*argv, str(tmp_path / "tune.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {self.NUMPY_MESSAGE}\n"
+        payload = json.loads((tmp_path / "tune.json").read_text())
+        assert payload["trials"] == full["trials"][: k - 1]
+        scores = [t["score"] for t in payload["trials"]]
+        assert payload["best"]["score"] == min(scores)
 
 
 class TestSweep:

@@ -29,6 +29,7 @@ from adamqlr import (
 from adamqlr.data import (
     DataFormatError,
     batch_iter,
+    keyed_rng,
     load_csv,
     load_idx,
     split_dataset,
@@ -233,6 +234,22 @@ class TestSynthesize:
             params = params.with_values(params.values - 0.05 * d.values)
         outputs = obj.predict(params.values, ds.inputs)
         assert accuracy(outputs, ds.targets) >= 0.99
+
+    @pytest.mark.parametrize(
+        "n, d, n_classes, seed",
+        [(6000, 784, 10, 10), (7, 3, 4, 2), (5, 70_000, 3, 1)],
+        ids=["fmnist-loader", "small", "rows-wider-than-a-block"],
+    )
+    def test_blobs_have_the_bits_of_the_one_shot_draw(self, n, d, n_classes, seed):
+        # Every fmnist record and perfbench/reference.json rest on this stream.
+        rng = keyed_rng(seed)
+        centers = rng.normal(size=(n_classes, d)) * (6.0 / np.sqrt(2.0 * d))
+        labels = np.arange(n, dtype=np.int64) % n_classes
+        rng.shuffle(labels)
+        inputs = centers[labels] + rng.normal(size=(n, d))
+        ds = synthesize(Task.CLASSIFICATION, n, d, seed, n_classes=n_classes)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.targets.tobytes() == labels.tobytes()
 
     def test_rejects_fewer_than_one_class(self):
         with pytest.raises(ValueError, match="n_classes must be positive"):
