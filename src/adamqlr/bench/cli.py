@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import autodiff, models
 from ..autodiff import LossKind
-from ..data import Batch, DataFormatError, check_seed
+from ..data import Batch, check_seed
 from ..params import ParamVector
 from . import config as config_mod
 from .config import ConfigError
@@ -175,9 +175,7 @@ def _cmd_tune(args) -> int:
     cfg = config_mod.from_json(args.config)
     seed, name = (cfg.seed, "config: seed") if args.seed is None else (args.seed, "--seed")
     seed = check_seed(seed, name, keyed=True)
-    space = search_space_for(
-        cfg.optimizer.kind, include_batch_size=cfg.dataset is not None
-    )
+    space = search_space_for(cfg)
     # An invalid budget raises here, before --out is written.
     results = search_trials(
         space, args.budget, SearchObjective(args.objective), cfg, seed, args.halving
@@ -324,7 +322,7 @@ def main(argv=None) -> int:
         # Overflow is reported once, as a divergence, not as numpy warnings on the way there.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError, ValueError) as e:
+    except ValueError as e:  # ConfigError and DataFormatError among them
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as e:

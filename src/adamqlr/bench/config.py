@@ -87,8 +87,6 @@ def _check_step(lr: float, **finite: float) -> None:
 class SgdMinimalOpt:
     lr: float
 
-    kind = "sgd_minimal"
-
     def __post_init__(self):
         _check_step(self.lr)
 
@@ -99,8 +97,6 @@ class SgdFullOpt:
     momentum: float = 0.0
     weight_decay: float = 0.0
 
-    kind = "sgd_full"
-
     def __post_init__(self):
         _check_step(self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
 
@@ -110,20 +106,12 @@ class AdamOpt:
     lr: float
     hyper: AdamHyper = AdamHyper()
 
-    kind = "adam"
-
     def __post_init__(self):
         _check_step(self.lr)
 
 
-@dataclass(frozen=True)
-class QlrOpt(QLRConfig):
-    """The QLR knobs and Adam's `hyper`, directly in the JSON optimizer object."""
-
-    kind = "qlr"
-
-
-OptimizerConfig = Union[SgdMinimalOpt, SgdFullOpt, AdamOpt, QlrOpt]
+# The "qlr" block is `QLRConfig` itself: its knobs and Adam's `hyper`.
+OptimizerConfig = Union[SgdMinimalOpt, SgdFullOpt, AdamOpt, QLRConfig]
 
 
 @dataclass(frozen=True)
@@ -158,7 +146,10 @@ _KINDS = {
     CsvLoader: "csv",
     IdxLoader: "idx",
     SyntheticLoader: "synthetic",
-    **{cls: cls.kind for cls in (SgdMinimalOpt, SgdFullOpt, AdamOpt, QlrOpt)},
+    SgdMinimalOpt: "sgd_minimal",
+    SgdFullOpt: "sgd_full",
+    AdamOpt: "adam",
+    QLRConfig: "qlr",
 }
 _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 

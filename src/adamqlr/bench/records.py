@@ -60,12 +60,16 @@ def _encode(name: str, value):
 
 
 def _decode(key: str, value):
+    """A JSON value as its field's type; a bool is no number and nothing is coerced."""
     try:
         if key == "guard_event":
             return GuardEvent[value]
-        return int(value) if key in _INT_FIELDS else float(value)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError(f"bad {key!r} value {value!r}") from None
+        number = int if key in _INT_FIELDS else (int, float)
+        if isinstance(value, number) and not isinstance(value, bool):
+            return value if key in _INT_FIELDS else float(value)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    raise ValueError(f"bad {key!r} value {value!r}")
 
 
 def emit(records: Iterable[MetricRecord], path, format: str = "jsonl") -> None:
@@ -100,29 +104,42 @@ def read_records(path) -> list[MetricRecord]:
     """Read back a file produced by `emit`, inferring format from content.
 
     A line that holds no record raises DataFormatError naming `path:line`
-    and the missing field or the bad value.
+    and the missing field or the bad value; undecodable bytes raise it
+    naming `path`.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if first.startswith("{") or not first.strip():
-            rows = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
-            decode = json.loads
-        else:
-            reader = csv.DictReader(fh)
-            rows = ((reader.line_num, row) for row in reader)
-            decode = _csv_row
-        out = []
-        for n, row in rows:
-            try:
-                d = decode(row)
-                if not isinstance(d, dict):
-                    raise ValueError(f"expected a record object, got {d!r}")
-                out.append(MetricRecord.from_dict(d))
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{n}: {e}") from None
-        return out
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            fh.seek(0)
+            if first.startswith("{") or not first.strip():
+                rows = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+                decode = json.loads
+            else:
+                reader = csv.DictReader(fh)
+                rows = ((reader.line_num, row) for row in reader)
+                decode = _csv_row
+            out = []
+            for n, row in rows:
+                try:
+                    d = decode(row)
+                    if not isinstance(d, dict):
+                        raise ValueError(f"expected a record object, got {d!r}")
+                    out.append(MetricRecord.from_dict(d))
+                except ValueError as e:
+                    raise DataFormatError(f"{path}:{n}: {e}") from None
+            return out
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 def _csv_row(row: dict) -> dict:
-    return {k: (None if v == "" else v) for k, v in row.items()}
+    """A CSV row's non-empty cells of known fields, as the values JSON would hold."""
+    return {k: _parse_cell(k, v) for k, v in row.items() if k in FIELDS and v not in ("", None)}
+
+
+def _parse_cell(key: str, cell: str):
+    parse = int if key in _INT_FIELDS else str if key == "guard_event" else float
+    try:
+        return parse(cell)
+    except ValueError:
+        raise ValueError(f"bad {key!r} value {cell!r}") from None

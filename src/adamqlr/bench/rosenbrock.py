@@ -8,8 +8,9 @@ from typing import Iterator, Optional
 from .. import autodiff
 from ..autodiff import CurvatureKind
 from ..models import ROSENBROCK_START, rosenbrock_objective
+from ..optim import QLRConfig
 from ..params import ParamVector
-from .config import AdamOpt, ConfigError, OptimizerConfig, QlrOpt, SgdFullOpt, SgdMinimalOpt
+from .config import AdamOpt, ConfigError, OptimizerConfig, SgdFullOpt, SgdMinimalOpt
 from .training import RunStatus, make_stepper
 
 # Each preset's optimizer config class and its defaults; an override is
@@ -19,14 +20,14 @@ _PRESETS = {
     # default lr scaled down so the momentum-amplified step stays stable
     "gd-full": (SgdFullOpt, {"lr": 1e-4, "momentum": 0.9, "weight_decay": 0.0}),
     "adam": (AdamOpt, {"lr": 9.8848e-2}),
-    "adamqlr-tuned": (QlrOpt, {
+    "adamqlr-tuned": (QLRConfig, {
         "curvature": CurvatureKind.HESSIAN,
         "lambda0": 3.0270e-6,
         "omega_dec": 0.9,
         "omega_inc": 2.1,
         "alpha_max": 6.098,
     }),
-    "adamqlr-untuned": (QlrOpt, {"curvature": CurvatureKind.HESSIAN}),
+    "adamqlr-untuned": (QLRConfig, {"curvature": CurvatureKind.HESSIAN}),
 }
 PRESET_NAMES = tuple(_PRESETS)
 

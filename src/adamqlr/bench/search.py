@@ -5,7 +5,7 @@ ranges, a discrete batch-size set, and 1 - log-uniform for momentum) using
 a stream derived from (seed, trial index), so the trial sequence is
 deterministic and independent of execution order. Successive halving runs
 everything at a quarter of the epoch budget, promotes the top third, then
-repeats at half and full budget.
+repeats at half and full budget; rungs whose budgets coincide run once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..data import keyed_rng
-from .config import ConfigError, RunConfig, to_dict
+from ..optim import QLRConfig
+from .config import AdamOpt, ConfigError, RunConfig, SgdFullOpt, SgdMinimalOpt, to_dict
 from .training import RunResult, RunStatus, run_training
 
 BATCH_SIZE_CHOICES = (50, 100, 200, 400, 800, 1600, 3200)
@@ -55,31 +56,28 @@ class Choice:
 Distribution = Union[LogUniform, OneMinusLogUniform, Choice]
 
 
-def search_space_for(
-    optimizer_kind: str, include_batch_size: bool = True
-) -> dict[str, Distribution]:
-    """Per-hyperparameter search distributions for one optimizer family."""
-    space: dict[str, Distribution]
-    if optimizer_kind == "sgd_minimal":
-        space = {"lr": LogUniform(1e-6, 1e-1)}
-    elif optimizer_kind == "sgd_full":
-        space = {
-            "lr": LogUniform(1e-6, 1e-1),
-            "momentum": OneMinusLogUniform(1e-4, 0.3),
-            "weight_decay": LogUniform(1e-10, 1.0),
-        }
-    elif optimizer_kind == "adam":
-        space = {"lr": LogUniform(1e-6, 1.0)}
-    elif optimizer_kind == "qlr":
-        space = {
-            "alpha_max": LogUniform(1e-4, 10.0),
-            "lambda0": LogUniform(1e-8, 1.0),
-            "omega_dec": LogUniform(0.5, 1.0),
-            "omega_inc": LogUniform(1.0, 4.0),
-        }
-    else:
-        raise ConfigError(f"no search space for optimizer kind {optimizer_kind!r}")
-    if include_batch_size:
+_SPACES: dict[type, dict[str, Distribution]] = {
+    SgdMinimalOpt: {"lr": LogUniform(1e-6, 1e-1)},
+    SgdFullOpt: {
+        "lr": LogUniform(1e-6, 1e-1),
+        "momentum": OneMinusLogUniform(1e-4, 0.3),
+        "weight_decay": LogUniform(1e-10, 1.0),
+    },
+    AdamOpt: {"lr": LogUniform(1e-6, 1.0)},
+    QLRConfig: {
+        "alpha_max": LogUniform(1e-4, 10.0),
+        "lambda0": LogUniform(1e-8, 1.0),
+        "omega_dec": LogUniform(0.5, 1.0),
+        "omega_inc": LogUniform(1.0, 4.0),
+    },
+}
+
+
+def search_space_for(cfg: RunConfig) -> dict[str, Distribution]:
+    """Per-hyperparameter search distributions for `cfg`'s optimizer, and
+    for its batch size when it has a dataset."""
+    space = dict(_SPACES[type(cfg.optimizer)])
+    if cfg.dataset is not None:
         space["batch_size"] = Choice(BATCH_SIZE_CHOICES)
     return space
 
@@ -143,7 +141,10 @@ def search_trials(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rungs = [max(1, base_cfg.epochs // 4), max(1, base_cfg.epochs // 2), base_cfg.epochs] if halving else [base_cfg.epochs]
+    epochs = base_cfg.epochs
+    # Below 4 epochs rungs share a budget; each budget runs once, in order.
+    rungs = [max(1, epochs // 4), max(1, epochs // 2), epochs] if halving else [epochs]
+    rungs = list(dict.fromkeys(rungs))
     return _run_trials(space, seed, range(budget), rungs, objective, base_cfg)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError, QlrOpt, RunConfig
+from ..optim import QLRConfig
+from .config import ConfigError, RunConfig
 from .search import BATCH_SIZE_CHOICES, apply_sample
 
 # Grid values of each sweep, in the order its runs take them.
@@ -31,7 +32,7 @@ def sweep_configs(base_cfg: RunConfig, name: str) -> list[RunConfig]:
     sets `omega_inc` to the value and `omega_dec` to its reciprocal.
     """
     values = SWEEP_GRIDS[name]
-    if name != "batch_size" and not isinstance(base_cfg.optimizer, QlrOpt):
+    if name != "batch_size" and not isinstance(base_cfg.optimizer, QLRConfig):
         raise ConfigError(f"sweep field {name!r} requires the qlr optimizer")
     if name == "omega_sym":
         samples = [{"omega_inc": float(v), "omega_dec": 1.0 / float(v)} for v in values]

@@ -29,7 +29,6 @@ from .config import (
     DatasetConfig,
     IdxLoader,
     OptimizerConfig,
-    QlrOpt,
     RunConfig,
     SgdFullOpt,
     SgdMinimalOpt,
@@ -57,31 +56,28 @@ class RunResult:
 
 
 class _SgdStepper:
-    def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+    def __init__(self, opt: SgdFullOpt, n_params: int):
+        self.opt = opt
         self.buf: Optional[np.ndarray] = None
 
     def step(self, obj: Objective, params: ParamVector, batch: Optional[Batch]):
         f, g = autodiff.eval_grad(obj, params, batch)
         params, self.buf = optim.sgd_step(
-            params, g, self.lr, self.buf, self.momentum, self.weight_decay
+            params, g, self.opt.lr, self.buf, self.opt.momentum, self.opt.weight_decay
         )
-        return params, {"train_loss": f, "alpha": self.lr}
+        return params, {"train_loss": f, "alpha": self.opt.lr}
 
 
 class _AdamStepper:
-    def __init__(self, lr: float, hyper: optim.AdamHyper, n_params: int):
-        self.lr = lr
-        self.hyper = hyper
+    def __init__(self, opt: AdamOpt, n_params: int):
+        self.opt = opt
         self.state = optim.AdamState.init(n_params)
 
     def step(self, obj: Objective, params: ParamVector, batch: Optional[Batch]):
         f, g = autodiff.eval_grad(obj, params, batch)
-        self.state, d = optim.adam_direction(self.state, g, self.hyper)
-        params = params.with_values(params.values - self.lr * d.values)
-        return params, {"train_loss": f, "alpha": self.lr}
+        self.state, d = optim.adam_direction(self.state, g, self.opt.hyper)
+        params = params.with_values(params.values - self.opt.lr * d.values)
+        return params, {"train_loss": f, "alpha": self.opt.lr}
 
 
 class _QlrStepper:
@@ -100,18 +96,19 @@ class _QlrStepper:
         }
 
 
+# Minimal SGD is full SGD without momentum or weight decay.
+_STEPPERS = {
+    SgdMinimalOpt: lambda opt, n_params: _SgdStepper(SgdFullOpt(opt.lr), n_params),
+    SgdFullOpt: _SgdStepper,
+    AdamOpt: _AdamStepper,
+    optim.QLRConfig: _QlrStepper,
+}
+
+
 def make_stepper(opt: OptimizerConfig, n_params: int):
     """A stepper whose `step(obj, params, batch)` returns the new params and
     the step's `MetricRecord` fields as a dict."""
-    if isinstance(opt, SgdMinimalOpt):
-        return _SgdStepper(opt.lr)
-    if isinstance(opt, SgdFullOpt):
-        return _SgdStepper(opt.lr, opt.momentum, opt.weight_decay)
-    if isinstance(opt, AdamOpt):
-        return _AdamStepper(opt.lr, opt.hyper, n_params)
-    if isinstance(opt, QlrOpt):
-        return _QlrStepper(opt, n_params)
-    raise ConfigError(f"unknown optimizer config {type(opt).__name__}")
+    return _STEPPERS[type(opt)](opt, n_params)
 
 
 def load_dataset(loader) -> Batch:

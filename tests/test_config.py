@@ -1,7 +1,9 @@
 """Strict JSON config parsing."""
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from adamqlr import (
     CurvatureKind,
     Direction,
     LossKind,
+    QLRConfig,
     SplitSpec,
     Task,
 )
@@ -24,12 +27,13 @@ from adamqlr.bench.config import (
     CsvLoader,
     DatasetConfig,
     IdxLoader,
-    QlrOpt,
     RunConfig,
     SgdFullOpt,
     SgdMinimalOpt,
     SyntheticLoader,
 )
+from adamqlr.bench.search import search_space_for
+from adamqlr.bench.training import make_stepper
 from adamqlr.models import Activation, MlpSpec, RosenbrockSpec
 
 
@@ -47,7 +51,7 @@ def minimal_dict():
 def test_parse_minimal_qlr():
     cfg = config_mod.from_dict(minimal_dict())
     assert isinstance(cfg.model, MlpSpec)
-    assert isinstance(cfg.optimizer, QlrOpt)
+    assert isinstance(cfg.optimizer, QLRConfig)
     assert cfg.optimizer.curvature is CurvatureKind.GGN_FISHER
     assert cfg.optimizer.direction is Direction.ADAM
     assert cfg.optimizer.lambda0 == 1e-3
@@ -100,6 +104,25 @@ def test_rosenbrock_with_dataset_is_config_error():
     d["model"] = {"kind": "rosenbrock"}
     with pytest.raises(ConfigError, match="rosenbrock model takes no dataset block"):
         config_mod.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "cls", typing.get_args(config_mod.OptimizerConfig), ids=lambda cls: cls.__name__
+)
+def test_each_optimizer_block_decodes_steps_and_tunes(cls):
+    # The optimizer's config class is its one identity: the codec's tag,
+    # the stepper and the search space are all looked up by it.
+    d = minimal_dict()
+    d["optimizer"] = {"kind": config_mod._KINDS[cls]}
+    if "lr" in {f.name for f in dataclasses.fields(cls)}:
+        d["optimizer"]["lr"] = 0.01
+    cfg = config_mod.from_dict(d)
+    assert type(cfg.optimizer) is cls and not hasattr(cls, "kind")
+    assert config_mod.to_dict(cfg)["optimizer"]["kind"] == d["optimizer"]["kind"]
+    assert callable(make_stepper(cfg.optimizer, 10).step)
+    space = search_space_for(cfg)
+    assert "batch_size" in space
+    assert space.keys() - {"batch_size"} <= {f.name for f in dataclasses.fields(cls)}
 
 
 def test_sgd_full_fields():
@@ -214,7 +237,7 @@ def test_readme_example_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = config_mod.from_dict(json.loads(example))
-    assert isinstance(cfg.optimizer, QlrOpt)
+    assert isinstance(cfg.optimizer, QLRConfig)
     assert cfg.dataset.batch.batch_size == 3200
 
 
@@ -248,7 +271,7 @@ optimizers = st.one_of(
     st.builds(SgdFullOpt, positive, unit, unit),
     st.builds(AdamOpt, positive, hypers),
     st.builds(
-        QlrOpt,
+        QLRConfig,
         st.sampled_from(CurvatureKind),
         positive,
         st.floats(1e-3, 1.0),

@@ -2,7 +2,8 @@
 uses, every module uses each private name it defines at its top level, every
 public function, class and method has a caller outside the tests, every
 tape op, on the tape or among the test oracle ops, has its derivative
-check, and only the CLI and its record writer write files."""
+check, only the CLI and its record writer write files, and no module reads a
+`.kind` attribute."""
 
 import ast
 import inspect
@@ -297,3 +298,25 @@ def test_only_the_cli_and_the_record_writer_write_files():
     assert WRITERS <= set(names)
     writes = {name: file_writes(names[name].read_text()) for name in set(names) - WRITERS}
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def kind_reads(source: str) -> list[str]:
+    """Every load of an attribute named ``kind``."""
+    return [
+        f"line {node.lineno}: .kind"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "kind"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_kind_detector_sees_loads_only():
+    source = "kind = 'x'\nd['kind']\ncfg.optimizer.kind\nobj.kind = 1\ngetattr(cls, 'kind')\n"
+    assert kind_reads(source) == ["line 3: .kind"]
+
+
+def test_no_module_reads_a_kind_attribute():
+    # A config block's "kind" tag lives in the codec alone; code that
+    # dispatches on an optimizer or a loader looks up its class.
+    reads = {path.relative_to(SRC).as_posix(): kind_reads(path.read_text()) for path in MODULES}
+    assert {name: found for name, found in reads.items() if found} == {}

@@ -39,22 +39,32 @@ def toy_cfg(optimizer=None, epochs=6):
 
 class TestSpaces:
     def test_table_ranges(self):
-        qlr = search_space_for("qlr")
+        qlr = search_space_for(toy_cfg({"kind": "qlr"}))
         assert qlr["alpha_max"] == LogUniform(1e-4, 10.0)
         assert qlr["lambda0"] == LogUniform(1e-8, 1.0)
         assert qlr["omega_dec"] == LogUniform(0.5, 1.0)
         assert qlr["omega_inc"] == LogUniform(1.0, 4.0)
         assert qlr["batch_size"] == Choice(BATCH_SIZE_CHOICES)
-        full = search_space_for("sgd_full")
+        full = search_space_for(toy_cfg({"kind": "sgd_full", "lr": 0.01}))
         assert full["lr"] == LogUniform(1e-6, 1e-1)
         assert full["momentum"] == OneMinusLogUniform(1e-4, 0.3)
         assert full["weight_decay"] == LogUniform(1e-10, 1.0)
-        assert search_space_for("adam")["lr"] == LogUniform(1e-6, 1.0)
+        adam = search_space_for(toy_cfg({"kind": "adam", "lr": 0.01}))
+        assert adam == {"lr": LogUniform(1e-6, 1.0), "batch_size": Choice(BATCH_SIZE_CHOICES)}
+
+    def test_batch_size_only_with_a_dataset(self):
+        rosenbrock = config_mod.from_dict(
+            {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 3}
+        )
+        assert "batch_size" not in search_space_for(rosenbrock)
+        assert search_space_for(rosenbrock).keys() == search_space_for(
+            toy_cfg({"kind": "qlr"})
+        ).keys() - {"batch_size"}
 
     def test_samples_respect_ranges(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            s = sample_space(search_space_for("sgd_full"), rng)
+            s = sample_space(search_space_for(toy_cfg({"kind": "sgd_full", "lr": 0.01})), rng)
             assert 1e-6 <= s["lr"] <= 1e-1
             assert 0.7 <= s["momentum"] <= 1.0 - 1e-4
             assert 1e-10 <= s["weight_decay"] <= 1.0
@@ -80,7 +90,7 @@ def run_search(*args, **kwargs):
 class TestRandomSearch:
     def test_budget_one_returns_that_trial(self):
         best, trials = run_search(
-            search_space_for("sgd_minimal"), 1, SearchObjective.FINAL_VAL_LOSS,
+            search_space_for(toy_cfg()), 1, SearchObjective.FINAL_VAL_LOSS,
             toy_cfg(), seed=0,
         )
         assert len(trials) == 1
@@ -93,14 +103,14 @@ class TestRandomSearch:
         assert lrs == {0.05}
 
     def test_deterministic_in_seed(self):
-        space = search_space_for("sgd_minimal")
+        space = search_space_for(toy_cfg())
         b1, t1 = run_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
         b2, t2 = run_search(space, 4, SearchObjective.FINAL_VAL_LOSS, toy_cfg(), seed=7)
         assert [t.config for t in t1] == [t.config for t in t2]
         assert b1.score == b2.score
 
     def test_trial_streams_independent_of_order(self):
-        space = search_space_for("adam")
+        space = search_space_for(toy_cfg({"kind": "adam", "lr": 0.01}))
         direct = [sample_space(space, keyed_rng(3, i)) for i in range(5)]
         reverse = [sample_space(space, keyed_rng(3, i)) for i in reversed(range(5))]
         assert direct == list(reversed(reverse))
@@ -134,7 +144,7 @@ class TestRandomSearch:
 
         monkeypatch.setattr(search, "sample_space", counted)
         trials = search_trials(
-            search_space_for("sgd_minimal"), 1000, SearchObjective.FINAL_VAL_LOSS,
+            search_space_for(toy_cfg()), 1000, SearchObjective.FINAL_VAL_LOSS,
             toy_cfg(epochs=1), seed=0, halving=halving,
         )
         trial, best = next(trials)
@@ -151,7 +161,7 @@ class TestRandomSearch:
         assert any(t.score == np.inf for t in trials)
 
     def test_successive_halving_promotes_top_third(self):
-        space = search_space_for("sgd_minimal")
+        space = search_space_for(toy_cfg())
         best, trials = run_search(
             space, 9, SearchObjective.FINAL_VAL_LOSS, toy_cfg(epochs=8), seed=5,
             halving=True,
@@ -162,3 +172,18 @@ class TestRandomSearch:
         assert sum(1 for t in trials if t.rung_epochs == 4) == 3
         assert sum(1 for t in trials if t.rung_epochs == 8) == 1
         assert best.rung_epochs == 8
+
+    @pytest.mark.parametrize(
+        "epochs, rungs", [(2, [1, 2]), (1, [1])], ids=["2-epochs", "1-epoch"]
+    )
+    def test_halving_runs_each_budget_once(self, epochs, rungs):
+        # Below 4 epochs the quarter and half rungs coincide; a repeated
+        # budget would re-run promoted trials with the same seeds.
+        _, trials = run_search(
+            search_space_for(toy_cfg()), 3, SearchObjective.FINAL_VAL_LOSS,
+            toy_cfg(epochs=epochs), seed=5, halving=True,
+        )
+        assert list(dict.fromkeys(t.rung_epochs for t in trials)) == rungs
+        assert [t.rung_epochs for t in trials].count(rungs[0]) == 3
+        run = [(t.rung_epochs, t.config["optimizer"]["lr"]) for t in trials]
+        assert len(run) == len(set(run))
