@@ -4,10 +4,11 @@ Usage: python scripts/identity.py PARENT [--only NAME[,NAME...]]
 
 PARENT is a git revision of this repository, extracted with
 `git archive REV | tar -x` into a temporary directory (the repository is
-only read), or the directory of another checkout. The script runs one
-fixed list of `adamqlr` commands from PARENT's `src/` and then from this
-tree's, each in a fresh subprocess with BLAS pinned to one thread, and
-compares every output file, stdout, stderr and exit code. Record files
+only read), or the directory of another checkout. The script writes one
+fixed set of configs and data files, runs one fixed list of `adamqlr`
+commands on them from PARENT's `src/` and then from this tree's, each in
+a fresh subprocess with BLAS pinned to one thread, and compares every
+output file, stdout, stderr and exit code. Record files
 are compared without their `wall_time_s` field, the one number that
 (config, seed) does not fix. Both sides run on this host, so they share
 one OpenBLAS kernel. It prints each output that differs and exits 1 if
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gzip
 import io
 import json
 import os
@@ -47,6 +49,50 @@ def _energy(epochs: int, **extra) -> dict:
         "epochs": epochs,
         "seed": 0,
         **extra,
+    }
+
+
+def _csv_input() -> bytes:
+    """60 rows of 3 inputs and 1 target under a header row, in short exact decimals."""
+    rows = ["a,b,c,y"]
+    for i in range(60):
+        x = [((i * 7 + j * 13) % 17 - 8) / 4 for j in range(3)]
+        rows.append(",".join(map(repr, [*x, 0.5 * x[0] - x[1] + 0.25 * x[2] + (i % 5 - 2) / 8])))
+    return ("\n".join(rows) + "\n").encode()
+
+
+def _idx_inputs() -> tuple[bytes, bytes]:
+    """An IDX pair of 40 2x2 images in 3 classes, the class shifting each image's pixels."""
+    labels = [i % 3 for i in range(40)]
+    pixels = bytes((i * 31 + k * 57 + labels[i] * 80) % 256 for i in range(40) for k in range(4))
+    images = (0x803).to_bytes(4, "big") + b"".join(v.to_bytes(4, "big") for v in (40, 2, 2))
+    head = (0x801).to_bytes(4, "big") + (40).to_bytes(4, "big")
+    return images + pixels, head + bytes(labels)
+
+
+# The data files that the loader configs below read, written beside them;
+# gzip at mtime 0 keeps the compressed bytes fixed.
+IMAGES, LABELS = _idx_inputs()
+INPUTS = {
+    "table.csv": _csv_input(),
+    "images.idx": IMAGES,
+    "labels.idx": LABELS,
+    "images.idx.gz": gzip.compress(IMAGES, mtime=0),
+    "labels.idx.gz": gzip.compress(LABELS, mtime=0),
+}
+
+
+def _idx(suffix: str) -> dict:
+    """A 4-6-3 classifier on the IDX pair, read from its `suffix` files."""
+    return {
+        "model": {"kind": "mlp", "layer_widths": [4, 6, 3], "loss": "softmax_cross_entropy"},
+        "dataset": {
+            "loader": {"kind": "idx", "images_path": f"images{suffix}",
+                       "labels_path": f"labels{suffix}"},
+            "batch": {"batch_size": 8},
+        },
+        "optimizer": {"kind": "qlr"},
+        "epochs": 5,
     }
 
 
@@ -92,6 +138,22 @@ CONFIGS = {
         "optimizer": {"kind": "qlr", "curvature": "hessian", "rescale_k": 1e150},
         "epochs": 500,
     },
+    # Paths the runs above do not take: SGD directions in the quadratic
+    # model, an activation set by name, and a step size that diverges at step 20.
+    "energy-qlr-sgd.json": {**_energy(40), "optimizer": {"kind": "qlr", "direction": "sgd"}},
+    "energy-relu.json": {**_energy(40), "model": {
+        "kind": "mlp", "layer_widths": [8, 50, 1], "loss": "mse", "activation": "relu"}},
+    "energy-diverged.json": {**_energy(40), "optimizer": {"kind": "sgd_full", "lr": 1e6}},
+    # The file loaders, on the inputs above.
+    "csv.json": {
+        "model": {"kind": "mlp", "layer_widths": [3, 5, 1], "loss": "mse"},
+        "dataset": {"loader": {"kind": "csv", "path": "table.csv", "n_features": 3},
+                    "batch": {"batch_size": 16}},
+        "optimizer": {"kind": "qlr"},
+        "epochs": 5,
+    },
+    "idx.json": _idx(".idx"),
+    "idx-gz.json": _idx(".idx.gz"),
 }
 
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
@@ -110,6 +172,16 @@ COMMANDS = [
                              "--out", "guards-energy.jsonl"]),
     ("train-rosenbrock-rejected", ["train", "--config", "rosenbrock-rejected.json",
                                    "--out", "train-rosenbrock-rejected.jsonl"]),
+    ("train-energy-qlr-sgd", ["train", "--config", "energy-qlr-sgd.json",
+                              "--out", "qlr-sgd-energy.jsonl"]),
+    ("train-energy-relu", ["train", "--config", "energy-relu.json", "--out", "relu-energy.jsonl"]),
+    ("train-energy-diverged", ["train", "--config", "energy-diverged.json",
+                               "--out", "diverged-energy.jsonl"]),
+    ("train-energy-seed", ["train", "--config", "energy40.json", "--seed", "7",
+                           "--out", "seed7-energy.jsonl"]),
+    ("train-csv", ["train", "--config", "csv.json", "--out", "train-csv.jsonl"]),
+    ("train-idx", ["train", "--config", "idx.json", "--out", "train-idx.jsonl"]),
+    ("train-idx-gz", ["train", "--config", "idx-gz.json", "--out", "train-idx-gz.jsonl"]),
     *(
         (f"rosenbrock-{p}", ["rosenbrock", "--optimizer", p, "--out", f"rosenbrock-{p}.csv"])
         for p in PRESETS
@@ -139,6 +211,8 @@ COMMANDS = [
     ("diag-fisher", ["diag-fisher", "--config", "adam.json", "--steps", "30",
                      "--out", "diag-fisher.json"]),
     ("gradcheck", ["gradcheck", "--model", "mlp-classification"]),
+    ("gradcheck-rosenbrock", ["gradcheck", "--model", "rosenbrock"]),
+    ("gradcheck-mlp-regression", ["gradcheck", "--model", "mlp-regression"]),
 ]
 
 
@@ -161,6 +235,8 @@ def run_side(tree: Path, out: Path, commands) -> None:
     out.mkdir()
     for name, cfg in CONFIGS.items():
         (out / name).write_text(json.dumps(cfg))
+    for name, content in INPUTS.items():
+        (out / name).write_bytes(content)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            **{k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
     here = str(tree).encode()  # a traceback names its tree; the comparison should not
@@ -187,7 +263,7 @@ def normalized(path: Path):
 
 
 def outputs(side: Path) -> set[str]:
-    return {p.name for p in side.iterdir()} - set(CONFIGS)
+    return {p.name for p in side.iterdir()} - set(CONFIGS) - set(INPUTS)
 
 
 def differing(a: Path, b: Path) -> list[str]:

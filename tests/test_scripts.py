@@ -61,8 +61,8 @@ def test_identity_bootstrap_reads_only_its_named_record_files():
     commands = dict(script["COMMANDS"])
     args = commands["bootstrap"]
     pattern = args[args.index("--inputs") + 1]
-    # Every file a side's directory holds: configs, outputs and streams.
-    names = set(script["CONFIGS"]) | {
+    # Every file a side's directory holds: configs, inputs, outputs and streams.
+    names = set(script["CONFIGS"]) | set(script["INPUTS"]) | {
         f"{name}.{kind}" for name in commands for kind in ("stdout", "stderr", "exit")
     } | {a[a.index("--out") + 1] for a in commands.values() if "--out" in a}
     assert sorted(fnmatch.filter(names, pattern)) == [
