@@ -20,47 +20,13 @@ import typing
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..data import BatchPlan, SplitSpec, Task, check_seed
+from ..data import BatchPlan, CsvLoader, IdxLoader, SplitSpec, SyntheticLoader, check_seed
 from ..models import MlpSpec, RosenbrockSpec
 from ..optim import AdamHyper, QLRConfig
 
 
 class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class CsvLoader:
-    path: str
-    n_features: int
-    target_columns: int = 1
-
-
-@dataclass(frozen=True)
-class IdxLoader:
-    images_path: str
-    labels_path: str
-
-
-@dataclass(frozen=True)
-class SyntheticLoader:
-    task: Task
-    n: int
-    d: int
-    seed: int = 0
-    n_targets: int = 1
-    noise: float = 0.1
-    n_classes: int = 2
-    separation: float = 6.0
-
-    def __post_init__(self):
-        check_seed(self.seed, keyed=True)
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
-        if not math.isfinite(self.separation):
-            raise ValueError(f"separation must be finite, got {self.separation!r}")
-        if self.n_targets < 1:
-            raise ValueError(f"n_targets must be at least 1, got {self.n_targets!r}")
 
 
 LoaderConfig = Union[CsvLoader, IdxLoader, SyntheticLoader]

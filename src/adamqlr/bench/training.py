@@ -19,20 +19,18 @@ import numpy as np
 
 from .. import autodiff, data, models, optim
 from ..autodiff import Objective
-from ..data import Batch, Task
+from ..data import Batch, CsvLoader, IdxLoader, SyntheticLoader, Task
 from ..models import MlpSpec, RosenbrockSpec
 from ..params import ParamVector
 from .config import (
     AdamOpt,
     ConfigError,
-    CsvLoader,
     DatasetConfig,
-    IdxLoader,
+    LoaderConfig,
     OptimizerConfig,
     RunConfig,
     SgdFullOpt,
     SgdMinimalOpt,
-    SyntheticLoader,
 )
 from .records import MetricRecord
 
@@ -111,12 +109,10 @@ def make_stepper(opt: OptimizerConfig, n_params: int):
     return _STEPPERS[type(opt)](opt, n_params)
 
 
-def load_dataset(loader) -> Batch:
+def load_dataset(loader: LoaderConfig) -> Batch:
     # Looked up per call, so a wrapper swapped onto a `data` loader at run time is used.
     loaders = {CsvLoader: data.load_csv, IdxLoader: data.load_idx, SyntheticLoader: data.synthesize}
-    if type(loader) not in loaders:
-        raise ConfigError(f"unknown loader config {type(loader).__name__}")
-    return loaders[type(loader)](**vars(loader))
+    return loaders[type(loader)](loader)
 
 
 @functools.cache

@@ -13,6 +13,7 @@ import enum
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -123,89 +124,137 @@ class BatchPlan:
         check_seed(self.shuffle_seed, "shuffle_seed", keyed=True)
 
 
-def _open_maybe_gzip(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _check_counts(spec, *names: str) -> None:
+    """Refuse each named field of `spec` that is below 1."""
+    for name in names:
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be positive, got {getattr(spec, name)!r}")
 
 
-def load_csv(path, n_features: int, target_columns: int = 1) -> Batch:
+@dataclass(frozen=True)
+class CsvLoader:
+    """A numeric CSV file: `n_features` input columns, then `target_columns` targets."""
+
+    path: str
+    n_features: int
+    target_columns: int = 1
+
+    def __post_init__(self):
+        _check_counts(self, "n_features", "target_columns")
+
+
+@dataclass(frozen=True)
+class IdxLoader:
+    """An IDX image file and its label file, either of them optionally gzipped."""
+
+    images_path: str
+    labels_path: str
+
+
+@dataclass(frozen=True)
+class SyntheticLoader:
+    """`n` rows of `d` inputs drawn by `synthesize`; `n_targets` and `noise`
+    shape regression data, `n_classes` and `separation` classification data."""
+
+    task: Task
+    n: int
+    d: int
+    seed: int = 0
+    n_targets: int = 1
+    noise: float = 0.1
+    n_classes: int = 2
+    separation: float = 6.0
+
+    def __post_init__(self):
+        check_seed(self.seed, keyed=True)
+        _check_counts(self, "n", "d", "n_targets")
+        if self.task is Task.CLASSIFICATION:
+            _check_counts(self, "n_classes")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation!r}")
+
+
+def load_csv(spec: CsvLoader) -> Batch:
     """Load a numeric CSV of `n_features` inputs followed by target columns.
 
-    A non-numeric first row is treated as a header and skipped. Ragged
-    rows, non-numeric cells and wrong column counts raise DataFormatError
-    with the 1-based line number.
+    A non-numeric first row is treated as a header and skipped; a UTF-8
+    byte order mark is not part of the first cell. Ragged rows, non-numeric
+    cells and wrong column counts raise DataFormatError with the 1-based
+    line number, and bytes that are not UTF-8 raise it naming the file.
     """
-    if n_features < 1 or target_columns < 1:
-        raise ValueError("n_features and target_columns must be positive")
-    expected = n_features + target_columns
+    path, n_features = spec.path, spec.n_features
+    expected = n_features + spec.target_columns
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            try:
-                parsed = [float(c) for c in cells]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric cell in row {cells!r}"
-                ) from None
-            if len(parsed) != expected:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {expected} columns, found {len(parsed)}"
-                )
-            if not all(map(math.isfinite, parsed)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows.append(parsed)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, cells in enumerate(csv.reader(fh), start=1):
+                if not cells:
+                    continue
+                try:
+                    parsed = [float(c) for c in cells]
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    raise DataFormatError(
+                        f"{path}:{lineno}: non-numeric cell in row {cells!r}"
+                    ) from None
+                if len(parsed) != expected:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {expected} columns, found {len(parsed)}"
+                    )
+                if not all(map(math.isfinite, parsed)):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite value")
+                rows.append(parsed)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: {e}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     return Batch(data[:, :n_features], data[:, n_features:])
 
 
-def _read_header(fh, fmt: str, path) -> tuple[int, ...]:
-    size = struct.calcsize(fmt)
-    head = fh.read(size)
-    if len(head) != size:
-        raise DataFormatError(f"{path}: truncated header ({len(head)} of {size} bytes)")
-    return struct.unpack(fmt, head)
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array held in the IDX file at `path`, gunzipped if it ends in ``.gz``.
+
+    The file opens with `magic`, whose last byte is the number of
+    dimensions, then one big-endian 32-bit size per dimension, then exactly
+    as many bytes as their product. The array is a view of the bytes read.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    if path.suffix == ".gz":
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise DataFormatError(f"{path}: unreadable gzip data ({e})") from None
+    ndim = magic & 0xFF
+    size = 4 * (1 + ndim)
+    if len(raw) < size:
+        raise DataFormatError(f"{path}: truncated header ({len(raw)} of {size} bytes)")
+    found, *shape = struct.unpack_from(f">{1 + ndim}I", raw)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    count = math.prod(shape)
+    if len(raw) - size != count:
+        raise DataFormatError(f"{path}: {len(raw) - size} data bytes, header declares {count}")
+    return np.frombuffer(raw, np.uint8, count, offset=size).reshape(shape)
 
 
-def load_idx(images_path, labels_path) -> Batch:
-    """Load an IDX image/label file pair (big-endian, optionally gzipped).
+def load_idx(spec: IdxLoader) -> Batch:
+    """Load an IDX image/label file pair.
 
     Images are flattened to rows and scaled to [0, 1]; labels stay integer.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic, n_images, n_rows, n_cols = _read_header(fh, ">IIII", images_path)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        raw = fh.read(n_images * n_rows * n_cols)
-    if len(raw) != n_images * n_rows * n_cols:
-        raise DataFormatError(f"{images_path}: truncated pixel data")
-    with _open_maybe_gzip(labels_path) as fh:
-        magic, n_labels = _read_header(fh, ">II", labels_path)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        raw_labels = fh.read(n_labels)
-    if len(raw_labels) != n_labels:
-        raise DataFormatError(f"{labels_path}: truncated label data")
-    if n_images != n_labels:
+    images = _read_idx(spec.images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(spec.labels_path, IDX_LABELS_MAGIC)
+    if len(images) != len(labels):
         raise DataFormatError(
-            f"image/label count mismatch: {n_images} images vs {n_labels} labels"
+            f"image/label count mismatch: {len(images)} images vs {len(labels)} labels"
         )
-    images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    images = images.reshape(n_images, n_rows * n_cols) / 255.0
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Batch(images, labels)
+    pixels = images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64)
+    return Batch(pixels / 255.0, labels.astype(np.int64))
 
 
 def split_dataset(ds: Batch, spec: SplitSpec) -> tuple[Batch, Batch, Batch]:
@@ -257,37 +306,24 @@ def batch_iter(ds: Batch, plan: BatchPlan, epoch: int) -> Iterator[Batch]:
         yield ds.take(perm[start : start + size])
 
 
-def synthesize(
-    task: Task,
-    n: int,
-    d: int,
-    seed: int,
-    *,
-    n_targets: int = 1,
-    noise: float = 0.1,
-    n_classes: int = 2,
-    separation: float = 6.0,
-) -> Batch:
+def synthesize(spec: SyntheticLoader) -> Batch:
     """Deterministic synthetic data: linear regression or Gaussian blobs.
 
     Regression draws y = Wx + noise. Classification places `n_classes`
     centers with expected pairwise distance `separation` (in units of the
     unit per-coordinate cluster noise) and assigns balanced labels.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    rng = keyed_rng(seed)
-    if task is Task.REGRESSION:
+    n, d = spec.n, spec.d
+    rng = keyed_rng(spec.seed)
+    if spec.task is Task.REGRESSION:
         x = rng.normal(size=(n, d))
-        w = rng.normal(size=(d, n_targets)) / np.sqrt(d)
+        w = rng.normal(size=(d, spec.n_targets)) / np.sqrt(d)
         y = x @ w
-        if noise > 0:
-            y = y + noise * rng.normal(size=y.shape)
+        if spec.noise > 0:
+            y = y + spec.noise * rng.normal(size=y.shape)
         return Batch(x, y)
-    if n_classes < 1:
-        raise ValueError("n_classes must be positive")
-    centers = rng.normal(size=(n_classes, d)) * (separation / np.sqrt(2.0 * d))
-    labels = np.arange(n, dtype=np.int64) % n_classes
+    centers = rng.normal(size=(spec.n_classes, d)) * (spec.separation / np.sqrt(2.0 * d))
+    labels = np.arange(n, dtype=np.int64) % spec.n_classes
     rng.shuffle(labels)
     # centers[labels] + rng.normal(size=(n, d)), bit for bit: standard_normal
     # draws normal's stream, and each block of rows adds its centres in place.

@@ -305,36 +305,47 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}") and problem in err
 
+    SYNTHETIC = regression_cfg_dict()["dataset"]["loader"]
+    CSV = {"kind": "csv", "path": "never-read.csv", "n_features": 3}
+
     @pytest.mark.parametrize(
         "loader, error",
         [
-            ({"task": "classification", "separation": float("nan")},
+            ({**SYNTHETIC, "task": "classification", "separation": float("nan")},
              "separation must be finite, got nan"),
-            ({"task": "classification", "separation": float("inf")},
+            ({**SYNTHETIC, "task": "classification", "separation": float("inf")},
              "separation must be finite, got inf"),
-            ({"n_targets": -1}, "n_targets must be at least 1, got -1"),
-            ({"n_targets": 0}, "n_targets must be at least 1, got 0"),
+            ({**SYNTHETIC, "n_targets": -1}, "n_targets must be positive, got -1"),
+            ({**SYNTHETIC, "n_targets": 0}, "n_targets must be positive, got 0"),
+            ({**SYNTHETIC, "n": 0}, "n must be positive, got 0"),
+            ({**SYNTHETIC, "d": 0}, "d must be positive, got 0"),
+            ({**SYNTHETIC, "task": "classification", "n_classes": 0},
+             "n_classes must be positive, got 0"),
+            ({**CSV, "n_features": 0}, "n_features must be positive, got 0"),
+            ({**CSV, "target_columns": 0}, "target_columns must be positive, got 0"),
         ],
     )
-    def test_bad_synthetic_knob_is_config_error_naming_it(self, tmp_path, capsys, loader, error):
+    def test_bad_loader_knob_is_config_error_naming_it(self, tmp_path, capsys, loader, error):
         d = regression_cfg_dict()
-        d["dataset"]["loader"].update(loader)
+        d["dataset"]["loader"] = loader
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: dataset.loader: {error}\n"
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 
+    @pytest.mark.parametrize("gz, problem", [(False, "truncated header"),
+                                             (True, "unreadable gzip data")])
     @pytest.mark.parametrize("which", ["images", "labels"])
-    def test_truncated_idx_header_is_config_error(self, tmp_path, capsys, which):
-        img, lbl = write_idx(tmp_path, np.zeros((1, 1, 1)), [0])
+    def test_truncated_idx_file_is_config_error(self, tmp_path, capsys, which, gz, problem):
+        img, lbl = write_idx(tmp_path, np.zeros((1, 1, 1)), [0], gz=gz)
         path = img if which == "images" else lbl
         path.write_bytes(path.read_bytes()[:5])
         d = regression_cfg_dict()
         d["model"] = {"kind": "mlp", "layer_widths": [1, 2], "loss": "softmax_cross_entropy"}
         d["dataset"]["loader"] = {"kind": "idx", "images_path": str(img), "labels_path": str(lbl)}
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
-        assert f"{path}: truncated header" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {problem}")
 
     def test_class_seen_only_outside_train_fails_before_any_step(self, tmp_path, capsys):
         # The one class-3 row lands in val, so a 3-wide model cannot score it.
@@ -670,12 +681,20 @@ class TestTune:
         )
         assert long - short < 16 * 1024
 
-    def test_invalid_budget_leaves_out_file_untouched(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "n, budget, message",
+        [(50, "0", "budget must be >= 1"), (0, "2", "dataset.loader: n must be positive, got 0")],
+        ids=["budget", "loader"],
+    )
+    def test_invalid_value_leaves_out_file_untouched(self, tmp_path, capsys, n, budget, message):
+        # Both are refused before the first trial starts, so before --out is written.
         out = tmp_path / "tune.json"
         out.write_bytes(b'{"earlier": "search"}\n')
-        cfg = write_cfg(tmp_path, regression_cfg_dict())
-        assert main(["tune", "--config", cfg, "--budget", "0", "--out", str(out)]) == EXIT_CONFIG
-        assert "budget must be >= 1" in capsys.readouterr().err
+        d = regression_cfg_dict()
+        d["dataset"]["loader"]["n"] = n
+        cfg = write_cfg(tmp_path, d)
+        assert main(["tune", "--config", cfg, "--budget", budget, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert out.read_bytes() == b'{"earlier": "search"}\n'
 
 

@@ -29,6 +29,9 @@ from adamqlr import (
 from adamqlr.data import (
     DataFormatError,
     batch_iter,
+    CsvLoader,
+    IdxLoader,
+    SyntheticLoader,
     keyed_rng,
     load_csv,
     load_idx,
@@ -62,7 +65,7 @@ class TestLoadCsv:
     def test_basic_shapes(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2,3\n4,5,6\n7,8,9\n")
-        ds = load_csv(p, n_features=2)
+        ds = load_csv(CsvLoader(p, n_features=2))
         assert ds.inputs.shape == (3, 2)
         assert ds.targets.shape == (3, 1)
         np.testing.assert_array_equal(ds.inputs[0], [1.0, 2.0])
@@ -72,14 +75,28 @@ class TestLoadCsv:
         b = tmp_path / "b.csv"
         a.write_text("1,2,3\n4,5,6\n")
         b.write_text("a,b,c\n1,2,3\n4,5,6\n")
-        np.testing.assert_array_equal(load_csv(a, 2).inputs, load_csv(b, 2).inputs)
+        np.testing.assert_array_equal(
+            load_csv(CsvLoader(a, 2)).inputs, load_csv(CsvLoader(b, 2)).inputs
+        )
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # Read as text, the mark made the first cell non-numeric, and the row a header.
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n")
+        np.testing.assert_array_equal(load_csv(CsvLoader(p, 2)).inputs, [[1.0, 2.0], [4.0, 5.0]])
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("price \u00a3,b,c\n1,2,3\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{p}: 'utf-8' codec")):
+            load_csv(CsvLoader(p, 2))
 
     def test_energy_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(692, 9))
         p = tmp_path / "energy.csv"
         p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows))
-        ds = load_csv(p, n_features=8, target_columns=1)
+        ds = load_csv(CsvLoader(p, n_features=8, target_columns=1))
         assert ds.inputs.shape == (692, 8)
         assert ds.targets.shape == (692, 1)
 
@@ -87,27 +104,27 @@ class TestLoadCsv:
         p = tmp_path / "bad.csv"
         p.write_text("1,2,3\n4,x,6\n")
         with pytest.raises(DataFormatError, match=":2"):
-            load_csv(p, 2)
+            load_csv(CsvLoader(p, 2))
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("1,2,3\n4,5\n")
         with pytest.raises(DataFormatError, match=":2"):
-            load_csv(p, 2)
+            load_csv(CsvLoader(p, 2))
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_rejects_non_finite(self, tmp_path, cell):
         p = tmp_path / "bad.csv"
         p.write_text(f"1,2,3\n4,{cell},6\n")
         with pytest.raises(DataFormatError, match=":2: non-finite"):
-            load_csv(p, 2)
+            load_csv(CsvLoader(p, 2))
 
 
 class TestLoadIdx:
     def test_scaling_and_flattening(self, tmp_path):
         imgs = np.array([[[0, 255], [128, 64]], [[255, 0], [0, 255]]])
         img, lbl = write_idx(tmp_path, imgs, [3, 7])
-        ds = load_idx(img, lbl)
+        ds = load_idx(IdxLoader(img, lbl))
         assert ds.inputs.shape == (2, 4)
         np.testing.assert_allclose(ds.inputs[0], [0.0, 1.0, 128 / 255, 64 / 255])
         np.testing.assert_array_equal(ds.targets, [3, 7])
@@ -116,17 +133,17 @@ class TestLoadIdx:
     def test_gzipped_pair(self, tmp_path):
         imgs = np.zeros((3, 2, 2))
         img, lbl = write_idx(tmp_path, imgs, [0, 1, 2], gz=True)
-        assert len(load_idx(img, lbl)) == 3
+        assert len(load_idx(IdxLoader(img, lbl))) == 3
 
     def test_count_mismatch(self, tmp_path):
         img, lbl = write_idx(tmp_path, np.zeros((2, 2, 2)), [0, 1, 2])
         with pytest.raises(DataFormatError, match="mismatch"):
-            load_idx(img, lbl)
+            load_idx(IdxLoader(img, lbl))
 
     def test_bad_magic(self, tmp_path):
         img, lbl = write_idx(tmp_path, np.zeros((1, 2, 2)), [0], image_magic=0x123)
         with pytest.raises(DataFormatError, match="magic"):
-            load_idx(img, lbl)
+            load_idx(IdxLoader(img, lbl))
 
     @pytest.mark.parametrize("which, keep", [("images", 0), ("images", 10), ("labels", 7)])
     def test_truncated_header_names_the_file(self, tmp_path, which, keep):
@@ -134,7 +151,23 @@ class TestLoadIdx:
         path = img if which == "images" else lbl
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: truncated header")):
-            load_idx(img, lbl)
+            load_idx(IdxLoader(img, lbl))
+
+    @pytest.mark.parametrize(
+        "gz, corrupt, problem",
+        [
+            (True, lambda raw: raw[:-12], "unreadable gzip data"),
+            (True, lambda raw: b"not gzip at all", "unreadable gzip data"),
+            # 0xFFFFFFFF³ pixels: more than numpy can index, let alone read.
+            (False, lambda raw: raw[:4] + b"\xff" * 12 + raw[16:], "data bytes, header declares"),
+        ],
+        ids=["truncated-gzip", "not-gzip", "header-beyond-any-array"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, gz, corrupt, problem):
+        img, lbl = write_idx(tmp_path, np.zeros((2, 2, 2)), [0, 1], gz=gz)
+        img.write_bytes(corrupt(img.read_bytes()))
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{img}: ") + ".*" + problem):
+            load_idx(IdxLoader(img, lbl))
 
 
 class TestSplit:
@@ -201,13 +234,13 @@ class TestBatchIter:
 
 class TestSynthesize:
     def test_deterministic(self):
-        a = synthesize(Task.REGRESSION, 20, 3, seed=4)
-        b = synthesize(Task.REGRESSION, 20, 3, seed=4)
+        a = synthesize(SyntheticLoader(Task.REGRESSION, 20, 3, seed=4))
+        b = synthesize(SyntheticLoader(Task.REGRESSION, 20, 3, seed=4))
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_noiseless_regression_fit_by_descent(self):
-        ds = synthesize(Task.REGRESSION, 40, 3, seed=1, noise=0.0)
+        ds = synthesize(SyntheticLoader(Task.REGRESSION, 40, 3, seed=1, noise=0.0))
         assert least_squares_mse(ds.inputs, ds.targets) <= 1e-20  # oracle: exactly linear
         spec = MlpSpec((3, 1), LossKind.MSE)
         obj = mlp_objective(spec)
@@ -222,7 +255,7 @@ class TestSynthesize:
         assert f <= 1e-6
 
     def test_separated_blobs_linearly_classifiable(self):
-        ds = synthesize(Task.CLASSIFICATION, 120, 5, seed=2, n_classes=2)
+        ds = synthesize(SyntheticLoader(Task.CLASSIFICATION, 120, 5, seed=2, n_classes=2))
         spec = MlpSpec((5, 2), LossKind.SOFTMAX_CROSS_ENTROPY)
         obj = mlp_objective(spec)
         params = mlp_init(spec, 0)
@@ -247,16 +280,16 @@ class TestSynthesize:
         labels = np.arange(n, dtype=np.int64) % n_classes
         rng.shuffle(labels)
         inputs = centers[labels] + rng.normal(size=(n, d))
-        ds = synthesize(Task.CLASSIFICATION, n, d, seed, n_classes=n_classes)
+        ds = synthesize(SyntheticLoader(Task.CLASSIFICATION, n, d, seed, n_classes=n_classes))
         assert ds.inputs.tobytes() == inputs.tobytes()
         assert ds.targets.tobytes() == labels.tobytes()
 
     def test_rejects_fewer_than_one_class(self):
         with pytest.raises(ValueError, match="n_classes must be positive"):
-            synthesize(Task.CLASSIFICATION, 10, 3, seed=0, n_classes=0)
+            synthesize(SyntheticLoader(Task.CLASSIFICATION, 10, 3, seed=0, n_classes=0))
 
     def test_balanced_classes(self):
-        ds = synthesize(Task.CLASSIFICATION, 100, 4, seed=3, n_classes=4)
+        ds = synthesize(SyntheticLoader(Task.CLASSIFICATION, 100, 4, seed=3, n_classes=4))
         counts = np.bincount(ds.targets, minlength=4)
         np.testing.assert_array_equal(counts, [25, 25, 25, 25])
 
@@ -280,7 +313,7 @@ class TestStandardize:
         assert abs(sval.inputs.mean()) > 1e-6
 
     def test_classification_targets_untouched(self):
-        ds = synthesize(Task.CLASSIFICATION, 30, 3, seed=0)
+        ds = synthesize(SyntheticLoader(Task.CLASSIFICATION, 30, 3, seed=0))
         train, val, test = split_dataset(ds, SplitSpec(0.6, 0.2, 0.2, seed=0))
         strain, _, _, stats = standardize_splits(train, val, test)
         np.testing.assert_array_equal(strain.targets, train.targets)
@@ -323,14 +356,14 @@ class TestTask:
     def test_csv_of_integer_values_is_regression(self, tmp_path):
         p = tmp_path / "ints.csv"
         p.write_text("1,2,0\n3,4,1\n5,6,1\n")
-        ds = load_csv(p, n_features=2)
+        ds = load_csv(CsvLoader(p, n_features=2))
         assert ds.task is Task.REGRESSION
         assert ds.targets.dtype == np.float64
 
     def test_synthesized_and_split_data_keep_the_task(self):
-        blobs = synthesize(Task.CLASSIFICATION, 30, 3, seed=0)
+        blobs = synthesize(SyntheticLoader(Task.CLASSIFICATION, 30, 3, seed=0))
         assert blobs.task is Task.CLASSIFICATION
-        assert synthesize(Task.REGRESSION, 30, 3, seed=0).task is Task.REGRESSION
+        assert synthesize(SyntheticLoader(Task.REGRESSION, 30, 3, seed=0)).task is Task.REGRESSION
         for split in split_dataset(blobs, SplitSpec(1.0, 0.0, 0.0)):
             assert split.task is Task.CLASSIFICATION
 
