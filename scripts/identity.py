@@ -156,6 +156,37 @@ CONFIGS = {
     "idx-gz.json": _idx(".idx.gz"),
 }
 
+def _set(cfg: dict, key: str, value) -> dict:
+    """`cfg` with the value at its dotted `key` set to `value`."""
+    *parents, leaf = key.split(".")
+    inner = cfg
+    for name in parents:
+        inner = inner[name]
+    inner[leaf] = value
+    return cfg
+
+
+# Configs that exit 2 naming their block: one per bound kind, then a width
+# numpy cannot allocate, synthetic data that overflow, and the three
+# refusals of a config that cannot run.
+BAD = {
+    "epochs": _set(_energy(40), "epochs", 0),  # positive
+    "runtime": _set(_energy(40), "max_runtime_s", -1),  # non-negative
+    "momentum": _set(_energy(40), "optimizer", {"kind": "sgd_full", "lr": 0.1,
+                                                "momentum": float("nan")}),  # finite
+    "lambda0": _set(_energy(40), "optimizer.lambda0", float("inf")),  # finite and positive
+    "split": _set(_energy(40), "dataset.split.train_fraction", -0.8),  # finite and non-negative
+    "beta2": _set(_energy(40), "optimizer.hyper", {"beta2": 1.0}),  # in [0, 1)
+    "omega-dec": _set(_energy(40), "optimizer.omega_dec", 2.0),  # in (0, 1]
+    "omega-inc": _set(_energy(40), "optimizer.omega_inc", 0.5),  # finite and at least 1
+    "width": _set(_energy(40), "model.layer_widths", [8, 10**30, 1]),
+    "noise": _set(_energy(40), "dataset.loader.noise", 1e308),
+    "unread-knob": _set(_energy(40), "dataset.loader.n_classes", -5),
+    "loss": _set(_energy(40), "model.loss", "softmax_cross_entropy"),
+    "curvature": {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 3},
+}
+CONFIGS.update({f"bad-{name}.json": cfg for name, cfg in BAD.items()})
+
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
 COMMANDS = [
     ("train-fmnist", ["train", "--config", "fmnist.json", "--out", "records-fmnist.jsonl"]),
@@ -213,6 +244,7 @@ COMMANDS = [
     ("gradcheck", ["gradcheck", "--model", "mlp-classification"]),
     ("gradcheck-rosenbrock", ["gradcheck", "--model", "rosenbrock"]),
     ("gradcheck-mlp-regression", ["gradcheck", "--model", "mlp-regression"]),
+    *((f"train-bad-{name}", ["train", "--config", f"bad-{name}.json"]) for name in BAD),
 ]
 
 

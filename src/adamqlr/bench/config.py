@@ -15,12 +15,14 @@ import dataclasses
 import enum
 import functools
 import json
-import math
 import typing
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..data import BatchPlan, CsvLoader, IdxLoader, SplitSpec, SyntheticLoader, check_seed
+from ..autodiff import CurvatureKind, LossKind
+from ..data import (
+    BatchPlan, CsvLoader, IdxLoader, SplitSpec, SyntheticLoader, Task, check_bounds, check_seed
+)
 from ..models import MlpSpec, RosenbrockSpec
 from ..optim import AdamHyper, QLRConfig
 
@@ -40,21 +42,12 @@ class DatasetConfig:
     standardize: bool = True
 
 
-def _check_step(lr: float, **finite: float) -> None:
-    """Reject an `lr` that is not finite and positive, and any other non-finite knob."""
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be finite and positive, got {lr!r}")
-    for name, value in finite.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SgdMinimalOpt:
     lr: float
 
     def __post_init__(self):
-        _check_step(self.lr)
+        check_bounds(self, "finite and positive", "lr")
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,8 @@ class SgdFullOpt:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        _check_step(self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
+        check_bounds(self, "finite and positive", "lr")
+        check_bounds(self, "finite", "momentum", "weight_decay")
 
 
 @dataclass(frozen=True)
@@ -73,11 +67,15 @@ class AdamOpt:
     hyper: AdamHyper = AdamHyper()
 
     def __post_init__(self):
-        _check_step(self.lr)
+        check_bounds(self, "finite and positive", "lr")
 
 
 # The "qlr" block is `QLRConfig` itself: its knobs and Adam's `hyper`.
 OptimizerConfig = Union[SgdMinimalOpt, SgdFullOpt, AdamOpt, QLRConfig]
+
+
+# The loss of each task's data.
+_LOSSES = {Task.REGRESSION: LossKind.MSE, Task.CLASSIFICATION: LossKind.SOFTMAX_CROSS_ENTROPY}
 
 
 @dataclass(frozen=True)
@@ -93,16 +91,28 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.eval_every_epochs < 1:
-            raise ConfigError("eval_every_epochs must be >= 1")
-        if not self.max_runtime_s >= 0:  # NaN fails this too, and would never time out
-            raise ConfigError(f"max_runtime_s must be non-negative, got {self.max_runtime_s!r}")
-        if isinstance(self.model, MlpSpec) and self.dataset is None:
-            raise ConfigError("an MLP model requires a dataset block")
-        if isinstance(self.model, RosenbrockSpec) and self.dataset is not None:
-            raise ConfigError("a rosenbrock model takes no dataset block")
+        check_bounds(self, "positive", "epochs", "eval_every_epochs")
+        # A NaN limit would never time out.
+        check_bounds(self, "non-negative", "max_runtime_s")
+        if isinstance(self.model, MlpSpec):
+            if self.dataset is None:
+                raise ConfigError("an MLP model requires a dataset block")
+            task, loss = self.dataset.loader.task, self.model.loss
+            if loss is not _LOSSES[task]:
+                raise ConfigError(
+                    f"model.loss must be {_LOSSES[task].value!r} for a {task.value} loader, "
+                    f"got {loss.value!r}"
+                )
+        else:
+            if self.dataset is not None:
+                raise ConfigError("a rosenbrock model takes no dataset block")
+            # f has no model/loss split, so no Gauss-Newton/Fisher curvature.
+            opt = self.optimizer
+            if isinstance(opt, QLRConfig) and opt.curvature is not CurvatureKind.HESSIAN:
+                raise ConfigError(
+                    f"optimizer.curvature must be 'hessian' for a rosenbrock model, "
+                    f"got {opt.curvature.value!r}"
+                )
 
 
 # JSON "kind" tag of every member of a tagged union.

@@ -6,7 +6,7 @@ import itertools
 
 from .. import data, models, optim
 from .config import AdamOpt, ConfigError, RunConfig
-from .training import check_model_fits, make_stepper, prepare_data
+from .training import check_model_fits, make_stepper, naming, prepare_data
 
 REFERENCE_BATCH_ROWS = 256
 
@@ -29,7 +29,8 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
     train, _, _, _ = prepare_data(cfg.dataset)
     check_model_fits(cfg.model, train)
     obj = models.mlp_objective(cfg.model)
-    params = models.mlp_init(cfg.model, cfg.seed)
+    with naming("model"):
+        params = models.mlp_init(cfg.model, cfg.seed)
     stepper = make_stepper(cfg.optimizer, len(params))
 
     stream = itertools.chain.from_iterable(

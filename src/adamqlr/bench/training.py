@@ -8,6 +8,7 @@ with a recorded status instead of raising.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import logging
@@ -109,10 +110,24 @@ def make_stepper(opt: OptimizerConfig, n_params: int):
     return _STEPPERS[type(opt)](opt, n_params)
 
 
+@contextlib.contextmanager
+def naming(block: str):
+    """Re-raise a ValueError as a ConfigError naming the config `block`: numpy
+    refuses an array the block sizes too large in words that name nothing.
+    A DataFormatError names its file, so it passes as it is."""
+    try:
+        yield
+    except data.DataFormatError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{block}: {e}") from None
+
+
 def load_dataset(loader: LoaderConfig) -> Batch:
     # Looked up per call, so a wrapper swapped onto a `data` loader at run time is used.
     loaders = {CsvLoader: data.load_csv, IdxLoader: data.load_idx, SyntheticLoader: data.synthesize}
-    return loaders[type(loader)](loader)
+    with naming("dataset.loader"):
+        return loaders[type(loader)](loader)
 
 
 @functools.cache
@@ -156,10 +171,10 @@ def check_model_fits(spec: MlpSpec, train: Batch, *others: Batch) -> None:
     if train.task is Task.CLASSIFICATION:
         n_classes = 1 + max(int(s.targets.max()) for s in (train, *others) if len(s))
         if d_out < n_classes:
-            raise ConfigError(f"output width {d_out} < {n_classes} classes")
+            raise ConfigError(f"model output width {d_out} < {n_classes} classes")
     elif d_out != train.targets.shape[1]:
         raise ConfigError(
-            f"output width {d_out} != target dimension {train.targets.shape[1]}"
+            f"model output width {d_out} != target dimension {train.targets.shape[1]}"
         )
 
 
@@ -219,7 +234,8 @@ def start_training(cfg: RunConfig) -> tuple[RunResult, Iterator[MetricRecord]]:
         splits = (train, val, test)
         check_model_fits(cfg.model, *splits)
         obj = models.mlp_objective(cfg.model)
-        params = models.mlp_init(cfg.model, cfg.seed)
+        with naming("model"):
+            params = models.mlp_init(cfg.model, cfg.seed)
 
         def batches(epoch):
             return data.batch_iter(train, cfg.dataset.batch, epoch)

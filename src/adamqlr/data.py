@@ -9,6 +9,7 @@ stream a run sees.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import gzip
 import math
@@ -95,6 +96,28 @@ def check_seed(seed: int, name: str = "seed", *, keyed: bool = False) -> int:
     return seed
 
 
+# The bounds a config knob can take, by the phrase that states them; NaN meets none.
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "finite": math.isfinite,
+    "finite and positive": lambda v: math.isfinite(v) and v > 0,
+    "finite and non-negative": lambda v: math.isfinite(v) and v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "finite and at least 1": lambda v: math.isfinite(v) and v >= 1,
+}
+
+
+def check_bounds(spec, bound: str, *names: str) -> None:
+    """Refuse each named field of `spec` whose value is not `bound`, one of `_BOUNDS`."""
+    test = _BOUNDS[bound]
+    for name in names:
+        value = getattr(spec, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
@@ -104,13 +127,11 @@ class SplitSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if not all(math.isfinite(f) for f in fracs):
-            raise ValueError(f"split fractions must be finite, got {fracs}")
-        if any(f < 0 for f in fracs):
-            raise ValueError("split fractions must be non-negative")
-        if abs(sum(fracs) - 1.0) > 1e-12:
-            raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
+        check_bounds(self, "finite and non-negative", "train_fraction", "val_fraction",
+                     "test_fraction")
+        total = self.train_fraction + self.val_fraction + self.test_fraction
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"split fractions must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -119,16 +140,8 @@ class BatchPlan:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        check_bounds(self, "positive", "batch_size")
         check_seed(self.shuffle_seed, "shuffle_seed", keyed=True)
-
-
-def _check_counts(spec, *names: str) -> None:
-    """Refuse each named field of `spec` that is below 1."""
-    for name in names:
-        if getattr(spec, name) < 1:
-            raise ValueError(f"{name} must be positive, got {getattr(spec, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -138,9 +151,10 @@ class CsvLoader:
     path: str
     n_features: int
     target_columns: int = 1
+    task = Task.REGRESSION  # not a field: every CSV target is a number
 
     def __post_init__(self):
-        _check_counts(self, "n_features", "target_columns")
+        check_bounds(self, "positive", "n_features", "target_columns")
 
 
 @dataclass(frozen=True)
@@ -149,12 +163,14 @@ class IdxLoader:
 
     images_path: str
     labels_path: str
+    task = Task.CLASSIFICATION  # not a field: every label is a class
 
 
 @dataclass(frozen=True)
 class SyntheticLoader:
     """`n` rows of `d` inputs drawn by `synthesize`; `n_targets` and `noise`
-    shape regression data, `n_classes` and `separation` classification data."""
+    shape regression data, `n_classes` and `separation` classification data.
+    The other task's two knobs are never read, so only their defaults are taken."""
 
     task: Task
     n: int
@@ -167,13 +183,21 @@ class SyntheticLoader:
 
     def __post_init__(self):
         check_seed(self.seed, keyed=True)
-        _check_counts(self, "n", "d", "n_targets")
-        if self.task is Task.CLASSIFICATION:
-            _check_counts(self, "n_classes")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
-        if not math.isfinite(self.separation):
-            raise ValueError(f"separation must be finite, got {self.separation!r}")
+        check_bounds(self, "positive", "n", "d")
+        if self.task is Task.REGRESSION:
+            check_bounds(self, "positive", "n_targets")
+            check_bounds(self, "finite and non-negative", "noise")
+            unread = ("n_classes", "separation")
+        else:
+            check_bounds(self, "positive", "n_classes")
+            check_bounds(self, "finite", "separation")
+            unread = ("n_targets", "noise")
+        for f in dataclasses.fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(
+                    f"{f.name} is unread by a {self.task.value} loader, so it must be its "
+                    f"default {f.default!r}, got {getattr(self, f.name)!r}"
+                )
 
 
 def load_csv(spec: CsvLoader) -> Batch:

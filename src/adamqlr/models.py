@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .autodiff import LossKind, Objective
-from .data import Batch
+from .data import Batch, check_bounds
 from .params import ParamVector
 from .tape import Node, Tape, data_matmul, matmul, rosenbrock_terms
 
@@ -67,10 +66,8 @@ class RosenbrockSpec:
     def __post_init__(self):
         # A finite a whose f overflows at the start is left to the run, which
         # reports it as a divergence.
-        if not math.isfinite(self.a):
-            raise ValueError(f"a must be finite, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"b must be finite and positive, got {self.b!r}")
+        check_bounds(self, "finite", "a")
+        check_bounds(self, "finite and positive", "b")
 
 
 def _mlp_layers(spec: MlpSpec):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CurvatureKind, EvalOverflowError, Objective
-from .data import Batch
+from .data import Batch, check_bounds
 from .params import NonFiniteError, ParamVector
 
 LAMBDA_MIN = 1e-8
@@ -60,10 +60,8 @@ class AdamHyper:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
+        check_bounds(self, "in [0, 1)", "beta1", "beta2")
+        check_bounds(self, "finite and non-negative", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -143,14 +141,11 @@ class QLRConfig:
     hyper: AdamHyper = AdamHyper()
 
     def __post_init__(self):
-        if not (0.0 < self.omega_dec <= 1.0 <= self.omega_inc < math.inf):
-            raise ValueError("need 0 < omega_dec <= 1 <= omega_inc < inf")
+        check_bounds(self, "in (0, 1]", "omega_dec")
+        check_bounds(self, "finite and at least 1", "omega_inc")
         # An infinite lambda0 would be clamped silently, and the non-convex
         # fallback steps rescale_k * alpha_max.
-        for name in ("lambda0", "alpha_max", "rescale_k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_bounds(self, "finite and positive", "lambda0", "alpha_max", "rescale_k")
 
 
 def _clamp_lambda(lam: float) -> float:

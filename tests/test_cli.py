@@ -323,6 +323,15 @@ class TestTrain:
              "n_classes must be positive, got 0"),
             ({**CSV, "n_features": 0}, "n_features must be positive, got 0"),
             ({**CSV, "target_columns": 0}, "target_columns must be positive, got 0"),
+            # The other task's knobs are never read, so only their defaults are taken.
+            ({**SYNTHETIC, "n_classes": -5},
+             "n_classes is unread by a regression loader, so it must be its default 2, got -5"),
+            ({**SYNTHETIC, "separation": 1e308}, "separation is unread by a regression loader, "
+             "so it must be its default 6.0, got 1e+308"),
+            ({**SYNTHETIC, "task": "classification", "n_targets": 2},
+             "n_targets is unread by a classification loader, so it must be its default 1, got 2"),
+            ({**SYNTHETIC, "task": "classification", "noise": 0.0},
+             "noise is unread by a classification loader, so it must be its default 0.1, got 0.0"),
         ],
     )
     def test_bad_loader_knob_is_config_error_naming_it(self, tmp_path, capsys, loader, error):
@@ -330,6 +339,39 @@ class TestTrain:
         d["dataset"]["loader"] = loader
         assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: dataset.loader: {error}\n"
+
+    @pytest.mark.parametrize(
+        "loss, loader",
+        [
+            ("mse", {"kind": "synthetic", "task": "classification", "n": 50, "d": 3}),
+            ("softmax_cross_entropy", SYNTHETIC),
+            ("softmax_cross_entropy", CSV),
+            ("mse", {"kind": "idx", "images_path": "never-read", "labels_path": "never-read"}),
+        ],
+        ids=["mse-classification", "xent-regression", "xent-csv", "mse-idx"],
+    )
+    def test_loss_that_does_not_fit_the_loader_task_is_config_error(
+        self, tmp_path, capsys, loss, loader
+    ):
+        # Unchecked, the first step failed on the loss's shape check.
+        d = regression_cfg_dict()
+        d["model"]["loss"] = loss
+        d["dataset"]["loader"] = loader
+        assert main(["train", "--config", write_cfg(tmp_path, d)]) == EXIT_CONFIG
+        task, want = (("regression", "mse") if loss != "mse"
+                      else ("classification", "softmax_cross_entropy"))
+        assert capsys.readouterr().err == (
+            f"config error: config: model.loss must be {want!r} for a {task} loader, got {loss!r}\n"
+        )
+
+    ROSENBROCK_GGN = {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 3}
+    ROSENBROCK_GGN_ERROR = ("config error: config: optimizer.curvature must be 'hessian' for a "
+                            "rosenbrock model, got 'ggn_fisher'\n")
+
+    def test_rosenbrock_with_ggn_curvature_is_config_error(self, tmp_path, capsys):
+        # f has no model/loss split; unchecked, the run failed at its first step.
+        assert main(["train", "--config", write_cfg(tmp_path, self.ROSENBROCK_GGN)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == self.ROSENBROCK_GGN_ERROR
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
@@ -403,7 +445,7 @@ class TestTrain:
             ("optimizer", "lambda0", "optimizer: lambda0 must be finite and positive"),
             # NaN passes both of `SplitSpec`'s comparisons; unchecked, splitting
             # failed on numpy's bare "cannot convert float NaN to integer".
-            *[("split", key, "dataset.split: split fractions must be finite, got (")
+            *[("split", key, f"dataset.split: {key} must be finite and non-negative, got nan")
               for key in ("train_fraction", "val_fraction", "test_fraction")],
         ],
     )
@@ -416,9 +458,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("eval_every_epochs", 0, "config: eval_every_epochs must be >= 1"),
-            ("dataset.batch.batch_size", 0, "dataset.batch: batch_size must be positive"),
-            ("model.layer_widths", [3, 2], "output width 2 != target dimension 1"),
+            ("eval_every_epochs", 0, "config: eval_every_epochs must be positive, got 0"),
+            ("dataset.batch.batch_size", 0, "dataset.batch: batch_size must be positive, got 0"),
+            ("model.layer_widths", [3, 2], "model output width 2 != target dimension 1"),
         ],
     )
     def test_bad_run_shape_is_config_error(self, tmp_path, capsys, key, value, message):
@@ -433,7 +475,7 @@ class TestTrain:
             ({"kind": "qlr", "lambda0": float("inf")},
              "optimizer: lambda0 must be finite and positive"),
             ({"kind": "qlr", "omega_inc": float("inf")},
-             "optimizer: need 0 < omega_dec <= 1 <= omega_inc < inf"),
+             "optimizer: omega_inc must be finite and at least 1, got inf"),
             ({"kind": "qlr", "rescale_k": float("inf")},
              "optimizer: rescale_k must be finite and positive"),
             ({"kind": "qlr", "alpha_max": float("inf")},
@@ -698,6 +740,15 @@ class TestTune:
         assert out.read_bytes() == b'{"earlier": "search"}\n'
 
 
+    def test_rosenbrock_with_ggn_curvature_leaves_out_file_untouched(self, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        out.write_bytes(b'{"earlier": "search"}\n')
+        cfg = write_cfg(tmp_path, TestTrain.ROSENBROCK_GGN)
+        assert main(["tune", "--config", cfg, "--budget", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == TestTrain.ROSENBROCK_GGN_ERROR
+        assert out.read_bytes() == b'{"earlier": "search"}\n'
+
+
 class TestAllocationFailure:
     """An array the config sizes too large to allocate is a config error (exit 2).
 
@@ -797,7 +848,8 @@ class TestSweep:
         assert clamps == ["batch size 3200 exceeds train split size 36; clamping to full batch"]
 
     def test_batch_size_on_a_model_without_data_is_config_error(self, tmp_path, capsys):
-        d = {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 2}
+        d = {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr", "curvature": "hessian"},
+             "epochs": 2}
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", write_cfg(tmp_path, d), "--sweep", "batch_size",
                 "--out", str(out)]
@@ -967,7 +1019,7 @@ class TestGradcheckAndDiagFisher:
         "widths, message",
         [
             ([5, 16, 3], "model input width 5 != data feature count 4"),
-            ([4, 16, 2], "output width 2 < 3 classes"),
+            ([4, 16, 2], "model output width 2 < 3 classes"),
         ],
         ids=["input-width", "output-width"],
     )

@@ -1,7 +1,11 @@
 """Strict JSON config parsing."""
 
+import copy
 import dataclasses
+import functools
 import json
+import math
+import operator
 import re
 import typing
 from pathlib import Path
@@ -20,6 +24,7 @@ from adamqlr import (
     SplitSpec,
     Task,
 )
+from adamqlr.bench import cli
 from adamqlr.bench import config as config_mod
 from adamqlr.bench.config import (
     AdamOpt,
@@ -32,6 +37,7 @@ from adamqlr.bench.config import (
     SgdMinimalOpt,
     SyntheticLoader,
 )
+from adamqlr.bench.records import read_records
 from adamqlr.bench.search import search_space_for
 from adamqlr.bench.training import make_stepper
 from adamqlr.models import Activation, MlpSpec, RosenbrockSpec
@@ -166,7 +172,8 @@ def test_step_size_knobs_must_be_finite(optimizer, message):
 @pytest.mark.parametrize("noise", [float("nan"), -0.1, float("inf")])
 def test_synthetic_noise_must_be_finite_and_non_negative(noise):
     d = minimal_dict()
-    d["dataset"]["loader"]["noise"] = noise
+    d["model"]["loss"] = "mse"
+    d["dataset"]["loader"].update(task="regression", noise=noise)
     with pytest.raises(ConfigError, match="^dataset.loader: noise must be finite and non-negative"):
         config_mod.from_dict(d)
 
@@ -249,13 +256,14 @@ seeds = st.integers(0, 2**63 - 1)
 keyed_seeds = st.integers(0, 2**32 - 1)  # the seeds `keyed_rng` takes
 unit = st.floats(0.0, 0.999)
 
+# A synthetic loader takes the other task's knobs at their defaults only.
 loaders = st.one_of(
     st.builds(CsvLoader, st.text(), counts, counts),
     st.builds(IdxLoader, st.text(), st.text()),
-    st.builds(
-        SyntheticLoader,
-        st.sampled_from(Task), counts, counts, keyed_seeds, counts, non_negative, counts, floats,
-    ),
+    st.builds(SyntheticLoader, st.just(Task.REGRESSION), counts, counts, keyed_seeds,
+              n_targets=counts, noise=non_negative),
+    st.builds(SyntheticLoader, st.just(Task.CLASSIFICATION), counts, counts, keyed_seeds,
+              n_classes=counts, separation=floats),
 )
 datasets = st.builds(
     DatasetConfig,
@@ -283,22 +291,37 @@ optimizers = st.one_of(
         hypers,
     ),
 )
-mlps = st.builds(
-    MlpSpec,
-    st.lists(counts, min_size=2, max_size=4).map(tuple),
-    st.sampled_from(LossKind),
-    st.none() | st.sampled_from(Activation),
-)
+LOSSES = {Task.REGRESSION: LossKind.MSE, Task.CLASSIFICATION: LossKind.SOFTMAX_CROSS_ENTROPY}
+
+
+def mlps(loss):
+    return st.builds(
+        MlpSpec,
+        st.lists(counts, min_size=2, max_size=4).map(tuple),
+        st.just(loss),
+        st.none() | st.sampled_from(Activation),
+    )
+
+
+# An MLP's loss fits its loader's task, and Rosenbrock's curvature is the Hessian.
 run_configs = st.one_of(
-    st.tuples(mlps, datasets),
-    st.tuples(st.builds(RosenbrockSpec, floats, positive), st.none()),
+    datasets.flatmap(
+        lambda ds: st.tuples(mlps(LOSSES[ds.loader.task]), st.just(ds), optimizers)
+    ),
+    st.tuples(
+        st.builds(RosenbrockSpec, floats, positive),
+        st.none(),
+        optimizers.filter(
+            lambda opt: not isinstance(opt, QLRConfig) or opt.curvature is CurvatureKind.HESSIAN
+        ),
+    ),
 ).flatmap(
-    lambda model_data: st.builds(
+    lambda model_data_opt: st.builds(
         RunConfig,
-        st.just(model_data[0]),
-        optimizers,
+        st.just(model_data_opt[0]),
+        st.just(model_data_opt[2]),
         counts,
-        st.just(model_data[1]),
+        st.just(model_data_opt[1]),
         positive | st.just(float("inf")),
         seeds,
         st.none() | st.text(),
@@ -328,6 +351,11 @@ def _nodes(value, path=()):
         yield from _nodes(child, path + (key,))
 
 
+def _parent(d, path):
+    """The object or list of the document `d` that holds the value at `path`."""
+    return functools.reduce(operator.getitem, path[:-1], d)
+
+
 REPLACEMENTS = [None, "x", 1.5, -1, [], {}, {"kind": "zzz"}, json.loads("1e400")]
 
 
@@ -336,10 +364,8 @@ REPLACEMENTS = [None, "x", 1.5, -1, [], {}, {"kind": "zzz"}, json.loads("1e400")
 def test_single_leaf_mutation_parses_or_raises_config_error(cfg, pick, action):
     d = config_mod.to_dict(cfg)
     nodes = list(_nodes(d))
-    *parents, key = nodes[pick % len(nodes)]
-    parent = d
-    for p in parents:
-        parent = parent[p]
+    path = nodes[pick % len(nodes)]
+    parent, key = _parent(d, path), path[-1]
     if action == "delete":
         del parent[key]
     elif action == "typo" and isinstance(parent, dict):
@@ -350,3 +376,89 @@ def test_single_leaf_mutation_parses_or_raises_config_error(cfg, pick, action):
         config_mod.from_dict(d)
     except ConfigError:
         pass
+
+
+# Small runs, one per model kind and optimizer kind, with every knob written out.
+HYPER = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
+QLR = {"kind": "qlr", "lambda0": 1e-3, "omega_dec": 0.5, "omega_inc": 2.0, "alpha_max": 0.1,
+       "rescale_k": 1.0, "hyper": HYPER}
+RUN = {"epochs": 2, "max_runtime_s": 0.05, "seed": 0, "eval_every_epochs": 1}
+
+
+def _dataset(loader):
+    return {
+        "loader": loader,
+        "split": {"train_fraction": 0.7, "val_fraction": 0.15, "test_fraction": 0.15, "seed": 0},
+        "batch": {"batch_size": 16, "shuffle_seed": 0},
+    }
+
+
+SCAN_CONFIGS = {
+    "regression-qlr": {
+        "model": {"kind": "mlp", "layer_widths": [3, 4, 1], "loss": "mse"},
+        "dataset": _dataset({"kind": "synthetic", "task": "regression", "n": 40, "d": 3,
+                             "seed": 1, "n_targets": 1, "noise": 0.1}),
+        "optimizer": QLR,
+        **RUN,
+    },
+    "classification-adam": {
+        "model": {"kind": "mlp", "layer_widths": [4, 6, 3], "loss": "softmax_cross_entropy"},
+        "dataset": _dataset({"kind": "synthetic", "task": "classification", "n": 60, "d": 4,
+                             "seed": 1, "n_classes": 3, "separation": 6.0}),
+        "optimizer": {"kind": "adam", "lr": 0.01, "hyper": HYPER},
+        **RUN,
+    },
+    "csv-sgd_full": {
+        "model": {"kind": "mlp", "layer_widths": [3, 5, 1], "loss": "mse"},
+        "dataset": _dataset({"kind": "csv", "path": "table.csv", "n_features": 3,
+                             "target_columns": 1}),
+        "optimizer": {"kind": "sgd_full", "lr": 0.01, "momentum": 0.9, "weight_decay": 1e-4},
+        **RUN,
+    },
+    "rosenbrock-qlr-hessian": {
+        "model": {"kind": "rosenbrock", "a": 1.0, "b": 100.0},
+        "optimizer": {**QLR, "curvature": "hessian"},
+        **RUN,
+    },
+}
+SCAN_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, -1e308, 1e-320, 10**30, 2**63]
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS)
+def test_every_numeric_leaf_runs_or_is_a_config_error_naming_its_block(name, tmp_path, capsys):
+    """Each numeric leaf set in turn to each of `SCAN_VALUES`, then `train` run
+    in-process: it raises nothing, exit 2 names the leaf's block (or, for a
+    file loader's count, the file), exit 1 comes only from a finite value, and
+    exit 0 leaves finite train losses. `max_runtime_s` keeps each run short."""
+    csv_path = tmp_path / "table.csv"
+    rows = [f"{i % 7 / 4},{i % 5 / 2},{i % 3 - 1},{i % 4 / 8}" for i in range(40)]
+    csv_path.write_text("a,b,c,y\n" + "\n".join(rows) + "\n")
+    base = json.loads(json.dumps(SCAN_CONFIGS[name]).replace("table.csv", str(csv_path)))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.jsonl"
+    for path in _nodes(base):
+        leaf = _parent(base, path)[path[-1]]
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            continue
+        # The block's dotted path; a top-level key's type error names the key,
+        # and a file loader's count that misreads its file names the file.
+        keys = [k for k in path if isinstance(k, str)]
+        named = [f"config error: {'.'.join(keys[:-1]) or 'config'}"]
+        if len(keys) == 1:
+            named.append(f"config error: {keys[0]}:")
+        if keys[:2] == ["dataset", "loader"]:
+            named.append(f"config error: {csv_path}")
+        for value in SCAN_VALUES:
+            d = copy.deepcopy(base)
+            _parent(d, path)[path[-1]] = value
+            cfg_path.write_text(json.dumps(d))
+            out.unlink(missing_ok=True)
+            code = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+            err = capsys.readouterr().err
+            where = f"{'.'.join(map(str, path))} = {value!r}: exit {code}, {err!r}"
+            if code == 2:
+                assert err.startswith(tuple(named)), where
+            elif code == 1:
+                assert math.isfinite(value), where
+            else:
+                assert code == 0, where
+                assert all(math.isfinite(r.train_loss) for r in read_records(out)), where

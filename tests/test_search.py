@@ -54,7 +54,8 @@ class TestSpaces:
 
     def test_batch_size_only_with_a_dataset(self):
         rosenbrock = config_mod.from_dict(
-            {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 3}
+            {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr", "curvature": "hessian"},
+             "epochs": 3}
         )
         assert "batch_size" not in search_space_for(rosenbrock)
         assert search_space_for(rosenbrock).keys() == search_space_for(

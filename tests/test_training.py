@@ -180,7 +180,7 @@ def test_train_only_split_trains_to_completion(task):
                       "loss": "mse" if task == "regression" else "softmax_cross_entropy"},
             "dataset": {
                 "loader": {"kind": "synthetic", "task": task, "n": 40, "d": 4, "seed": 5,
-                           "n_targets": 3},
+                           **({"n_targets": 3} if task == "regression" else {})},
                 "split": {"train_fraction": 1.0, "val_fraction": 0.0, "test_fraction": 0.0},
                 "batch": {"batch_size": 16},
             },
