@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from adamqlr.bench import config as config_mod
-from adamqlr.bench.cli import configure_malloc
+from adamqlr.bench.cli import check_flags, configure_malloc
 from adamqlr.bench.records import emit
 from adamqlr.bench.stats import bootstrap_trend
 from adamqlr.bench.training import start_training
@@ -55,6 +55,10 @@ def main():
     parser.add_argument("--csv", default=None, help="optional real CSV dataset")
     parser.add_argument("--out-dir", default="runs/energy")
     args = parser.parse_args()
+    try:
+        check_flags(args, dict.fromkeys(("--seeds", "--epochs", "--n-boot"), "positive"))
+    except ValueError as e:
+        parser.error(str(e))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

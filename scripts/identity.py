@@ -186,6 +186,13 @@ BAD = {
     "curvature": {"model": {"kind": "rosenbrock"}, "optimizer": {"kind": "qlr"}, "epochs": 3},
 }
 CONFIGS.update({f"bad-{name}.json": cfg for name, cfg in BAD.items()})
+# A model whose input width does not fit its synthetic loader's 8 features.
+CONFIGS["width-mismatch.json"] = _set(_energy(40), "model.layer_widths", [9, 50, 1])
+
+# `--out` files that exist before the commands that name them run, to show
+# which commands leave them as they were; they are compared like every output.
+EXISTING = {name: b'{"earlier": "search"}\n' for name in ("tune-bad-budget.json",
+                                                          "tune-bad-width.json")}
 
 # (name, arguments to `adamqlr`); each runs in the side's output directory, in order.
 COMMANDS = [
@@ -245,6 +252,21 @@ COMMANDS = [
     ("gradcheck-rosenbrock", ["gradcheck", "--model", "rosenbrock"]),
     ("gradcheck-mlp-regression", ["gradcheck", "--model", "mlp-regression"]),
     *((f"train-bad-{name}", ["train", "--config", f"bad-{name}.json"]) for name in BAD),
+    # Numeric flags out of their bounds, and a width refused as the config is read.
+    ("rosenbrock-bad-steps", ["rosenbrock", "--optimizer", "gd", "--steps", "0",
+                              "--out", "rosenbrock-bad-steps.csv"]),
+    ("tune-bad-budget", ["tune", "--config", "energy40.json", "--budget", "0",
+                         "--out", "tune-bad-budget.json"]),
+    ("tune-bad-width", ["tune", "--config", "width-mismatch.json", "--budget", "2",
+                        "--out", "tune-bad-width.json"]),
+    ("bootstrap-bad-n-boot", ["bootstrap", "--inputs", "records-*.jsonl", "--n-boot", "0"]),
+    ("bootstrap-bad-n-points", ["bootstrap", "--inputs", "records-*.jsonl", "--align", "time",
+                                "--n-points", "0"]),
+    ("diag-fisher-bad-steps", ["diag-fisher", "--config", "adam.json", "--steps", "0",
+                               "--out", "diag-fisher-bad-steps.json"]),
+    ("train-bad-seed", ["train", "--config", "energy40.json", "--seed", "4294967296",
+                        "--out", "bad-seed-energy.jsonl"]),
+    ("gradcheck-bad-seed", ["gradcheck", "--seed", "-1"]),
 ]
 
 
@@ -267,7 +289,9 @@ def run_side(tree: Path, out: Path, commands) -> None:
     out.mkdir()
     for name, cfg in CONFIGS.items():
         (out / name).write_text(json.dumps(cfg))
-    for name, content in INPUTS.items():
+    outs = {args[args.index("--out") + 1] for _, args in commands if "--out" in args}
+    existing = {name: content for name, content in EXISTING.items() if name in outs}
+    for name, content in {**INPUTS, **existing}.items():
         (out / name).write_bytes(content)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            **{k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}

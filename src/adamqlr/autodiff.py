@@ -184,7 +184,7 @@ class Linearization:
         grad, _ = self.tape.backward(
             self.loss, (np.float64(1.0), None), self.theta, use_tangents=False
         )
-        return self.params.with_values(grad)
+        return ParamVector(grad)
 
     def curvature_vp(self, v: ParamVector, kind: CurvatureKind) -> ParamVector:
         """Product with the chosen curvature matrix.
@@ -208,11 +208,11 @@ class Linearization:
         if kind is CurvatureKind.HESSIAN:
             # Exact Hessian-vector product via a tangent-carrying reverse sweep.
             _, hv = tape.backward(loss, (np.float64(1.0), None), theta, use_tangents=True)
-            return self.params.with_values(np.zeros_like(self.params.values) if hv is None else hv)
+            return ParamVector(np.zeros_like(self.params.values) if hv is None else hv)
         outputs = self.outputs
         out_tan = np.zeros_like(outputs.val) if outputs.tan is None else outputs.tan
         jtu, _ = tape.backward(outputs, (loss.ggn(out_tan), None), theta, use_tangents=False)
-        return self.params.with_values(jtu)
+        return ParamVector(jtu)
 
     def trial(self, alpha: float) -> tuple[ParamVector, float]:
         """The point ``params - alpha * v`` and the loss there, for ``v`` the
@@ -225,7 +225,7 @@ class Linearization:
         v, params = self.theta.tan, self.params
         if v is None:
             raise ValueError("trial needs a curvature product to give its direction")
-        point = params if alpha == 0.0 else params.with_values(params.values - alpha * v)
+        point = params if alpha == 0.0 else ParamVector(params.values - alpha * v)
         pre = None
         if self.pre is not None:
             pre = alpha * self.pre.tan
@@ -286,7 +286,7 @@ def fd_grad(
     for i in range(base.size):
         step = np.zeros_like(base)
         step[i] = h
-        up = eval_loss(obj, params.with_values(base + step), batch)
-        down = eval_loss(obj, params.with_values(base - step), batch)
+        up = eval_loss(obj, ParamVector(base + step), batch)
+        down = eval_loss(obj, ParamVector(base - step), batch)
         grad[i] = (up - down) / (2.0 * h)
-    return params.with_values(grad)
+    return ParamVector(grad)

@@ -19,12 +19,13 @@ import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .. import autodiff, models
 from ..autodiff import LossKind
-from ..data import Batch, check_seed
+from ..data import Batch, check_bounds
 from ..params import ParamVector
 from . import config as config_mod
 from .config import ConfigError
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     cfg = config_mod.from_json(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=check_seed(args.seed, "--seed"))
+        cfg = replace(cfg, seed=args.seed)
     out_path = args.out or cfg.output_path
     if out_path is None:
         result = run_training(cfg)
@@ -154,7 +155,6 @@ def _cmd_rosenbrock(args) -> int:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigError(f"--start must be finite, got {args.start!r}")
     opt = preset_optimizer(args.optimizer, args.lr, args.momentum, args.weight_decay)
-    # A bad --steps raises here, before --out is created.
     points = trajectory(opt, args.steps, (x, y))
     # Each point reaches the file as it is drawn, with the step leaving it
     # taken, so a run that stops early leaves the header and every point a
@@ -173,10 +173,8 @@ def _cmd_rosenbrock(args) -> int:
 
 def _cmd_tune(args) -> int:
     cfg = config_mod.from_json(args.config)
-    seed, name = (cfg.seed, "config: seed") if args.seed is None else (args.seed, "--seed")
-    seed = check_seed(seed, name, keyed=True)
+    seed = cfg.seed if args.seed is None else args.seed
     space = search_space_for(cfg)
-    # An invalid budget raises here, before --out is written.
     results = search_trials(
         space, args.budget, SearchObjective(args.objective), cfg, seed, args.halving
     )
@@ -231,9 +229,6 @@ def _metric_series(records, metric: str):
 
 
 def _cmd_bootstrap(args) -> int:
-    if args.n_points < 1:
-        raise ConfigError(f"n_points must be at least 1, got {args.n_points}")
-    check_seed(args.seed, "--seed")
     paths = sorted(globlib.glob(args.inputs))
     if not paths:
         raise ConfigError(f"no files match {args.inputs!r}")
@@ -272,7 +267,7 @@ def _gradcheck_model(name: str, seed: int):
 
 
 def _cmd_gradcheck(args) -> int:
-    obj, params, batch = _gradcheck_model(args.model, check_seed(args.seed, "--seed"))
+    obj, params, batch = _gradcheck_model(args.model, args.seed)
     rng = np.random.default_rng(args.seed + 1)
 
     _, grad = autodiff.eval_grad(obj, params, batch)
@@ -280,10 +275,10 @@ def _cmd_gradcheck(args) -> int:
     scale = max(float(np.max(np.abs(fd.values))), 1e-12)
     grad_err = float(np.max(np.abs(grad.values - fd.values))) / scale
 
-    v = params.with_values(rng.normal(size=len(params)))
+    v = ParamVector(rng.normal(size=len(params)))
     h = 1e-5
-    _, gp = autodiff.eval_grad(obj, params.with_values(params.values + h * v.values), batch)
-    _, gm = autodiff.eval_grad(obj, params.with_values(params.values - h * v.values), batch)
+    _, gp = autodiff.eval_grad(obj, ParamVector(params.values + h * v.values), batch)
+    _, gm = autodiff.eval_grad(obj, ParamVector(params.values - h * v.values), batch)
     fd_hv = (gp.values - gm.values) / (2 * h)
     hv = autodiff.curvature_vp(obj, params, batch, v, autodiff.CurvatureKind.HESSIAN).values
     hvp_err = float(np.max(np.abs(hv - fd_hv))) / max(float(np.max(np.abs(fd_hv))), 1e-12)
@@ -304,6 +299,26 @@ def _cmd_diag_fisher(args) -> int:
     return EXIT_OK
 
 
+def check_flags(args, bounds: dict[str, str]) -> None:
+    """Refuse each flag in `bounds` that is set outside its bound, naming it as typed."""
+    flags = SimpleNamespace(**{"--" + k.replace("_", "-"): v for k, v in vars(args).items()})
+    for flag, bound in bounds.items():
+        if getattr(flags, flag) is not None:
+            check_bounds(flags, bound, flag)
+
+
+# Each command's numeric flags and their bounds, checked before it runs. An
+# unset `tune --seed` takes the config's seed, which the config checks.
+_FLAG_BOUNDS = {
+    "train": {"--seed": "in [0, 2**32)"},
+    "rosenbrock": {"--steps": "positive"},
+    "tune": {"--budget": "positive", "--seed": "in [0, 2**32)"},
+    "bootstrap": {"--n-boot": "positive", "--seed": "in [0, 2**32)", "--n-points": "positive"},
+    "gradcheck": {"--seed": "in [0, 2**32)"},
+    "diag-fisher": {"--steps": "positive"},
+}
+
+
 _COMMANDS = {
     "train": _cmd_train,
     "rosenbrock": _cmd_rosenbrock,
@@ -319,6 +334,7 @@ def main(argv=None) -> int:
     configure_malloc()
     args = _build_parser().parse_args(argv)
     try:
+        check_flags(args, _FLAG_BOUNDS.get(args.command, {}))
         # Overflow is reported once, as a divergence, not as numpy warnings on the way there.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args)

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..autodiff import CurvatureKind, LossKind
-from ..data import (
-    BatchPlan, CsvLoader, IdxLoader, SplitSpec, SyntheticLoader, Task, check_bounds, check_seed
-)
+from ..data import BatchPlan, CsvLoader, IdxLoader, SplitSpec, SyntheticLoader, Task, check_bounds
 from ..models import MlpSpec, RosenbrockSpec
 from ..optim import AdamHyper, QLRConfig
 
@@ -78,6 +76,19 @@ OptimizerConfig = Union[SgdMinimalOpt, SgdFullOpt, AdamOpt, QLRConfig]
 _LOSSES = {Task.REGRESSION: LossKind.MSE, Task.CLASSIFICATION: LossKind.SOFTMAX_CROSS_ENTROPY}
 
 
+def check_widths(model: MlpSpec, task: Task, n_features: int, n_outputs: int) -> None:
+    """Refuse an MLP whose widths do not fit data of `n_features` inputs and
+    `n_outputs` targets, or labels of `n_outputs` classes."""
+    first, last = model.layer_widths[0], model.layer_widths[-1]
+    if first != n_features:
+        raise ConfigError(f"model input width {first} != data feature count {n_features}")
+    if task is Task.CLASSIFICATION:
+        if last < n_outputs:
+            raise ConfigError(f"model output width {last} < {n_outputs} classes")
+    elif last != n_outputs:
+        raise ConfigError(f"model output width {last} != target dimension {n_outputs}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: Union[MlpSpec, RosenbrockSpec]
@@ -90,7 +101,7 @@ class RunConfig:
     eval_every_epochs: int = 1
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_bounds(self, "in [0, 2**32)", "seed")
         check_bounds(self, "positive", "epochs", "eval_every_epochs")
         # A NaN limit would never time out.
         check_bounds(self, "non-negative", "max_runtime_s")
@@ -103,6 +114,13 @@ class RunConfig:
                     f"model.loss must be {_LOSSES[task].value!r} for a {task.value} loader, "
                     f"got {loss.value!r}"
                 )
+            # A synthetic loader's sizes are known before its data are drawn;
+            # its labels are arange(n) % n_classes.
+            loader = self.dataset.loader
+            if isinstance(loader, SyntheticLoader):
+                n_outputs = (loader.n_targets if task is Task.REGRESSION
+                             else min(loader.n, loader.n_classes))
+                check_widths(self.model, task, loader.d, n_outputs)
         else:
             if self.dataset is not None:
                 raise ConfigError("a rosenbrock model takes no dataset block")

@@ -23,8 +23,6 @@ def fisher_alignment(cfg: RunConfig, steps: int = 100) -> dict:
         raise ConfigError("fisher alignment diagnostic requires the adam optimizer")
     if not isinstance(cfg.model, models.MlpSpec):
         raise ConfigError("fisher alignment diagnostic requires an MLP model")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
 
     train, _, _, _ = prepare_data(cfg.dataset)
     check_model_fits(cfg.model, train)

@@ -81,10 +81,7 @@ def trajectory(
     point and one whose next step raises (a Ctrl-C re-raised after it)
     evaluate f alone. A divergence ends the trajectory at its last finite
     point, so it falls short of ``steps + 1`` points only by diverging.
-    Bad arguments raise here, before any point is drawn.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     obj = rosenbrock_objective()
     stepper = make_stepper(optimizer, 2)
 

@@ -137,10 +137,8 @@ def search_trials(
     The best so far is the lowest score among the trials run at the
     budget of the latest rung, ties going to the earliest sample; after
     the last trial it is the search's result. Deterministic in (space,
-    budget, seed). An invalid budget raises here, before any trial runs.
+    budget, seed).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     epochs = base_cfg.epochs
     # Below 4 epochs rungs share a budget; each budget runs once, in order.
     rungs = [max(1, epochs // 4), max(1, epochs // 2), epochs] if halving else [epochs]

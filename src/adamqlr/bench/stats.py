@@ -19,8 +19,6 @@ def bootstrap_trend(
     """
     if not runs:
         raise ValueError("bootstrap_trend needs at least one run")
-    if n_boot < 1:
-        raise ValueError("n_boot must be >= 1")
     length = min(len(r) for r in runs)
     if length == 0:
         raise ValueError("runs must be non-empty series")
@@ -42,8 +40,6 @@ def align_time_series(
     The grid spans [max of first timestamps, min of last timestamps], the
     interval where every run has data.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
     if not series:
         raise ValueError("no series to align")
     lo = max(float(np.asarray(t)[0]) for t, _ in series)

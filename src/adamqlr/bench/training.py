@@ -32,6 +32,7 @@ from .config import (
     RunConfig,
     SgdFullOpt,
     SgdMinimalOpt,
+    check_widths,
 )
 from .records import MetricRecord
 
@@ -75,7 +76,7 @@ class _AdamStepper:
     def step(self, obj: Objective, params: ParamVector, batch: Optional[Batch]):
         f, g = autodiff.eval_grad(obj, params, batch)
         self.state, d = optim.adam_direction(self.state, g, self.opt.hyper)
-        params = params.with_values(params.values - self.opt.lr * d.values)
+        params = ParamVector(params.values - self.opt.lr * d.values)
         return params, {"train_loss": f, "alpha": self.opt.lr}
 
 
@@ -162,20 +163,11 @@ def prepare_data(dcfg: DatasetConfig):
 def check_model_fits(spec: MlpSpec, train: Batch, *others: Batch) -> None:
     """Refuse a model whose widths do not fit the data; a classifier must
     cover the labels of `train` and of every other split given."""
-    d_in = train.inputs.shape[1]
-    if spec.layer_widths[0] != d_in:
-        raise ConfigError(
-            f"model input width {spec.layer_widths[0]} != data feature count {d_in}"
-        )
-    d_out = spec.layer_widths[-1]
     if train.task is Task.CLASSIFICATION:
-        n_classes = 1 + max(int(s.targets.max()) for s in (train, *others) if len(s))
-        if d_out < n_classes:
-            raise ConfigError(f"model output width {d_out} < {n_classes} classes")
-    elif d_out != train.targets.shape[1]:
-        raise ConfigError(
-            f"model output width {d_out} != target dimension {train.targets.shape[1]}"
-        )
+        n_outputs = 1 + max(int(s.targets.max()) for s in (train, *others) if len(s))
+    else:
+        n_outputs = train.targets.shape[1]
+    check_widths(spec, train.task, train.inputs.shape[1], n_outputs)
 
 
 def _fill_eval(

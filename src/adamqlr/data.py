@@ -86,17 +86,9 @@ class Batch:
         return batch
 
 
-def check_seed(seed: int, name: str = "seed", *, keyed: bool = False) -> int:
-    """``seed``, refused when negative: numpy's generators take no negative seed.
-    A ``keyed`` seed, one that `keyed_rng` takes, must also lie below 2**32."""
-    if keyed and not 0 <= seed < 2**32:
-        raise ValueError(f"{name} must lie in [0, 2**32), got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"{name} must be non-negative, got {seed!r}")
-    return seed
-
-
-# The bounds a config knob can take, by the phrase that states them; NaN meets none.
+# The bounds a number read from a config or a flag can take, by the phrase
+# that states them; NaN meets none. numpy takes no negative seed, and
+# SeedSequence would read 2**32 + 5 as the words (5, 1): seed 5 keyed on 1.
 _BOUNDS = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
@@ -106,11 +98,12 @@ _BOUNDS = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
     "finite and at least 1": lambda v: math.isfinite(v) and v >= 1,
+    "in [0, 2**32)": lambda v: 0 <= v < 2**32,
 }
 
 
 def check_bounds(spec, bound: str, *names: str) -> None:
-    """Refuse each named field of `spec` whose value is not `bound`, one of `_BOUNDS`."""
+    """Refuse each named attribute of `spec` whose value is not `bound`, one of `_BOUNDS`."""
     test = _BOUNDS[bound]
     for name in names:
         value = getattr(spec, name)
@@ -126,7 +119,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_bounds(self, "in [0, 2**32)", "seed")
         check_bounds(self, "finite and non-negative", "train_fraction", "val_fraction",
                      "test_fraction")
         total = self.train_fraction + self.val_fraction + self.test_fraction
@@ -141,7 +134,7 @@ class BatchPlan:
 
     def __post_init__(self):
         check_bounds(self, "positive", "batch_size")
-        check_seed(self.shuffle_seed, "shuffle_seed", keyed=True)
+        check_bounds(self, "in [0, 2**32)", "shuffle_seed")
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ class SyntheticLoader:
     separation: float = 6.0
 
     def __post_init__(self):
-        check_seed(self.seed, keyed=True)
+        check_bounds(self, "in [0, 2**32)", "seed")
         check_bounds(self, "positive", "n", "d")
         if self.task is Task.REGRESSION:
             check_bounds(self, "positive", "n_targets")
@@ -309,12 +302,10 @@ def keyed_rng(seed: int, *keys: int) -> np.random.Generator:
     """Random stream keyed on (seed, *keys): a SeedSequence over both.
 
     What each stream draws does not depend on the order in which streams
-    are used. The seed must lie in [0, 2**32): SeedSequence splits a larger
-    int into 32-bit words, so 2**32 + 5 would draw the stream of seed 5
-    keyed on 1. One alias stays: SeedSequence pads its entropy with zeros,
-    so ``keyed_rng(s)`` and ``keyed_rng(s, 0)`` draw the same stream.
+    are used. The seed is one checked to be in [0, 2**32) where it was read.
+    One alias stays: SeedSequence pads its entropy with zeros, so
+    ``keyed_rng(s)`` and ``keyed_rng(s, 0)`` draw the same stream.
     """
-    check_seed(seed, keyed=True)
     return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))
 
 

@@ -92,7 +92,7 @@ def adam_direction(
     m_hat = m / (1.0 - h.beta1**t)
     v_hat = v / (1.0 - h.beta2**t)
     d = m_hat / (np.sqrt(v_hat) + h.epsilon)
-    return AdamState(m, v, t), g.with_values(d)
+    return AdamState(m, v, t), ParamVector(d)
 
 
 def bias_corrected_v(state: AdamState, h: AdamHyper = AdamHyper()) -> np.ndarray:
@@ -118,7 +118,7 @@ def sgd_step(
     if momentum_buf is None:
         momentum_buf = np.zeros_like(params.values)
     buf = momentum * momentum_buf + g.values + weight_decay * params.values
-    return params.with_values(params.values - lr * buf), buf
+    return ParamVector(params.values - lr * buf), buf
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def empirical_fisher_diag(
     for i in range(n):
         _, g = autodiff.eval_grad(obj, params, batch.take([i]))
         acc += g.values * g.values
-    return params.with_values(acc / n)
+    return ParamVector(acc / n)
 
 
 def fisher_adam_alignment(fisher_diag: ParamVector, v_hat: np.ndarray) -> tuple[float, float]:

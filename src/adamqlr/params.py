@@ -33,6 +33,3 @@ class ParamVector:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values)

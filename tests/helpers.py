@@ -148,7 +148,7 @@ def explicit_matrix(obj: Objective, params: ParamVector, batch, kind: CurvatureK
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols[:, i] = lin.curvature_vp(params.with_values(e), kind).values
+        cols[:, i] = lin.curvature_vp(ParamVector(e), kind).values
     return 0.5 * (cols + cols.T)
 
 

@@ -117,14 +117,14 @@ def test_02_hvp_oracle():
             n = len(params)
             v1, v2 = rng.normal(size=n), rng.normal(size=n)
 
-            _, gp = eval_grad(obj, params.with_values(params.values + h * v1), batch)
-            _, gm = eval_grad(obj, params.with_values(params.values - h * v1), batch)
+            _, gp = eval_grad(obj, ParamVector(params.values + h * v1), batch)
+            _, gm = eval_grad(obj, ParamVector(params.values - h * v1), batch)
             fd_hv = (gp.values - gm.values) / (2 * h)
-            hv1 = curvature_vp(obj, params, batch, params.with_values(v1), HESSIAN).values
+            hv1 = curvature_vp(obj, params, batch, ParamVector(v1), HESSIAN).values
             worst_fd = max(worst_fd, max_rel(hv1, fd_hv))
 
-            hv2 = curvature_vp(obj, params, batch, params.with_values(v2), HESSIAN).values
-            lhs = curvature_vp(obj, params, batch, params.with_values(v1 + 2.5 * v2), HESSIAN).values
+            hv2 = curvature_vp(obj, params, batch, ParamVector(v2), HESSIAN).values
+            lhs = curvature_vp(obj, params, batch, ParamVector(v1 + 2.5 * v2), HESSIAN).values
             worst_lin = max(worst_lin, max_rel(lhs, hv1 + 2.5 * hv2))
 
             sym_gap = abs(v2 @ hv1 - v1 @ hv2) / max(abs(v2 @ hv1), 1e-300)

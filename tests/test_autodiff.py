@@ -123,7 +123,7 @@ class TestEvalOutputs:
     def test_checks_params_batch_and_objective(self):
         obj, params, batch = random_mlp((3, 2), LossKind.MSE, 0)
         with pytest.raises(ValueError, match="expects 8 parameters"):
-            eval_outputs(obj, params.with_values(np.zeros(7)), batch)
+            eval_outputs(obj, ParamVector(np.zeros(7)), batch)
         with pytest.raises(ValueError, match="empty batch"):
             eval_outputs(obj, params, Batch(batch.inputs[:0], batch.targets[:0]))
         with pytest.raises(ValueError, match="no model outputs"):
@@ -166,7 +166,7 @@ class TestHvp:
     def test_identity_hessian(self):
         obj = quadratic_objective(np.eye(3))
         params = ParamVector(np.array([0.3, -1.0, 2.0]))
-        v = params.with_values(np.array([1.0, -2.0, 0.5]))
+        v = ParamVector(np.array([1.0, -2.0, 0.5]))
         np.testing.assert_allclose(
             curvature_vp(obj, params, None, v, HESSIAN).values, v.values, rtol=1e-15
         )
@@ -182,10 +182,10 @@ class TestHvp:
         for i in (0, len(params) // 2, len(params) - 1):
             e = np.zeros(len(params))
             e[i] = 1.0
-            _, gp = eval_grad(obj, params.with_values(params.values + h * e), batch)
-            _, gm = eval_grad(obj, params.with_values(params.values - h * e), batch)
+            _, gp = eval_grad(obj, ParamVector(params.values + h * e), batch)
+            _, gm = eval_grad(obj, ParamVector(params.values - h * e), batch)
             fd_col = (gp.values - gm.values) / (2 * h)
-            got = curvature_vp(obj, params, batch, params.with_values(e), HESSIAN).values
+            got = curvature_vp(obj, params, batch, ParamVector(e), HESSIAN).values
             assert max_rel_err(got, fd_col) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -195,10 +195,10 @@ class TestHvp:
         v1 = rng.normal(size=len(params))
         v2 = rng.normal(size=len(params))
         c = 1.7
-        lhs = curvature_vp(obj, params, batch, params.with_values(v1 + c * v2), HESSIAN).values
+        lhs = curvature_vp(obj, params, batch, ParamVector(v1 + c * v2), HESSIAN).values
         rhs = (
-            curvature_vp(obj, params, batch, params.with_values(v1), HESSIAN).values
-            + c * curvature_vp(obj, params, batch, params.with_values(v2), HESSIAN).values
+            curvature_vp(obj, params, batch, ParamVector(v1), HESSIAN).values
+            + c * curvature_vp(obj, params, batch, ParamVector(v2), HESSIAN).values
         )
         assert max_rel_err(lhs, rhs) <= 1e-10
 
@@ -208,15 +208,15 @@ class TestHvp:
         rng = np.random.default_rng(seed)
         u = rng.normal(size=len(params))
         v = rng.normal(size=len(params))
-        uhv = u @ curvature_vp(obj, params, batch, params.with_values(v), HESSIAN).values
-        vhu = v @ curvature_vp(obj, params, batch, params.with_values(u), HESSIAN).values
+        uhv = u @ curvature_vp(obj, params, batch, ParamVector(v), HESSIAN).values
+        vhu = v @ curvature_vp(obj, params, batch, ParamVector(u), HESSIAN).values
         assert abs(uhv - vhu) <= 1e-8 * max(abs(uhv), 1.0)
 
 
 class TestCurvatureVp:
     def test_zero_vector(self):
         obj, params, batch = random_mlp((3, 2), LossKind.MSE, 0)
-        z = params.with_values(np.zeros(len(params)))
+        z = ParamVector(np.zeros(len(params)))
         for kind in CurvatureKind:
             np.testing.assert_array_equal(
                 curvature_vp(obj, params, batch, z, kind).values, np.zeros(len(params))
@@ -228,14 +228,14 @@ class TestCurvatureVp:
         x = np.array([0.5, -1.0, 2.0])
         batch = Batch(x[None, :], np.array([[0.7]]))
         params = ParamVector(np.array([0.1, 0.2, -0.3, 0.0]))
-        v = params.with_values(np.array([1.0, -1.0, 0.5, 0.0]))
+        v = ParamVector(np.array([1.0, -1.0, 0.5, 0.0]))
         got = curvature_vp(obj, params, batch, v, CurvatureKind.GGN_FISHER).values
         np.testing.assert_allclose(got[:3], 2.0 * x * (x @ v.values[:3]), rtol=1e-12)
 
     @pytest.mark.parametrize("kind", list(CurvatureKind))
     def test_each_kind_counts_one_product(self, kind):
         obj, params, batch = random_mlp((4, 3, 2), LossKind.MSE, 3)
-        v = params.with_values(np.random.default_rng(0).normal(size=len(params)))
+        v = ParamVector(np.random.default_rng(0).normal(size=len(params)))
         before = counters.curvature_vp
         curvature_vp(obj, params, batch, v, kind)
         assert counters.curvature_vp == before + 1
@@ -263,13 +263,13 @@ class TestCurvatureVp:
     def test_ggn_positive_semidefinite_quadratic_form(self, seed):
         obj, params, batch = random_mlp((4, 6, 3), LossKind.SOFTMAX_CROSS_ENTROPY, seed + 10)
         v = np.random.default_rng(seed).normal(size=len(params))
-        quad = v @ curvature_vp(obj, params, batch, params.with_values(v), CurvatureKind.GGN_FISHER).values
+        quad = v @ curvature_vp(obj, params, batch, ParamVector(v), CurvatureKind.GGN_FISHER).values
         assert quad >= -1e-10 * (v @ v)
 
     def test_hessian_equals_ggn_on_quadratic_objective(self):
         # linear model + MSE is quadratic in the parameters
         obj, params, batch = random_mlp((5, 3), LossKind.MSE, 7)
-        v = params.with_values(np.random.default_rng(1).normal(size=len(params)))
+        v = ParamVector(np.random.default_rng(1).normal(size=len(params)))
         hess = curvature_vp(obj, params, batch, v, CurvatureKind.HESSIAN).values
         ggn = curvature_vp(obj, params, batch, v, CurvatureKind.GGN_FISHER).values
         assert max_rel_err(hess, ggn) <= 1e-10
@@ -299,7 +299,7 @@ class TestLinearization:
         else:
             kinds = [CurvatureKind.GGN_FISHER, HESSIAN, CurvatureKind.GGN_FISHER]
         rng = np.random.default_rng(5)
-        v1, v2 = (params.with_values(rng.normal(size=len(params))) for _ in range(2))
+        v1, v2 = (ParamVector(rng.normal(size=len(params))) for _ in range(2))
         lin = linearize(obj, params, batch)
         loss_fresh, g_fresh = eval_grad(obj, params, batch)
         assert lin.value == loss_fresh
@@ -322,7 +322,7 @@ class TestLinearization:
     def test_freed_by_refcount_alone(self, case):
         # A tape in a reference cycle lives until the cyclic collector runs.
         obj, params, batch = linearization_case(case)
-        v = params.with_values(np.random.default_rng(5).normal(size=len(params)))
+        v = ParamVector(np.random.default_rng(5).normal(size=len(params)))
         # Rosenbrock has no model/loss split, so GGN products do not apply.
         kinds = [HESSIAN] if obj.loss_kind is None else [CurvatureKind.GGN_FISHER, HESSIAN]
         gc.collect()
@@ -460,7 +460,7 @@ class TestFdGrad:
 class TestDeterminism:
     def test_bitwise_identical_repeats(self):
         obj, params, batch = random_mlp((4, 6, 3), LossKind.SOFTMAX_CROSS_ENTROPY, 42)
-        v = params.with_values(np.random.default_rng(9).normal(size=len(params)))
+        v = ParamVector(np.random.default_rng(9).normal(size=len(params)))
         l1, g1 = eval_grad(obj, params, batch)
         l2, g2 = eval_grad(obj, params, batch)
         assert l1 == l2

@@ -5,7 +5,9 @@ import ctypes
 import functools
 import gc
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,20 +129,20 @@ def set_key(d: dict, key: str, value) -> None:
 
 # A negative seed that would reach numpy's generators is refused as the
 # config and flags are read, before any data is prepared, naming its path
-# or flag. A seed that `keyed_rng` takes must also lie below 2**32.
+# or flag. Every seed must also lie below 2**32.
 @pytest.mark.parametrize(
     "command, key, flags, error",
     [
-        ("train", "seed", [], "config: seed must be non-negative, got -1"),
-        ("sweep", "seed", ["--sweep", "omega_sym"], "config: seed must be non-negative, got -1"),
-        ("train", "dataset.split.seed", [], "dataset.split: seed must be non-negative, got -1"),
-        ("train", None, ["--seed", "-5"], "--seed must be non-negative, got -5"),
-        ("bootstrap", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
-        ("gradcheck", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
-        ("tune", None, ["--seed", "-1", "--budget", "1"], "--seed must lie in [0, 2**32), got -1"),
-        ("train", "dataset.loader.seed", [], "dataset.loader: seed must lie in [0, 2**32), got -1"),
+        ("train", "seed", [], "config: seed must be in [0, 2**32), got -1"),
+        ("sweep", "seed", ["--sweep", "omega_sym"], "config: seed must be in [0, 2**32), got -1"),
+        ("train", "dataset.split.seed", [], "dataset.split: seed must be in [0, 2**32), got -1"),
+        ("train", None, ["--seed", "-5"], "--seed must be in [0, 2**32), got -5"),
+        ("bootstrap", None, ["--seed", "-1"], "--seed must be in [0, 2**32), got -1"),
+        ("gradcheck", None, ["--seed", "-1"], "--seed must be in [0, 2**32), got -1"),
+        ("tune", None, ["--seed", "-1", "--budget", "1"], "--seed must be in [0, 2**32), got -1"),
+        ("train", "dataset.loader.seed", [], "dataset.loader: seed must be in [0, 2**32), got -1"),
         ("train", "dataset.batch.shuffle_seed", [],
-         "dataset.batch: shuffle_seed must lie in [0, 2**32), got -1"),
+         "dataset.batch: shuffle_seed must be in [0, 2**32), got -1"),
     ],
 )
 def test_negative_seed_is_refused_naming_it(
@@ -198,6 +200,67 @@ def test_keyed_seeds_sharing_a_stream_are_accepted_at_most_once(
             assert code == EXIT_CONFIG
             assert capsys.readouterr().err.startswith(f"config error: {named} must ")
     assert len(accepted) <= 1, accepted
+
+
+# Every numeric flag of every command, each at values outside or at the edge
+# of its bound. Counts far above any run, such as `--steps 10**30`, are left
+# out: they are not bound errors, and those commands have no time limit.
+SEEDS = [-1, 2**32, 2**63]
+COUNTS = [0, -1]
+FLAG_SCAN = [
+    *((command, "--seed", SEEDS) for command in ("train", "tune", "bootstrap", "gradcheck")),
+    ("rosenbrock", "--steps", COUNTS),
+    ("diag-fisher", "--steps", COUNTS),
+    ("tune", "--budget", COUNTS),
+    ("bootstrap", "--n-boot", COUNTS),
+    ("bootstrap", "--n-points", COUNTS),
+    *(("rosenbrock", flag, ["nan", "inf", "-inf", 0, -1])
+      for flag in ("--lr", "--momentum", "--weight-decay")),
+    ("rosenbrock", "--start", ["nan,0", "0,inf"]),
+]
+
+
+def test_every_numeric_flag_runs_or_is_a_config_error_naming_it(tmp_path, capsys):
+    """Each flag of `FLAG_SCAN` at each of its values, on a small valid base run
+    in-process: it raises nothing, every seed and count given is refused,
+    exit 2 names the flag or the field it sets and leaves `--out` as it was,
+    and exit 1 comes only from a finite value."""
+    cfg = write_cfg(tmp_path, regression_cfg_dict(epochs=1))
+    adam = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}),
+                     "adam.json")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run.jsonl")]) == EXIT_OK
+    bases = {
+        "train": ["train", "--config", cfg],
+        "tune": ["tune", "--config", cfg, "--budget", "1"],
+        "bootstrap": ["bootstrap", "--inputs", str(tmp_path / "run.jsonl")],
+        "gradcheck": ["gradcheck", "--model", "rosenbrock"],
+        "rosenbrock": ["rosenbrock", "--optimizer", "gd-full", "--steps", "5"],
+        "diag-fisher": ["diag-fisher", "--config", adam, "--steps", "2"],
+    }
+    out = tmp_path / "out"
+    for command, flag, values in FLAG_SCAN:
+        field = flag[2:].replace("-", "_")
+        for value, before in itertools.product(values, (None, b"earlier\n")):
+            out.unlink(missing_ok=True)
+            if before is not None:
+                out.write_bytes(before)
+            argv = [*bases[command], f"{flag}={value}"]
+            if command != "gradcheck":
+                argv += ["--out", str(out)]
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            where = f"{' '.join(argv)}: exit {code}, {err!r}"
+            assert "Traceback" not in err, where
+            if flag in ("--seed", "--steps", "--budget", "--n-boot", "--n-points"):
+                assert code == EXIT_CONFIG, where
+            if code == EXIT_CONFIG:
+                assert err.startswith((f"config error: {flag} ", f"config error: {field} ")), where
+                assert (out.read_bytes() if out.exists() else None) == before, where
+            elif code == EXIT_DIVERGED:
+                assert all(math.isfinite(float(v)) for v in str(value).split(",")), where
+            else:
+                assert code == EXIT_OK, where
 
 
 class TestTrain:
@@ -460,7 +523,7 @@ class TestTrain:
         [
             ("eval_every_epochs", 0, "config: eval_every_epochs must be positive, got 0"),
             ("dataset.batch.batch_size", 0, "dataset.batch: batch_size must be positive, got 0"),
-            ("model.layer_widths", [3, 2], "model output width 2 != target dimension 1"),
+            ("model.layer_widths", [3, 2], "config: model output width 2 != target dimension 1"),
         ],
     )
     def test_bad_run_shape_is_config_error(self, tmp_path, capsys, key, value, message):
@@ -613,7 +676,7 @@ class TestRosenbrock:
         out = tmp_path / "traj.csv"
         argv = ["rosenbrock", "--optimizer", "gd", "--steps", "0", "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: steps must be >= 1\n"
+        assert capsys.readouterr().err == "config error: --steps must be positive, got 0\n"
         assert not out.exists()
 
     def test_trajectory_takes_each_step_as_its_point_is_drawn(self, monkeypatch):
@@ -724,16 +787,22 @@ class TestTune:
         assert long - short < 16 * 1024
 
     @pytest.mark.parametrize(
-        "n, budget, message",
-        [(50, "0", "budget must be >= 1"), (0, "2", "dataset.loader: n must be positive, got 0")],
-        ids=["budget", "loader"],
+        "keys, budget, message",
+        [({}, "0", "--budget must be positive, got 0"),
+         ({"dataset.loader.n": 0}, "2", "dataset.loader: n must be positive, got 0"),
+         ({"dataset.loader.d": 4, "model.layer_widths": [5, 4, 1]}, "2",
+          "config: model input width 5 != data feature count 4")],
+        ids=["budget", "loader", "width"],
     )
-    def test_invalid_value_leaves_out_file_untouched(self, tmp_path, capsys, n, budget, message):
-        # Both are refused before the first trial starts, so before --out is written.
+    def test_invalid_value_leaves_out_file_untouched(
+        self, tmp_path, capsys, keys, budget, message
+    ):
+        # Each is refused before the first trial starts, so before --out is written.
         out = tmp_path / "tune.json"
         out.write_bytes(b'{"earlier": "search"}\n')
         d = regression_cfg_dict()
-        d["dataset"]["loader"]["n"] = n
+        for key, value in keys.items():
+            set_key(d, key, value)
         cfg = write_cfg(tmp_path, d)
         assert main(["tune", "--config", cfg, "--budget", budget, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -900,7 +969,7 @@ class TestBootstrap:
                    "--align", align, "--n-points", n_points])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config error: n_points must be at least 1, got {n_points}\n"
+            f"config error: --n-points must be positive, got {n_points}\n"
         )
 
     def test_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
@@ -928,7 +997,7 @@ class TestBootstrap:
         self._make_runs(tmp_path)
         rc = main(["bootstrap", "--inputs", str(tmp_path / "run*.jsonl"), "--n-boot", "0"])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: n_boot must be >= 1\n"
+        assert capsys.readouterr().err == "config error: --n-boot must be positive, got 0\n"
 
     def test_no_matches_is_config_error(self, tmp_path):
         assert main(["bootstrap", "--inputs", str(tmp_path / "zzz*.jsonl")]) == EXIT_CONFIG
@@ -1013,13 +1082,13 @@ class TestGradcheckAndDiagFisher:
     def test_diag_fisher_zero_steps_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, regression_cfg_dict(optimizer={"kind": "adam", "lr": 0.01}))
         assert main(["diag-fisher", "--config", cfg, "--steps", "0"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: steps must be >= 1\n"
+        assert capsys.readouterr().err == "config error: --steps must be positive, got 0\n"
 
     @pytest.mark.parametrize(
         "widths, message",
         [
-            ([5, 16, 3], "model input width 5 != data feature count 4"),
-            ([4, 16, 2], "model output width 2 < 3 classes"),
+            ([5, 16, 3], "config: model input width 5 != data feature count 4"),
+            ([4, 16, 2], "config: model output width 2 < 3 classes"),
         ],
         ids=["input-width", "output-width"],
     )

@@ -39,7 +39,8 @@ from adamqlr.bench.config import (
 )
 from adamqlr.bench.records import read_records
 from adamqlr.bench.search import search_space_for
-from adamqlr.bench.training import make_stepper
+from adamqlr.bench.training import check_model_fits, make_stepper
+from adamqlr.data import synthesize
 from adamqlr.models import Activation, MlpSpec, RosenbrockSpec
 
 
@@ -252,17 +253,16 @@ floats = st.floats(-1e6, 1e6, allow_nan=False)
 positive = st.floats(1e-6, 1e6)
 non_negative = st.floats(0.0, 1e6)
 counts = st.integers(1, 5000)
-seeds = st.integers(0, 2**63 - 1)
-keyed_seeds = st.integers(0, 2**32 - 1)  # the seeds `keyed_rng` takes
+seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 0.999)
 
 # A synthetic loader takes the other task's knobs at their defaults only.
 loaders = st.one_of(
     st.builds(CsvLoader, st.text(), counts, counts),
     st.builds(IdxLoader, st.text(), st.text()),
-    st.builds(SyntheticLoader, st.just(Task.REGRESSION), counts, counts, keyed_seeds,
+    st.builds(SyntheticLoader, st.just(Task.REGRESSION), counts, counts, seeds,
               n_targets=counts, noise=non_negative),
-    st.builds(SyntheticLoader, st.just(Task.CLASSIFICATION), counts, counts, keyed_seeds,
+    st.builds(SyntheticLoader, st.just(Task.CLASSIFICATION), counts, counts, seeds,
               n_classes=counts, separation=floats),
 )
 datasets = st.builds(
@@ -270,7 +270,7 @@ datasets = st.builds(
     loaders,
     st.builds(lambda fractions, seed: SplitSpec(*fractions, seed),
               st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0)]), seeds),
-    st.builds(BatchPlan, counts, keyed_seeds),
+    st.builds(BatchPlan, counts, seeds),
     st.booleans(),
 )
 hypers = st.builds(AdamHyper, unit, unit, st.floats(0.0, 1.0))
@@ -294,20 +294,27 @@ optimizers = st.one_of(
 LOSSES = {Task.REGRESSION: LossKind.MSE, Task.CLASSIFICATION: LossKind.SOFTMAX_CROSS_ENTROPY}
 
 
-def mlps(loss):
+def mlps(loader):
+    """MLPs whose loss fits `loader`'s task and whose widths fit its data, if it is synthetic."""
+    widths = st.lists(counts, min_size=2, max_size=4)
+    if isinstance(loader, SyntheticLoader):
+        if loader.task is Task.REGRESSION:
+            n_outputs = st.just(loader.n_targets)
+        else:
+            n_outputs = st.integers(min(loader.n, loader.n_classes), 5000)
+        widths = st.builds(lambda hidden, last: [loader.d, *hidden, last],
+                           st.lists(counts, max_size=2), n_outputs)
     return st.builds(
         MlpSpec,
-        st.lists(counts, min_size=2, max_size=4).map(tuple),
-        st.just(loss),
+        widths.map(tuple),
+        st.just(LOSSES[loader.task]),
         st.none() | st.sampled_from(Activation),
     )
 
 
-# An MLP's loss fits its loader's task, and Rosenbrock's curvature is the Hessian.
+# An MLP fits its loader, and Rosenbrock's curvature is the Hessian.
 run_configs = st.one_of(
-    datasets.flatmap(
-        lambda ds: st.tuples(mlps(LOSSES[ds.loader.task]), st.just(ds), optimizers)
-    ),
+    datasets.flatmap(lambda ds: st.tuples(mlps(ds.loader), st.just(ds), optimizers)),
     st.tuples(
         st.builds(RosenbrockSpec, floats, positive),
         st.none(),
@@ -378,6 +385,35 @@ def test_single_leaf_mutation_parses_or_raises_config_error(cfg, pick, action):
         pass
 
 
+@settings(max_examples=100)
+@given(st.sampled_from(Task), st.integers(1, 12), st.integers(1, 3), st.integers(1, 6),
+       st.integers(1, 3), st.integers(1, 6))
+def test_synthetic_sizes_are_refused_as_read_exactly_when_the_drawn_data_refuse_them(
+    task, n, d, n_outputs, first, last
+):
+    outputs = {"n_targets" if task is Task.REGRESSION else "n_classes": n_outputs}
+    loader = SyntheticLoader(task, n, d, **outputs)
+    model = MlpSpec((first, 4, last), LOSSES[task])
+    try:
+        config_mod.from_dict({
+            "model": config_mod.to_dict(model),
+            "dataset": {"loader": config_mod.to_dict(loader)},
+            "optimizer": {"kind": "adam", "lr": 0.1},
+            "epochs": 1,
+        })
+    except ConfigError as e:
+        refused_as_read = str(e)
+    else:
+        refused_as_read = None
+    try:
+        check_model_fits(model, synthesize(loader))
+    except ConfigError as e:
+        refused_drawn = f"config: {e}"
+    else:
+        refused_drawn = None
+    assert refused_as_read == refused_drawn
+
+
 # Small runs, one per model kind and optimizer kind, with every knob written out.
 HYPER = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
 QLR = {"kind": "qlr", "lambda0": 1e-3, "omega_dec": 0.5, "omega_inc": 2.0, "alpha_max": 0.1,
@@ -428,8 +464,10 @@ SCAN_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, -1e308, 1e-320, 10**
 def test_every_numeric_leaf_runs_or_is_a_config_error_naming_its_block(name, tmp_path, capsys):
     """Each numeric leaf set in turn to each of `SCAN_VALUES`, then `train` run
     in-process: it raises nothing, exit 2 names the leaf's block (or, for a
-    file loader's count, the file), exit 1 comes only from a finite value, and
-    exit 0 leaves finite train losses. `max_runtime_s` keeps each run short."""
+    file loader's count, the file, and for a width a synthetic loader shares
+    with the model, the run's width rule), exit 1 comes only from a finite
+    value, and exit 0 leaves finite train losses. `max_runtime_s` keeps each
+    run short."""
     csv_path = tmp_path / "table.csv"
     rows = [f"{i % 7 / 4},{i % 5 / 2},{i % 3 - 1},{i % 4 / 8}" for i in range(40)]
     csv_path.write_text("a,b,c,y\n" + "\n".join(rows) + "\n")
@@ -440,13 +478,16 @@ def test_every_numeric_leaf_runs_or_is_a_config_error_naming_its_block(name, tmp
         if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
             continue
         # The block's dotted path; a top-level key's type error names the key,
-        # and a file loader's count that misreads its file names the file.
+        # a file loader's count that misreads its file names the file, and a
+        # model or loader size is also checked against the other's.
         keys = [k for k in path if isinstance(k, str)]
         named = [f"config error: {'.'.join(keys[:-1]) or 'config'}"]
         if len(keys) == 1:
             named.append(f"config error: {keys[0]}:")
         if keys[:2] == ["dataset", "loader"]:
             named.append(f"config error: {csv_path}")
+        if keys[0] == "model" or keys[:2] == ["dataset", "loader"]:
+            named.append("config error: config: model ")
         for value in SCAN_VALUES:
             d = copy.deepcopy(base)
             _parent(d, path)[path[-1]] = value

@@ -17,6 +17,7 @@ from adamqlr import (
     CurvatureKind,
     LossKind,
     MlpSpec,
+    ParamVector,
     SplitSpec,
     Task,
     adam_direction,
@@ -250,7 +251,7 @@ class TestSynthesize:
         for _ in range(2000):
             f, g = eval_grad(obj, params, batch)
             state, d = adam_direction(state, g, AdamHyper())
-            params = params.with_values(params.values - 0.05 * d.values)
+            params = ParamVector(params.values - 0.05 * d.values)
         f, _ = eval_grad(obj, params, batch)
         assert f <= 1e-6
 
@@ -264,7 +265,7 @@ class TestSynthesize:
         for _ in range(300):
             _, g = eval_grad(obj, params, batch)
             state, d = adam_direction(state, g, AdamHyper())
-            params = params.with_values(params.values - 0.05 * d.values)
+            params = ParamVector(params.values - 0.05 * d.values)
         outputs = obj.predict(params.values, ds.inputs)
         assert accuracy(outputs, ds.targets) >= 0.99
 

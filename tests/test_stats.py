@@ -66,10 +66,3 @@ def test_time_alignment_requires_overlap():
         align_time_series(
             [(np.array([0.0, 1.0]), np.zeros(2)), (np.array([2.0, 3.0]), np.zeros(2))]
         )
-
-
-@pytest.mark.parametrize("n_points", [0, -1])
-def test_time_alignment_needs_a_grid_point(n_points):
-    s = (np.array([0.0, 1.0]), np.zeros(2))
-    with pytest.raises(ValueError, match=f"^n_points must be at least 1, got {n_points}$"):
-        align_time_series([s, s], n_points=n_points)

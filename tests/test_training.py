@@ -255,9 +255,8 @@ def test_oversized_batch_warned_once_per_run(job, caplog):
 def test_model_width_mismatch_is_config_error():
     from adamqlr.bench.config import ConfigError
 
-    cfg = regression_cfg(model={"kind": "mlp", "layer_widths": [5, 1], "loss": "mse"})
     with pytest.raises(ConfigError, match="feature count"):
-        run_training(cfg)
+        run_training(regression_cfg(model={"kind": "mlp", "layer_widths": [5, 1], "loss": "mse"}))
 
 
 def test_rosenbrock_model_trains_batch_free():
